@@ -76,13 +76,19 @@ class RunManifest:
 
 
 class _Config:
-    def __init__(self, pairs):
+    def __init__(self, pairs, allowed):
         self.values = {}
         for pair in pairs or []:
             if "=" not in pair:
                 raise InvalidInstanceError(f"--config entries must be KEY=VALUE, got {pair!r}")
             key, raw = pair.split("=", 1)
             self.values[key.strip()] = _parse_config_value(raw.strip())
+        unknown = sorted(set(self.values) - set(allowed))
+        if unknown:
+            raise InvalidInstanceError(
+                f"unknown config key(s) {', '.join(unknown)}; "
+                f"accepted: {', '.join(sorted(allowed)) or 'none'}"
+            )
 
     def get(self, key, default=None, required=False):
         if key in self.values:
@@ -171,6 +177,9 @@ def load_extended_instance(path):
         targets=np.asarray(_need(data, "targets"), dtype=float),
     )
     return src, ext, data
+
+
+_SOLVE_KEYS = ("z_size", "inner_max_iters", "inner_tolerance", "enumeration_cap")
 
 
 def _solve_config(cfg: _Config) -> SolveConfig:
@@ -394,15 +403,19 @@ def cmd_reduce_u(args, cfg: _Config) -> str:
     return _json_report(report, args.seed)
 
 
+# subcommand -> (handler, the --config keys it reads)
 _COMMANDS = {
-    "discrete-solve": cmd_discrete_solve,
-    "discrete-sweep": cmd_discrete_sweep,
-    "gaussian-curve": cmd_gaussian_curve,
-    "sphere-sim": cmd_sphere_sim,
-    "ext-solve": cmd_ext_solve,
-    "reduce-u": cmd_reduce_u,
-    "wz": cmd_wz,
-    "cr": cmd_cr,
+    "discrete-solve": (cmd_discrete_solve, ("dd_target", "de_target") + _SOLVE_KEYS),
+    "discrete-sweep": (cmd_discrete_sweep, ("dd_grid", "de_grid") + _SOLVE_KEYS),
+    "gaussian-curve": (cmd_gaussian_curve, ("var_x", "var_u", "dd", "de")),
+    "sphere-sim": (
+        cmd_sphere_sim,
+        ("var_x", "var_u", "a", "b", "var_w", "dd", "de", "delta", "epsilon", "trials", "n"),
+    ),
+    "ext-solve": (cmd_ext_solve, ("u_size",) + _SOLVE_KEYS),
+    "reduce-u": (cmd_reduce_u, ()),
+    "wz": (cmd_wz, ("dd_target",) + _SOLVE_KEYS),
+    "cr": (cmd_cr, ("dd_target",) + _SOLVE_KEYS),
 }
 
 
@@ -441,9 +454,9 @@ def main(argv=None) -> int:
         format=args.format,
         config=tuple(args.config),
     )
+    command, keys = _COMMANDS[manifest.subcommand]
     try:
-        cfg = _Config(manifest.config)
-        text = _COMMANDS[manifest.subcommand](manifest, cfg)
+        text = command(manifest, _Config(manifest.config, keys))
     except RdsiError as exc:
         error = {"error": {"kind": exc.kind, "message": str(exc)}}
         _emit(_json_report(error, manifest.seed), manifest.output)

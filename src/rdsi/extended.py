@@ -22,15 +22,14 @@ column subsets cover every rule pair.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caratheodory import reduce_aux_u
-from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
+from .errors import AssumptionError, InfeasibleError, InvalidInstanceError
 from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_valid_source
-from .solver import SolveConfig, _InnerProblem, scan_candidates
+from .solver import SolveConfig, _candidate_array, _InnerProblem, scan_candidates
 
 
 @dataclass(frozen=True)
@@ -218,32 +217,20 @@ def solve_rate_ext(
 
     n_sig = len(sigs)
     m = min(z_size, n_sig)
-    n_cand = math.comb(n_sig, m)
-    if n_cand > cfg.enumeration_cap:
-        raise ResourceCapError(
-            f"{n_cand} rule candidates exceed the cap {cfg.enumeration_cap}; "
-            "reduce z_size/u_size or raise enumeration_cap"
-        )
+    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     ncols = m * u_size
-    col_group = np.repeat(np.arange(m), u_size)
-    problem = _InnerProblem(src.pxy, ncols, col_group=col_group)
-    cands = np.array(list(itertools.combinations(range(n_sig), m)), dtype=np.int64)
-    # columns z-major within each candidate: [z0 u0, z0 u1, ..., z1 u0, ...]
-    costs_arr = np.asarray(costs)  # (n_sig, K, X, u)
-    gathered = costs_arr[cands]  # (C, m, K, X, u)
-    stacked = gathered.transpose(0, 2, 3, 1, 4).reshape(len(cands), kk, src.x_size, ncols)
-    cons_batch = [stacked[:, k] for k in range(kk)]
+    problem = _InnerProblem(src.pxy, ncols, col_group=np.repeat(np.arange(m), u_size))
+    # library columns sig-major, u-minor; a candidate's columns z-major:
+    # [z0 u0, z0 u1, ..., z1 u0, ...]
+    lib = np.asarray(costs).transpose(1, 2, 0, 3).reshape(kk, src.x_size, n_sig * u_size)
+    cols = (cands[:, :, None] * u_size + np.arange(u_size)).reshape(len(cands), ncols)
     universe = None
     if n_sig > m:
-        u_stack = costs_arr.transpose(1, 2, 0, 3).reshape(kk, src.x_size, n_sig * u_size)
-        universe = (
-            _InnerProblem(
-                src.pxy, n_sig * u_size, col_group=np.repeat(np.arange(n_sig), u_size)
-            ),
-            [u_stack[k] for k in range(kk)],
+        universe = _InnerProblem(
+            src.pxy, n_sig * u_size, col_group=np.repeat(np.arange(n_sig), u_size)
         )
     best, best_idx, total_iters = scan_candidates(
-        problem, cons_batch, list(targets), cfg.solve_config(), universe
+        problem, list(lib), cols, list(targets), cfg.solve_config(), universe
     )
     if best is None:
         raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
@@ -280,18 +267,17 @@ def verify_u_reduction(
     """Reduce the witness auxiliary to |U| <= K and check it still works.
 
     True iff the reduced witness meets all K constraints and the rate
-    objective is unchanged; the reduction never touches the Z-channel, so
-    the rate comparison is exact by construction (asserted).
+    objective of the reduced joint's Z-marginal matches the input's within
+    1e-9 bits (it moves only if the reduced u-law loses or gains mass).
     """
     pz_given_x = np.asarray(pz_given_x, dtype=float)
     pu_given_xz = np.asarray(pu_given_xz, dtype=float)
     psi3 = np.asarray(psi3, dtype=np.int64)
     pu_new, psi_new = reduce_aux_u(src, ext, pz_given_x, pu_given_xz, phi, psi3)
-    if np.max(np.abs(pu_new.sum(axis=2) - 1.0)) > 1e-9:
-        raise InvalidInstanceError("reduced u-law rows must be distributions")
     rate_before = _witness_rate(src, pz_given_x)
-    rate_after = _witness_rate(src, pz_given_x)
-    assert rate_after == rate_before, "Z-marginal rate must be untouched"
+    rate_after = _witness_rate(src, (pz_given_x[:, :, None] * pu_new).sum(axis=2))
+    if abs(rate_after - rate_before) > 1e-9:
+        return False
     for k in range(ext.k):
         value = _witness_distortion(src, ext, pz_given_x, pu_new, phi, psi_new, k)
         if value > ext.targets[k] + 1e-9:

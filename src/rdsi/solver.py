@@ -13,13 +13,18 @@ linear, so the solver enumerates reconstruction rules in an outer loop and
 runs a convex minimization inside.
 
 Outer enumeration.  A z symbol is fully described by its column signature
-(phi(., z), psi(., z)); relabeling z symbols permutes signatures, duplicate
-signatures can be merged without raising the objective, and unused
-signatures can carry zero mass.  Enumerating subsets of distinct
-signatures of size min(z_size, #signatures) therefore covers every
-(phi, psi) pair exactly; signatures with identical cost columns are
-further deduplicated (keeping the lexicographically smallest tables, which
-also fixes the tie-break between equally good witnesses).
+(phi(., z), psi(., z)).  For a fixed decoder column f = phi(., z) the
+E d_d coefficient of the column does not depend on psi, and its E d_e
+coefficient at x depends only on psi(x, z), so the encoder letter
+argmin_c sum_y p(x, y) d_e(f(y), c) (the smallest letter on ties)
+dominates every other encoder column: the library holds one signature per
+decoder column, |Xhat|^|Y| of them.  Relabeling z symbols permutes
+signatures, duplicate signatures can be merged without raising the
+objective, and unused signatures can carry zero mass.  Enumerating
+subsets of distinct signatures of size min(z_size, #signatures) therefore
+covers every (phi, psi) pair; signatures with identical cost columns are
+further deduplicated, keeping the lexicographically smallest decoder
+column.
 
 Inner solve.  Conditional gradient (Frank-Wolfe) over the product of row
 simplices with a staged quadratic penalty for the distortion constraints;
@@ -32,10 +37,12 @@ program.
 
 Early stopping.  The same minimization over the complete column library
 (no subset restriction) lower-bounds every candidate, and by the
-cardinality bound it is attained at the default z_size; the lexicographic
-scan therefore stops at the first candidate reaching that floor, which is
-also the lex-smallest optimal witness.  Ties between equally good
-candidates resolve to the lexicographically smallest rule tables by scan
+cardinality bound it is attained at the default z_size.  Candidates are
+scanned in descending total mass of their columns under the universe's
+solution, ties in lexicographic order, so the universe's own support
+comes first; the scan stops at the first candidate reaching that floor.
+The floor is the universe's primal value, not a certified lower bound.
+Ties between equally good candidates resolve to the first one in scan
 order.
 
 All rates are in bits.
@@ -76,7 +83,6 @@ class SolveConfig:
     inner_max_iters: int = 400
     inner_tolerance: float = 1e-7
     enumeration_cap: int = 1_000_000
-    grid_resolution: int = 20
 
     def __post_init__(self):
         if self.z_size is not None and self.z_size < 1:
@@ -457,39 +463,45 @@ def inner_minimize(
     )
 
 
-def scan_candidates(problem, cons_batch, targets, cfg, universe=None):
-    """Exactly solve a stack of rule candidates, stopping as early as possible.
+def scan_candidates(problem, cons, cands, targets, cfg, universe=None):
+    """Exactly solve rule candidates, stopping as early as possible.
 
-    cons_batch: list of (C, X, n_cols) constraint tensors, candidate-major
-    in ascending lexicographic order of the candidates.  ``universe`` is an
-    optional (problem, cons) pair posing the same minimization over the
-    complete column library; its optimum lower-bounds every candidate, so
-    the lexicographic scan can stop at the first candidate attaining it
-    (which is then also the lex-smallest optimal witness), and its
-    infeasibility certifies that every candidate is infeasible.
+    cons: one (X, N) constraint matrix per target over the complete column
+    library; cands: (C, m) library column indices, one row per candidate
+    in ascending lexicographic order.  A candidate's columns are gathered
+    only when the scan reaches it.  ``universe`` is an optional problem
+    over all N columns posing the same minimization; its optimum
+    lower-bounds every candidate, so the scan can stop at the first
+    candidate attaining it, and its infeasibility certifies that every
+    candidate is infeasible.  The floor is the universe's primal value,
+    not a certified lower bound.  Candidates are visited in descending
+    total universe mass sum_{col in cand} sum_x p(x) p_univ(col|x), equal
+    masses in lexicographic order, so the universe's own support comes
+    first.
 
-    Returns (best InnerResult or None, best candidate index, iterations).
+    Returns (best InnerResult or None, best row of cands, iterations).
     """
-    c_count = cons_batch[0].shape[0]
     floor = -math.inf
     total_iters = 0
+    order = range(len(cands))
     if universe is not None:
-        u_problem, u_cons = universe
-        u_res = solve_constrained(u_problem, u_cons, targets, cfg, skip_lp=False)
+        u_res = solve_constrained(universe, cons, targets, cfg)
         total_iters += u_res.iterations
         if u_res.status == "infeasible":
             return None, -1, total_iters
         if u_res.status == "optimal":
             floor = u_res.rate
-    sep_ok = np.ones(c_count, dtype=bool)
-    for a, t in zip(cons_batch, targets):
-        sep_ok &= a.min(axis=2).sum(axis=1) <= t + 1e-12
+        mass = universe.px @ u_res.channel
+        order = np.argsort(-mass[cands].sum(axis=1), kind="stable")
     best = None
     best_idx = -1
-    for ci in np.nonzero(sep_ok)[0]:
+    for ci in order:
         ci = int(ci)
+        cand_cons = [c[:, cands[ci]] for c in cons]
+        if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cand_cons, targets)):
+            continue  # even the per-x cheapest columns miss a target
         res = solve_constrained(
-            problem, [a[ci] for a in cons_batch], targets, cfg,
+            problem, cand_cons, targets, cfg,
             best_bound=None if best is None else best.rate,
             skip_lp=True,
         )
@@ -504,43 +516,36 @@ def scan_candidates(problem, cons_batch, targets, cfg, universe=None):
     return best, best_idx, total_iters
 
 
-def _phi_columns(xhat_size: int, y_size: int):
-    return list(itertools.product(range(xhat_size), repeat=y_size))
-
-
 def _signature_library(src: JointSource, spec: DistortionSpec, with_psi: bool):
-    """All distinct per-z column signatures with their cost columns.
+    """One signature per distinct decoder column, with its cost columns.
 
     Returns (signatures, a_rows, e_rows) where signatures[i] is (f, g) with
     f the decoder column (length Y) and g the encoder column (length X, or
     None when the encoder constraint is dropped); a_rows[i], e_rows[i] are
-    the per-x coefficients of E d_d and E d_e for that column.  Signatures
-    with identical cost columns keep only the lexicographically smallest
-    tables.
+    the per-x coefficients of E d_d and E d_e for that column.  g picks,
+    per x, the encoder letter with the smallest E d_e coefficient (the
+    smallest letter on ties), which dominates every other encoder column.
+    Signatures with identical cost columns keep only the lexicographically
+    smallest decoder column.
     """
     pxy = src.pxy
     nx, ny = pxy.shape
-    f_cols = _phi_columns(spec.xhat_size, ny)
     sigs, a_rows, e_rows, seen = [], [], [], set()
-    if with_psi:
-        g_cols = list(itertools.product(range(spec.xhat_size), repeat=nx))
-    else:
-        g_cols = [None]
-    for f in f_cols:
+    for f in itertools.product(range(spec.xhat_size), repeat=ny):
         f_arr = np.asarray(f)
         a = np.einsum("xy,xy->x", pxy, spec.dd[:, f_arr])
-        for g in g_cols:
-            if g is None:
-                e = np.zeros(nx)
-            else:
-                e = np.einsum("xy,xy->x", pxy, spec.de[f_arr][:, np.asarray(g)].T)
-            key = (a.tobytes(), e.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
-            sigs.append((f, g))
-            a_rows.append(a)
-            e_rows.append(e)
+        g, e = None, np.zeros(nx)
+        if with_psi:
+            per_c = pxy @ spec.de[f_arr]  # (X, Xhat): E d_e coefficient per letter
+            letters = per_c.argmin(axis=1)
+            g, e = tuple(letters.tolist()), per_c[np.arange(nx), letters]
+        key = (a.tobytes(), e.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        sigs.append((f, g))
+        a_rows.append(a)
+        e_rows.append(e)
     return sigs, np.asarray(a_rows), np.asarray(e_rows)
 
 
@@ -557,7 +562,8 @@ def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
             f"{count} reconstruction-rule candidates exceed the cap {cap}; "
             "reduce z_size or raise enumeration_cap"
         )
-    return np.array(list(itertools.combinations(range(n_sig), m)), dtype=np.int64)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n_sig), m))
+    return np.fromiter(flat, dtype=np.int64, count=count * m).reshape(count, m)
 
 
 def solve_rate(
@@ -595,19 +601,10 @@ def solve_rate(
     n_sig = len(sigs)
     m = min(z_size, n_sig)
     cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
-    cons_batch = [
-        a_rows[cands].transpose(0, 2, 1),  # (C, X, m)
-        e_rows[cands].transpose(0, 2, 1),
-    ]
-    problem = _InnerProblem(src.pxy, m)
-    universe = None
-    if n_sig > m:
-        universe = (
-            _InnerProblem(src.pxy, n_sig),
-            [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)],
-        )
+    cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
+    universe = _InnerProblem(src.pxy, n_sig) if n_sig > m else None
     best, best_idx, iters = scan_candidates(
-        problem, cons_batch, [dd_target, de_target], cfg, universe
+        _InnerProblem(src.pxy, m), cons, cands, [dd_target, de_target], cfg, universe
     )
     if best is None:
         raise InfeasibleError(
@@ -677,12 +674,10 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     n_sig = len(sigs)
     m = min(z_size, n_sig)
     cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
-    problem = _InnerProblem(src.pxy, m)
-    universe = None
-    if n_sig > m:
-        universe = (_InnerProblem(src.pxy, n_sig), [np.ascontiguousarray(a_rows.T)])
+    cons = [np.ascontiguousarray(a_rows.T)]
+    universe = _InnerProblem(src.pxy, n_sig) if n_sig > m else None
     best, _, _ = scan_candidates(
-        problem, [a_rows[cands].transpose(0, 2, 1)], [dd_target], cfg, universe
+        _InnerProblem(src.pxy, m), cons, cands, [dd_target], cfg, universe
     )
     if best is None:
         raise InfeasibleError("no decoder rule meets the target at this z_size")

@@ -35,6 +35,24 @@ def random_binary_instance(rng: np.random.Generator):
     return JointSource.from_pxy(pxy), DistortionSpec(xhat_size=2, dd=dd, de=de)
 
 
+def ladder_instance(nx: int, ny: int, nhat: int):
+    """Seeded instance of the benchmark ladder: (src, spec, dd_target, de_target).
+
+    pxy uniform + 0.1, dd[x, x % nhat] = 0, de with a zero diagonal; targets
+    0.5 x the cheapest constant E d_d and 0.3 x the mean d_e.
+    """
+    rng = np.random.default_rng(1)
+    pxy = rng.random((nx, ny)) + 0.1
+    pxy /= pxy.sum()
+    dd = rng.random((nx, nhat))
+    dd[np.arange(nx), np.arange(nx) % nhat] = 0.0
+    de = rng.random((nhat, nhat))
+    np.fill_diagonal(de, 0.0)
+    const_dd = float((pxy.sum(axis=1)[:, None] * dd).sum(axis=0).min())
+    spec = DistortionSpec(xhat_size=nhat, dd=dd, de=de)
+    return JointSource.from_pxy(pxy), spec, 0.5 * const_dd, 0.3 * float(de.mean())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -90,7 +90,17 @@ class TestDiscreteSolve:
         assert json.loads(out)["error"]["kind"] == "assumption"
 
     def test_cap_exceeded(self, tmp_path, capsys):
-        inst = binary_instance_file(tmp_path)
+        # |Xhat|^|Y| = 27 decoder columns: C(27, 5) candidates exceed the cap
+        de = 1.0 - np.eye(3)
+        inst = write_json(
+            tmp_path / "inst.json",
+            {
+                "x_size": 2, "y_size": 3, "xhat_size": 3,
+                "pxy": [0.2, 0.15, 0.1, 0.05, 0.2, 0.3],
+                "dd": [0.0, 1.0, 0.5, 1.0, 0.0, 0.5],
+                "de": de.ravel().tolist(),
+            },
+        )
         status, out = run(
             ["discrete-solve", "--input", inst, "--config", "dd_target=0.01",
              "--config", "de_target=0.01", "--config", "z_size=5",
@@ -99,6 +109,32 @@ class TestDiscreteSolve:
         )
         assert status == 5
         assert json.loads(out)["error"]["kind"] == "cap"
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        inst = binary_instance_file(tmp_path)
+        status, out = run(
+            ["discrete-solve", "--input", inst, "--config", "dd_target=0.1",
+             "--config", "de_target=0.05", "--config", "z_sise=3"],
+            capsys,
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse" and "z_sise" in error["message"]
+        # a key another subcommand reads is still unknown here
+        status, out = run(["wz", "--input", inst, "--config", "dd_target=0.1",
+                           "--config", "de_target=0.05"], capsys)
+        assert status == 2
+        status, _ = run(["reduce-u", "--input", inst, "--config", "z_size=3"], capsys)
+        assert status == 2
+
+    def test_baselines_accept_z_size(self, tmp_path, capsys):
+        inst = binary_instance_file(tmp_path)
+        for sub in ("wz", "cr"):
+            status, _ = run(
+                [sub, "--input", inst, "--config", "dd_target=0.1", "--config", "z_size=3"],
+                capsys,
+            )
+            assert status == 0
 
     def test_missing_input(self, capsys):
         status, out = run(["discrete-solve", "--config", "dd_target=0.1",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bsc_pair, hamming, hamming_spec, random_binary_instance
+import rdsi.extended as extended_module
 from rdsi.errors import AssumptionError, InvalidInstanceError
 from rdsi.extended import (
     ExtSolveConfig,
@@ -236,4 +237,22 @@ class TestVerifyUReduction:
         dk = rng.random((2, 2, 2, 2)) + 0.5  # strictly positive: floor > 0
         ext = ExtendedInstance(2, 2, 2, dk, targets=[1e-6, 1e-6])
         pz, pu, phi, psi3 = random_ext_witness(rng, src, 2, 4)
+        assert verify_u_reduction(src, ext, pz, pu, phi, psi3) is False
+
+    def test_tampered_reduction_fails(self, rng, monkeypatch):
+        # a reduction that drops u-mass changes the Z-marginal, hence the rate
+        src = bsc_pair(0.25)
+        dk = rng.random((2, 2, 2, 2))
+        ext = ExtendedInstance(2, 2, 2, dk, targets=[1e3, 1e3])
+        pz, pu, phi, psi3 = random_ext_witness(rng, src, 2, 4)
+        assert verify_u_reduction(src, ext, pz, pu, phi, psi3) is True
+        reduce = extended_module.reduce_aux_u
+
+        def lossy(*args):
+            pu_new, psi_new = reduce(*args)
+            pu_new = pu_new.copy()
+            pu_new[0, 0] *= 0.5
+            return pu_new, psi_new
+
+        monkeypatch.setattr(extended_module, "reduce_aux_u", lossy)
         assert verify_u_reduction(src, ext, pz, pu, phi, psi3) is False

@@ -1,7 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, bsc_pair, hamming, hamming_spec, random_binary_instance
+import rdsi.solver as solver_module
+from conftest import (
+    binary_entropy,
+    bsc_pair,
+    hamming,
+    hamming_spec,
+    ladder_instance,
+    random_binary_instance,
+)
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from rdsi.model import (
     DistortionSpec,
@@ -178,9 +188,11 @@ class TestSolveRate:
             solve_rate(bsc_pair(0.25), hamming_spec(), -0.1, 0.0, CFG3)
 
     def test_enumeration_cap(self):
+        # |Xhat|^|Y| = 27 decoder columns: C(27, 5) candidates exceed the cap
+        src, spec, _, _ = ladder_instance(2, 3, 3)
         cfg = SolveConfig(z_size=5, enumeration_cap=10)
         with pytest.raises(ResourceCapError):
-            solve_rate(bsc_pair(0.25), hamming_spec(), 0.01, 0.001, cfg)
+            solve_rate(src, spec, 0.01, 0.001, cfg)
 
     def test_witness_is_consistent(self):
         src = bsc_pair(0.25)
@@ -217,6 +229,82 @@ class TestSolveRate:
             hxy = conditional_entropy_x_given_y(src)
             point = solve_rate(src, spec, rng.uniform(0, 0.3), rng.uniform(0, 0.3), CFG3)
             assert 0.0 <= point.rate <= hxy + 1e-6
+
+
+def full_signature_library(src, spec, with_psi):
+    """Every (decoder column, encoder column) signature with distinct cost
+    columns: the library before the encoder column is collapsed onto its
+    best letter."""
+    assert with_psi
+    nx, ny = src.pxy.shape
+    sigs, a_rows, e_rows, seen = [], [], [], set()
+    for f in itertools.product(range(spec.xhat_size), repeat=ny):
+        a = np.einsum("xy,xy->x", src.pxy, spec.dd[:, list(f)])
+        for g in itertools.product(range(spec.xhat_size), repeat=nx):
+            e = np.einsum("xy,xy->x", src.pxy, spec.de[list(f)][:, list(g)].T)
+            key = (a.tobytes(), e.tobytes())
+            if key not in seen:
+                seen.add(key)
+                sigs.append((f, g))
+                a_rows.append(a)
+                e_rows.append(e)
+    return sigs, np.asarray(a_rows), np.asarray(e_rows)
+
+
+class TestSignatureLibrary:
+    def test_one_column_per_decoder_rule(self):
+        src, spec, _, _ = ladder_instance(3, 3, 3)
+        sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+        assert len(sigs) == 3**3 == a_rows.shape[0] == e_rows.shape[0]
+        assert len({f for f, _ in sigs}) == len(sigs)
+
+    def test_best_encoder_letter_dominates(self, rng):
+        instances = [ladder_instance(2, 3, 3)[:2], ladder_instance(3, 2, 2)[:2]]
+        instances += [random_binary_instance(rng) for _ in range(3)]
+        for src, spec in instances:
+            sigs, _, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+            for (f, _), e_best in zip(sigs, e_rows):
+                de_f = spec.de[list(f)]  # (Y, Xhat)
+                for g in itertools.product(range(spec.xhat_size), repeat=src.x_size):
+                    e_g = np.einsum("xy,xy->x", src.pxy, de_f[:, list(g)].T)
+                    assert np.all(e_best <= e_g + 1e-15)
+
+    def test_ties_pick_the_smallest_letter(self):
+        # independent uniform side information: for f = (0, 1) both encoder
+        # letters cost 1/4 at every x
+        src = JointSource.from_pxy(np.full((2, 2), 0.25))
+        sigs, _, _ = solver_module._signature_library(src, hamming_spec(), with_psi=True)
+        assert dict(sigs)[(0, 1)] == (0, 0)
+
+    @pytest.mark.parametrize("z_size", [2, 3])
+    def test_matches_full_library(self, monkeypatch, z_size):
+        asym, asym_spec = random_binary_instance(np.random.default_rng(5))
+        cases = [
+            (bsc_pair(0.25), hamming_spec(), 0.15, 0.1),
+            (
+                asym, asym_spec,
+                0.5 * float((asym.px[:, None] * asym_spec.dd).sum(axis=0).min()),
+                0.3 * float(asym_spec.de.mean()),
+            ),
+        ]
+        cfg = SolveConfig(z_size=z_size)
+        for src, spec, dd_t, de_t in cases:
+            collapsed = solve_rate(src, spec, dd_t, de_t, cfg).rate
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module, "_signature_library", full_signature_library)
+                full = solve_rate(src, spec, dd_t, de_t, cfg).rate
+            assert collapsed == pytest.approx(full, abs=1e-8)
+
+    def test_three_letter_ladder_solves_at_default_z(self):
+        src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.label == "exact"
+        assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-8)
+        edd, ede = expected_distortions(src, spec, point.witness)
+        assert edd <= dd_t + 1e-6 and ede <= de_t + 1e-6
+        # r_wz's inner solve stalls ~1.4e-7 above its optimum on this instance
+        assert r_wz(src, spec, dd_t) - 1e-6 <= point.rate
+        assert point.rate <= conditional_entropy_x_given_y(src) + 1e-9
 
 
 class TestWynerZivBaseline:
