@@ -22,6 +22,7 @@ column subsets cover every rule pair.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,13 @@ import numpy as np
 from .caratheodory import reduce_aux_u
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError
 from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_valid_source
-from .solver import SolveConfig, _candidate_array, _InnerProblem, scan_candidates
+from .solver import (
+    SolveConfig,
+    _candidate_array,
+    _InnerProblem,
+    scan_candidates,
+    solve_constrained,
+)
 
 
 @dataclass(frozen=True)
@@ -224,13 +231,24 @@ def solve_rate_ext(
     # [z0 u0, z0 u1, ..., z1 u0, ...]
     lib = np.asarray(costs).transpose(1, 2, 0, 3).reshape(kk, src.x_size, n_sig * u_size)
     cols = (cands[:, :, None] * u_size + np.arange(u_size)).reshape(len(cands), ncols)
-    universe = None
+    floor, mass, u_iters = -math.inf, None, 0
+    scfg = cfg.solve_config()
     if n_sig > m:
         universe = _InnerProblem(
             src.pxy, n_sig * u_size, col_group=np.repeat(np.arange(n_sig), u_size)
         )
+        u_res = solve_constrained(universe, list(lib), list(targets), scfg)
+        if u_res.status == "infeasible":
+            raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
+        if u_res.status == "optimal":
+            # the universe's primal value, not a certified bound: its
+            # conditional-gradient gap is ~3e-7 bits on the K = 2 binary
+            # embedding, and a floor that far down would send the scan
+            # through every candidate
+            floor = u_res.rate
+        mass, u_iters = universe.px @ u_res.channel, u_res.iterations
     best, best_idx, total_iters = scan_candidates(
-        problem, list(lib), cols, list(targets), cfg.solve_config(), universe
+        problem, list(lib), cols, list(targets), scfg, floor, mass
     )
     if best is None:
         raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
@@ -252,7 +270,7 @@ def solve_rate_ext(
     return ExtRatePoint(
         targets=targets, rate=best.rate, phi=phi, psi3=psi3,
         p_uz_given_x=p_uz, achieved=achieved,
-        iterations=total_iters, gap=best.gap, label=label,
+        iterations=u_iters + total_iters, gap=best.gap, label=label,
     )
 
 

@@ -26,24 +26,35 @@ covers every (phi, psi) pair; signatures with identical cost columns are
 further deduplicated, keeping the lexicographically smallest decoder
 column.
 
-Inner solve.  Conditional gradient (Frank-Wolfe) over the product of row
-simplices with a staged quadratic penalty for the distortion constraints;
-the linearization minimum along the way is a certified lower bound on the
-candidate's constrained optimum (used to prune candidates against the
-incumbent), and an SLSQP step on the exactly constrained problem lands
-within ~1e-9 bits of the candidate optimum (the penalty iteration alone
-stalls around 1e-4).  Joint feasibility is certified by a small linear
-program.
+Full-library solve.  The same minimization over the complete column
+library (no subset restriction) lower-bounds every candidate, and by the
+cardinality bound it equals the rate once z_size >= |X| + 3 (|X| + 1 for
+the Wyner-Ziv baseline).  It is one convex problem, solved by a
+Lagrangian Blahut-Arimoto iteration over all columns with a bracketing
+search on the multipliers; every iterate carries a certified lower bound
+(its Lagrangian minus a Frank-Wolfe gap that needs no LP), and the primal
+is a mix of iterates meeting the targets.  At or above the bound, when
+library columns outnumber z_size, a gap of at most 1e-7 bits settles the
+point: Caratheodory's theorem on the per-column vectors (posterior,
+H(X|z) - H(Y|z), distortions) cuts the witness to at most |X| + 3
+columns with the same rate and distortions, and nothing is enumerated.
 
-Early stopping.  The same minimization over the complete column library
-(no subset restriction) lower-bounds every candidate, and by the
-cardinality bound it is attained at the default z_size.  Candidates are
-scanned in descending total mass of their columns under the universe's
-solution, ties in lexicographic order, so the universe's own support
-comes first; the scan stops at the first candidate reaching that floor.
-The floor is the universe's primal value, not a certified lower bound.
-Ties between equally good candidates resolve to the first one in scan
-order.
+Inner solve (enumeration).  Below the bound, or when the full-library
+solve misses 1e-7 within its iteration budget, candidates are enumerated.
+Each is solved by conditional gradient (Frank-Wolfe) over the product of
+row simplices with a staged quadratic penalty for the distortion
+constraints; the linearization minimum along the way is a certified
+lower bound on the candidate's constrained optimum (used to prune
+candidates against the incumbent), and an SLSQP step on the exactly
+constrained problem lands within ~1e-9 bits of the candidate optimum
+(the penalty iteration alone stalls around 1e-4).  Joint feasibility is
+certified by a small linear program.
+
+Early stopping.  Candidates are scanned in descending total mass of
+their columns under the full-library solution, ties in lexicographic
+order, so its support comes first; the scan stops at the first candidate
+within 1e-8 bits of the full library's certified lower bound.  Ties
+between equally good candidates resolve to the first one in scan order.
 
 All rates are in bits.
 """
@@ -58,6 +69,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import xlogy
 
+from .caratheodory import ConvexCombination, caratheodory_reduce
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
     LN2,
@@ -73,11 +85,31 @@ _TINY = 1e-300
 _PRUNE_MARGIN = 1e-7
 _STOP_TOL = 1e-8
 _TIE_EPS = 1e-12
+_EXACT_GAP = 1e-7  # certified gap (bits) below which a full-library point is "exact"
+_UNIVERSE_GAP = 1e-3  # full-library target gap, as a fraction of inner_tolerance
+_BA_MAX_ITERS = 50_000  # Blahut-Arimoto iterations per multiplier value
+_BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
+_BA_PER_CANDIDATE = 300  # per candidate it may spare at the cardinality bound ...
+_BA_PER_CANDIDATE_FLOOR = 20  # ... or below it, where it only floors and orders the scan
+_BA_RESTART_MIX = 0.1  # largest uniform share of a warm start, so no column stays dead
+_BA_CUT_PERIOD = 50  # iterations between cuts of dying columns
+_BA_CUT_MASS = 1e-3  # a shrinking column below this mass is cut ...
+_BA_CUT_DROP = 40.0  # ... by this many nats of log-mass
+_DUAL_MAX_STEPS = 100  # bracket-shrinking steps per multiplier
+_DUAL_MAX_LAMBDA = 1e12
+_DUAL_COARSE_GAP = 1e-4  # inner accuracy while a multiplier is far from its optimum
+_ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs.  z_size = None means the cardinality bound |X| + 3."""
+    """Solver knobs.  z_size = None means the cardinality bound |X| + 3.
+
+    inner_tolerance also sets the full-library solve's target gap (1e-3 of
+    it).  enumeration_cap limits the candidate scan, which runs below the
+    cardinality bound, or at it when the full-library solve cannot certify
+    its point.
+    """
 
     z_size: int | None = None
     inner_max_iters: int = 400
@@ -99,7 +131,10 @@ class RatePoint:
 
     ``label`` is "exact" when the auxiliary alphabet met the cardinality
     bound (or exhausted the distinct signatures) and "upper_bound" when a
-    smaller configured z_size may leave the true value lower.
+    smaller configured z_size may leave the true value lower.  A point
+    settled by the full-library solve is "exact" only with a certified
+    ``gap`` (rate minus lower bound) of at most 1e-7 bits, and its witness
+    may have fewer than z_size columns.
     """
 
     dd_target: float
@@ -463,35 +498,25 @@ def inner_minimize(
     )
 
 
-def scan_candidates(problem, cons, cands, targets, cfg, universe=None):
+def scan_candidates(problem, cons, cands, targets, cfg, floor=-math.inf, mass=None):
     """Exactly solve rule candidates, stopping as early as possible.
 
     cons: one (X, N) constraint matrix per target over the complete column
     library; cands: (C, m) library column indices, one row per candidate
     in ascending lexicographic order.  A candidate's columns are gathered
-    only when the scan reaches it.  ``universe`` is an optional problem
-    over all N columns posing the same minimization; its optimum
-    lower-bounds every candidate, so the scan can stop at the first
-    candidate attaining it, and its infeasibility certifies that every
-    candidate is infeasible.  The floor is the universe's primal value,
-    not a certified lower bound.  Candidates are visited in descending
-    total universe mass sum_{col in cand} sum_x p(x) p_univ(col|x), equal
-    masses in lexicographic order, so the universe's own support comes
-    first.
+    only when the scan reaches it.  ``floor`` is a lower bound on every
+    candidate's optimum, the full library's certified dual bound for the
+    base solver (solve_rate_ext passes an uncertified one); the scan stops
+    at the first candidate within _STOP_TOL of it.
+    ``mass`` (length N) orders the scan: candidates are visited in
+    descending total mass of their columns, equal masses in lexicographic
+    order, so the full library's own support comes first.
 
     Returns (best InnerResult or None, best row of cands, iterations).
     """
-    floor = -math.inf
     total_iters = 0
     order = range(len(cands))
-    if universe is not None:
-        u_res = solve_constrained(universe, cons, targets, cfg)
-        total_iters += u_res.iterations
-        if u_res.status == "infeasible":
-            return None, -1, total_iters
-        if u_res.status == "optimal":
-            floor = u_res.rate
-        mass = universe.px @ u_res.channel
+    if mass is not None:
         order = np.argsort(-mass[cands].sum(axis=1), kind="stable")
     best = None
     best_idx = -1
@@ -514,6 +539,284 @@ def scan_candidates(problem, cons, cands, targets, cfg, universe=None):
             if best.rate <= floor + _STOP_TOL:
                 break
     return best, best_idx, total_iters
+
+
+def _log_normalize(logp: np.ndarray) -> np.ndarray:
+    top = logp.max(axis=1, keepdims=True)
+    return logp - (top + np.log(np.exp(logp - top).sum(axis=1, keepdims=True)))
+
+
+@dataclass
+class _Iterate:
+    """A channel over the full library, kept as its logarithm so that the
+    shape of columns whose mass underflows survives, with its rate and
+    constraint values."""
+
+    logp: np.ndarray  # (X, N)
+    value: float  # H(Z|Y) - H(Z|X) in bits
+    costs: np.ndarray  # (K,)
+    lam: np.ndarray  # (K,) the multipliers it minimizes the Lagrangian of
+
+    @property
+    def channel(self) -> np.ndarray:
+        return np.exp(self.logp)
+
+
+class _LibraryBA:
+    """Lagrangian Blahut-Arimoto over the full column library.
+
+    For multipliers lam >= 0 it minimizes L(p, lam) = F(p) + lam . (C p)
+    over channels p(z|x) on all N columns, F = H(Z|Y) - H(Z|X) in bits, by
+    the update
+
+        p(z|x) ~ exp(sum_y p(y|x) log r(z|y) - ln2 lam . c(x, z) / p(x)),
+        r(z|y) = sum_x p(x|y) p(z|x),
+
+    Csiszar-Tusnady alternating minimization of a jointly convex function
+    (the Wyner-Ziv Blahut-Arimoto of Dupuis, Yu and Willems, ISIT 2004).
+    Iterates are kept as log p, shifted per column, so the gradient stays
+    exact on columns whose mass underflows.  The Frank-Wolfe gap over the
+    product of row simplices is a row-wise gradient minimum, so every
+    channel certifies L(p, lam) - lam . t - gap <= R without an LP.  After
+    ``budget`` iterations in all, every solve stops after one.
+
+    A zero target allows no mass on an entry with a positive coefficient;
+    a fixed penalty of _ZERO_TARGET_NATS on those entries drives their mass
+    to an exact zero.  The penalty term is left out of the Lagrangian, which
+    only lowers the certified bound.
+    """
+
+    def __init__(self, pxy: np.ndarray, costs, targets, budget: int):
+        px = pxy.sum(axis=1)
+        self.px = px
+        self.p_y_given_x = pxy / np.maximum(px, _TINY)[:, None]
+        self.p_x_given_y = pxy / np.maximum(pxy.sum(axis=0), _TINY)
+        self.costs = np.asarray(costs, dtype=float)  # (K, X, N)
+        self.scaled = self.costs * (LN2 / np.maximum(px, _TINY))[:, None]
+        self.targets = np.asarray(targets, dtype=float)
+        zero = self.costs[self.targets <= 0.0]
+        self.forbidden = _ZERO_TARGET_NATS * (zero > 0.0).any(axis=0)
+        n = self.costs.shape[2]
+        self.problem = _InnerProblem(pxy, n)
+        self.warm = np.full((pxy.shape[0], n), 1.0 / n)  # the next solve's start ...
+        self.restart = _BA_RESTART_MIX  # ... and its uniform share
+        self.iterations = 0
+        self.budget = budget
+        self.exhausted = False
+
+    def iterate(self, logp: np.ndarray, lam: np.ndarray) -> _Iterate:
+        p = np.exp(logp)
+        costs = np.einsum("kxn,xn->k", self.costs, p)
+        return _Iterate(logp, max(self.problem.value(p), 0.0), costs, lam.copy())
+
+    def _lagrangian(self, p, lam) -> float:
+        """L(p, lam); p may hold the library's columns several times over."""
+        costs = np.tile(self.costs, p.shape[1] // self.costs.shape[2])
+        return self.problem.value(p) + float(lam @ np.einsum("kxn,xn->k", costs, p))
+
+    def _penalty(self, lam):
+        return self.forbidden + np.tensordot(lam, self.scaled, axes=1)
+
+    def _step(self, logp, penalty):
+        """One update from logp, and the Frank-Wolfe gap (bits) at logp."""
+        top = logp.max(axis=0)
+        r = self.p_x_given_y.T @ np.exp(logp - top)
+        new = _log_normalize(self.p_y_given_x @ np.log(np.maximum(r, _TINY)) + top - penalty)
+        d = logp - new  # the gradient in units of p(x) / ln2, up to a constant per row
+        gap = float(self.px @ ((np.exp(logp) * d).sum(axis=1) - d.min(axis=1))) / LN2
+        return new, gap
+
+    def _cut_dying(self, logp, new, lam):
+        """Take a block of log-mass off shrinking light columns, if L drops.
+
+        Plain updates shrink a column that should be empty only
+        geometrically, which dominates the iteration count near the optimum.
+        """
+        after = self.px @ np.exp(new)
+        dying = (after < _BA_CUT_MASS) & (after < self.px @ np.exp(logp))
+        if dying.any():
+            cut = new.copy()
+            cut[:, dying] -= _BA_CUT_DROP
+            cut = _log_normalize(cut)
+            if self._lagrangian(np.exp(cut), lam) <= self._lagrangian(np.exp(new), lam):
+                return cut
+        return new
+
+    def certify(self, lo: _Iterate, hi: _Iterate, theta: float, lam: np.ndarray) -> float:
+        """Certified lower bound on R from time-sharing two iterates.
+
+        The point is theta lo beside (1 - theta) hi on two copies of the
+        library, a channel of the same problem whose copy columns keep their
+        posteriors and so their gradients.  Where lo and hi both minimize
+        L(., lam), as at a kink of the dual, its Frank-Wolfe gap is zero (the
+        gradient is the same at every minimizer of a convex program), even
+        when mixing the two on one library would merge columns.
+        """
+        logp = np.hstack([np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp])
+        _, gap = self._step(logp, np.tile(self._penalty(lam), 2))
+        return self._lagrangian(np.exp(logp), lam) - float(lam @ self.targets) - gap
+
+    def solve(self, lam: np.ndarray, tol: float):
+        """Minimize L(., lam) from ``warm`` until the gap is <= tol.
+
+        Returns (certified lower bound on R, iterate).
+        """
+        penalty = self._penalty(lam)
+        logp = np.log((1.0 - self.restart) * self.warm + self.restart / self.warm.shape[1])
+        for it in range(1, max(1, min(_BA_MAX_ITERS, self.budget - self.iterations)) + 1):
+            new, gap = self._step(logp, penalty)
+            if gap <= tol:
+                break
+            if it % _BA_CUT_PERIOD == 0:
+                new = self._cut_dying(logp, new, lam)
+            logp = new
+        self.iterations += it
+        self.exhausted = self.iterations >= self.budget
+        res = self.iterate(logp, lam)
+        self.warm = res.channel
+        return res.value + float(lam @ (res.costs - self.targets)) - gap, res
+
+
+def _share(ba: _LibraryBA, lo: _Iterate, hi: _Iterate, k: int) -> float:
+    """The weight on lo of the combination of two iterates, one above and
+    one at or below target k, that meets target k exactly (kept inside
+    (0, 1) so that both logarithms stay finite)."""
+    theta = (ba.targets[k] - hi.costs[k]) / (lo.costs[k] - hi.costs[k])
+    return min(max(theta, 1e-300), 1.0 - 1e-16)
+
+
+def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate, k: int) -> _Iterate:
+    """That combination of the two channels; F is convex, so its value is at
+    most the same combination of theirs."""
+    theta = _share(ba, lo, hi, k)
+    logp = np.logaddexp(np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp)
+    return ba.iterate(logp, theta * lo.lam + (1.0 - theta) * hi.lam)
+
+
+def _dual_search(ba: _LibraryBA, lam: np.ndarray, k: int, tol: float):
+    """Maximize the certified bound over lam[k:], with lam[:k] fixed.
+
+    The dual is concave but can be nonsmooth, so lam[k] is bracketed by the
+    sign of its supergradient C_k p - t_k and the bracket shrunk by cutting
+    planes: each iterate's Lagrangian is a line in lam[k] above the dual,
+    and the next lam[k] is where the lines of the two bracketing iterates
+    meet (exact at a kink, secant-like where the dual is smooth), or the
+    midpoint after the same end moved twice.  Each value is solved by the
+    next multiplier's search, by BA for the last one, coarsely while the
+    gap is wide.  The primal is the mix of the two bracketing iterates that
+    meets target k; its Lagrangian under lam[:k] minus the best bound met
+    is this level's certified gap, and the search stops once that is <=
+    tol.  Returns (best certified lower bound on R, primal iterate); the
+    primal meets targets k.. unless no multiplier up to _DUAL_MAX_LAMBDA
+    reaches target k.
+    """
+    target = ba.targets[k]
+
+    def evaluate(value, level_tol):
+        lam[k] = value
+        if k + 1 == len(lam):
+            return ba.solve(lam, 0.1 * level_tol)
+        return _dual_search(ba, lam, k + 1, level_tol)
+
+    def outer(it):  # the Lagrangian of the multipliers fixed above this level
+        return it.value + float(lam[:k] @ (it.costs[:k] - ba.targets[:k]))
+
+    bound, lo = evaluate(0.0, tol)
+    if lo.costs[k] <= target:
+        return bound, lo
+    coarse = max(tol, _DUAL_COARSE_GAP)
+    lam_lo, lam_hi = 0.0, 1.0
+    while True:
+        got, res = evaluate(lam_hi, coarse)
+        bound = max(bound, got)
+        if res.costs[k] <= target:
+            hi = res
+            break
+        lo, lam_lo, lam_hi = res, lam_hi, 4.0 * lam_hi
+        if lam_hi > _DUAL_MAX_LAMBDA or ba.exhausted:
+            return bound, lo
+    repeats, last_side = 0, None
+    for _ in range(_DUAL_MAX_STEPS):
+        primal = _mix(ba, lo, hi, k)
+        value = (outer(hi) - outer(lo)) / (lo.costs[k] - hi.costs[k])
+        if lam_lo < value < lam_hi:
+            # at a kink both iterates minimize the Lagrangian at the meeting
+            # point, so sharing time between them certifies the optimum
+            # there without a solve
+            cut = np.concatenate([lam[:k], [value], primal.lam[k + 1 :]])
+            bound = max(bound, ba.certify(lo, hi, _share(ba, lo, hi, k), cut))
+        gap = outer(primal) - bound
+        if gap <= tol or ba.exhausted:
+            break
+        if repeats >= 2 or not lam_lo < value < lam_hi:
+            value = 0.5 * (lam_lo + lam_hi)
+            if value in (lam_lo, lam_hi):
+                break
+        # start from the nearer end, whose structure the update keeps (near
+        # a kink it crosses to the other end's only very slowly), with less
+        # uniform mass as the bracket narrows
+        ba.warm = (lo if value - lam_lo < lam_hi - value else hi).channel
+        ba.restart = min(_BA_RESTART_MIX, (lam_hi - lam_lo) / lam_hi)
+        got, res = evaluate(value, max(tol, min(coarse, 0.01 * gap)))
+        ba.restart = _BA_RESTART_MIX
+        bound = max(bound, got)
+        side = res.costs[k] > target
+        repeats = repeats + 1 if side == last_side else 1
+        last_side = side
+        if side:
+            lo, lam_lo = res, value
+        else:
+            hi, lam_hi = res, value
+    return bound, _mix(ba, lo, hi, k)
+
+
+def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
+    """Certified minimum over the full column library, which the scan over
+    its m-column subsets would otherwise enumerate.
+
+    Returns (lower bound, primal iterate or None if it misses a target,
+    BA iterations).  The search aims at a gap of _UNIVERSE_GAP times
+    inner_tolerance.  It stops early after a number of BA iterations per
+    candidate of that scan (_BA_PER_CANDIDATE at the cardinality bound,
+    _BA_PER_CANDIDATE_FLOOR below it), at most _BA_BUDGET, so that a hard
+    instance with few candidates falls back to the scan quickly; the bound
+    is certified either way.
+    """
+    per_candidate = _BA_PER_CANDIDATE if at_bound else _BA_PER_CANDIDATE_FLOOR
+    count = math.comb(cons[0].shape[1], m)
+    ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, per_candidate * count))
+    bound, primal = _dual_search(
+        ba, np.zeros(len(targets)), 0, _UNIVERSE_GAP * cfg.inner_tolerance
+    )
+    if np.any(primal.costs > ba.targets + 1e-12):
+        primal = None
+    return bound, primal, ba.iterations
+
+
+def _caratheodory_witness(src, sigs, cons, channel):
+    """At most |X| + 3 library columns with the same rate, distortions and p(x).
+
+    Each used column z is the point (p(x|z) without its last coordinate,
+    H(X|z) - H(Y|z), E[d_d | z], E[d_e | z]) weighted by p(z); the rate is
+    H(X) - H(Y) - sum_z p(z) (H(X|z) - H(Y|z)), so caratheodory_reduce keeps
+    the rate, both distortions and the X-marginal.  Returns (library
+    indices, channel on them).
+    """
+    px = src.px
+    joint = px[:, None] * channel
+    mass = joint.sum(axis=0)
+    used = np.flatnonzero(mass > 0.0)
+    post = joint[:, used] / mass[used]  # p(x|z)
+    post_y = src.pxy.T @ (post / np.maximum(px, _TINY)[:, None])  # p(y|z)
+    h = (xlogy(post_y, post_y).sum(axis=0) - xlogy(post, post).sum(axis=0)) / LN2
+    per_z = [(c[:, used] * channel[:, used]).sum(axis=0) / mass[used] for c in cons]
+    points = np.column_stack([post[:-1].T, h] + per_z)
+    reduced = caratheodory_reduce(ConvexCombination(points, mass[used] / mass.sum()))
+    rows = [int(np.flatnonzero((points == pt).all(axis=1))[0]) for pt in reduced.points]
+    cols = used[rows]
+    out = reduced.weights[None, :] * post[:, rows] / np.maximum(px, _TINY)[:, None]
+    out[px <= 0.0] = 1.0 / len(cols)
+    return cols, out / out.sum(axis=1, keepdims=True)
 
 
 def _signature_library(src: JointSource, spec: DistortionSpec, with_psi: bool):
@@ -575,11 +878,13 @@ def solve_rate(
 ) -> RatePoint:
     """The rate-distortions function at one target pair, with witness.
 
-    Enumerates reconstruction-rule candidates (deduplicated as described in
-    the module docstring), keeps the best inner minimum, and reconstructs
-    the witness channel.  Requires the zero-distortion assumption; the rate
-    is bounded by H(X|Y) because the identity channel with zero-distortion
-    rules is always a candidate.
+    At or above the cardinality bound one certified full-library solve
+    settles the point; otherwise reconstruction-rule candidates are
+    enumerated (deduplicated as described in the module docstring), the
+    best inner minimum kept, and the witness channel reconstructed.
+    Requires the zero-distortion assumption; the rate is bounded by H(X|Y)
+    because the identity channel with zero-distortion rules is always a
+    candidate.
     """
     cfg = cfg or SolveConfig()
     _check_instance(src, spec)
@@ -600,11 +905,23 @@ def solve_rate(
 
     n_sig = len(sigs)
     m = min(z_size, n_sig)
-    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
-    universe = _InnerProblem(src.pxy, n_sig) if n_sig > m else None
-    best, best_idx, iters = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, [dd_target, de_target], cfg, universe
+    targets = [dd_target, de_target]
+    floor, mass, iters = -math.inf, None, 0
+    if n_sig > m:
+        # the encoder multiplier outermost: its first value, 0, is a
+        # Wyner-Ziv search that already ends the solve when D_e is slack
+        at_bound = z_size >= src.x_size + 3
+        floor, primal, iters = _universe_solve(
+            src.pxy, cons[::-1], targets[::-1], cfg, m, at_bound
+        )
+        if primal is not None:
+            if at_bound and primal.value - floor <= _EXACT_GAP:
+                return _universe_point(src, spec, sigs, cons, primal, floor, iters, targets)
+            mass = src.px @ primal.channel
+    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
+    best, best_idx, scan_iters = scan_candidates(
+        _InnerProblem(src.pxy, m), cons, cands, targets, cfg, floor, mass
     )
     if best is None:
         raise InfeasibleError(
@@ -617,7 +934,24 @@ def solve_rate(
     label = "exact" if m >= min(src.x_size + 3, n_sig) else "upper_bound"
     return RatePoint(
         dd_target=dd_target, de_target=de_target, rate=best.rate, witness=ch,
-        achieved_dd=add, achieved_de=ade, iterations=iters, gap=best.gap, label=label,
+        achieved_dd=add, achieved_de=ade, iterations=iters + scan_iters, gap=best.gap,
+        label=label,
+    )
+
+
+def _universe_point(src, spec, sigs, cons, primal, bound, iters, targets):
+    """RatePoint from a certified full-library solution: the Caratheodory
+    witness, labelled "exact" when its gap to the bound is <= _EXACT_GAP."""
+    cols, channel = _caratheodory_witness(src, sigs, cons, primal.channel)
+    phi, psi, channel = _witness_tables(sigs, cols, channel, src.y_size, src.x_size)
+    ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
+    rate = max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0)
+    add, ade = expected_distortions(src, spec, ch)
+    gap = max(rate - bound, 0.0)
+    return RatePoint(
+        dd_target=targets[0], de_target=targets[1], rate=rate, witness=ch,
+        achieved_dd=add, achieved_de=ade, iterations=iters, gap=gap,
+        label="exact" if gap <= _EXACT_GAP else "upper_bound",
     )
 
 
@@ -656,7 +990,9 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     """Wyner-Ziv baseline: the encoder-side constraint is dropped.
 
     ``spec_dd`` may be a DistortionSpec (whose d_e is ignored) or a plain
-    d_d table.  The auxiliary alphabet defaults to |X| + 1 columns.
+    d_d table.  The auxiliary alphabet defaults to |X| + 1 columns, its
+    cardinality bound, where a certified full-library solve gives the rate
+    (a feasible value within 1e-7 bits of the lower bound).
     """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
@@ -673,11 +1009,18 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
         return 0.0
     n_sig = len(sigs)
     m = min(z_size, n_sig)
-    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     cons = [np.ascontiguousarray(a_rows.T)]
-    universe = _InnerProblem(src.pxy, n_sig) if n_sig > m else None
+    floor, mass = -math.inf, None
+    if n_sig > m:
+        at_bound = z_size >= src.x_size + 1
+        floor, primal, _ = _universe_solve(src.pxy, cons, [dd_target], cfg, m, at_bound)
+        if primal is not None:
+            if at_bound and primal.value - floor <= _EXACT_GAP:
+                return primal.value
+            mass = src.px @ primal.channel
+    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     best, _, _ = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, [dd_target], cfg, universe
+        _InnerProblem(src.pxy, m), cons, cands, [dd_target], cfg, floor, mass
     )
     if best is None:
         raise InfeasibleError("no decoder rule meets the target at this z_size")

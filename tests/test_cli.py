@@ -90,7 +90,8 @@ class TestDiscreteSolve:
         assert json.loads(out)["error"]["kind"] == "assumption"
 
     def test_cap_exceeded(self, tmp_path, capsys):
-        # |Xhat|^|Y| = 27 decoder columns: C(27, 5) candidates exceed the cap
+        # |Xhat|^|Y| = 27 decoder columns; z_size=4 sits below the cardinality
+        # bound |X| + 3 = 5, so C(27, 4) = 17,550 candidates are enumerated
         de = 1.0 - np.eye(3)
         inst = write_json(
             tmp_path / "inst.json",
@@ -103,7 +104,7 @@ class TestDiscreteSolve:
         )
         status, out = run(
             ["discrete-solve", "--input", inst, "--config", "dd_target=0.01",
-             "--config", "de_target=0.01", "--config", "z_size=5",
+             "--config", "de_target=0.01", "--config", "z_size=4",
              "--config", "enumeration_cap=5"],
             capsys,
         )
