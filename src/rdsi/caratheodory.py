@@ -117,15 +117,19 @@ def _reduce_indices(points: np.ndarray, weights: np.ndarray):
     return idx, weights
 
 
-def caratheodory_reduce(comb: ConvexCombination) -> ConvexCombination:
-    """Same target, support at most dim+1 (less for degenerate point sets)."""
-    target = comb.target()
+def caratheodory_support(comb: ConvexCombination):
+    """The points caratheodory_reduce keeps: (their indices, their weights)."""
     idx, w = _reduce_indices(comb.points, comb.weights)
-    out = ConvexCombination(comb.points[idx], w)
-    err = float(np.linalg.norm(out.target() - target))
+    err = float(np.linalg.norm(w @ comb.points[idx] - comb.target()))
     if err > RECON_TOL:
         raise RdsiError(f"reduction lost the target (error {err:.3g})")
-    return out
+    return idx, w
+
+
+def caratheodory_reduce(comb: ConvexCombination) -> ConvexCombination:
+    """Same target, support at most dim+1 (less for degenerate point sets)."""
+    idx, w = caratheodory_support(comb)
+    return ConvexCombination(comb.points[idx], w)
 
 
 def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:

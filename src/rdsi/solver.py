@@ -29,18 +29,22 @@ column.
 Full-library solve.  The same minimization over the complete column
 library (no subset restriction) lower-bounds every candidate, and by the
 cardinality bound it equals the rate once z_size >= |X| + 3 (|X| + 1 for
-the Wyner-Ziv baseline).  It is one convex problem, solved by a
-Lagrangian Blahut-Arimoto iteration over all columns with a bracketing
-search on the multipliers; every iterate carries a certified lower bound
-(its Lagrangian minus a Frank-Wolfe gap that needs no LP), and the primal
-is a mix of iterates meeting the targets.  At or above the bound, when
-library columns outnumber z_size, a gap of at most 1e-7 bits settles the
-point: Caratheodory's theorem on the per-column vectors (posterior,
-H(X|z) - H(Y|z), distortions) cuts the witness to at most |X| + 3
-columns with the same rate and distortions, and nothing is enumerated.
+the Wyner-Ziv baseline).  Its Wyner-Ziv relaxation (the decoder
+constraint only) is one convex problem, solved by a Lagrangian
+Blahut-Arimoto iteration over all columns with a bracketing search on the
+decoder multiplier; every iterate carries a certified lower bound (its
+Lagrangian minus a Frank-Wolfe gap that needs no LP), and the primal is a
+mix of iterates meeting the decoder target.  The bound holds for the rate
+too.  At or above the bound, when library columns outnumber z_size and
+the primal also meets the encoder target, a gap of at most 1e-7 bits
+settles the point: Caratheodory's theorem on the per-column vectors
+(posterior, H(X|z) - H(Y|z), distortions) cuts the witness to at most
+|X| + 3 columns with the same rate and distortions, and nothing is
+enumerated.
 
-Inner solve (enumeration).  Below the bound, or when the full-library
-solve misses 1e-7 within its iteration budget, candidates are enumerated.
+Inner solve (enumeration).  Below the bound, where the encoder constraint
+binds, or when the full-library solve misses 1e-7 within its iteration
+budget, candidates are enumerated.
 Each is solved by conditional gradient (Frank-Wolfe) over the product of
 row simplices with a staged quadratic penalty for the distortion
 constraints; the linearization minimum along the way is a certified
@@ -53,7 +57,9 @@ certified by a small linear program.
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
 order, so its support comes first; the scan stops at the first candidate
-within 1e-8 bits of the full library's certified lower bound.  Ties
+within 1e-8 bits of the full library's certified lower bound (which, when
+the encoder constraint binds, lies below every candidate, so the whole
+scan runs).  Ties
 between equally good candidates resolve to the first one in scan order.
 
 All rates are in bits.
@@ -69,7 +75,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import xlogy
 
-from .caratheodory import ConvexCombination, caratheodory_reduce
+from .caratheodory import ConvexCombination, caratheodory_support
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
     LN2,
@@ -107,8 +113,9 @@ class SolveConfig:
 
     inner_tolerance also sets the full-library solve's target gap (1e-3 of
     it).  enumeration_cap limits the candidate scan, which runs below the
-    cardinality bound, or at it when the full-library solve cannot certify
-    its point.
+    cardinality bound, or at it when the full-library solve cannot settle
+    its point (the encoder constraint binds, or no certificate within its
+    iteration budget).
     """
 
     z_size: int | None = None
@@ -505,8 +512,8 @@ def scan_candidates(problem, cons, cands, targets, cfg, floor=-math.inf, mass=No
     library; cands: (C, m) library column indices, one row per candidate
     in ascending lexicographic order.  A candidate's columns are gathered
     only when the scan reaches it.  ``floor`` is a lower bound on every
-    candidate's optimum, the full library's certified dual bound for the
-    base solver (solve_rate_ext passes an uncertified one); the scan stops
+    candidate's optimum, the full library's certified Wyner-Ziv bound for
+    the base solver (solve_rate_ext passes an uncertified one); the scan stops
     at the first candidate within _STOP_TOL of it.
     ``mass`` (length N) orders the scan: candidates are visited in
     descending total mass of their columns, equal masses in lexicographic
@@ -554,8 +561,7 @@ class _Iterate:
 
     logp: np.ndarray  # (X, N)
     value: float  # H(Z|Y) - H(Z|X) in bits
-    costs: np.ndarray  # (K,)
-    lam: np.ndarray  # (K,) the multipliers it minimizes the Lagrangian of
+    costs: np.ndarray  # (K,) the first is the one with a multiplier
 
     @property
     def channel(self) -> np.ndarray:
@@ -565,11 +571,11 @@ class _Iterate:
 class _LibraryBA:
     """Lagrangian Blahut-Arimoto over the full column library.
 
-    For multipliers lam >= 0 it minimizes L(p, lam) = F(p) + lam . (C p)
-    over channels p(z|x) on all N columns, F = H(Z|Y) - H(Z|X) in bits, by
-    the update
+    For a multiplier lam >= 0 on the first constraint it minimizes
+    L(p, lam) = F(p) + lam c . p over channels p(z|x) on all N columns,
+    F = H(Z|Y) - H(Z|X) in bits, by the update
 
-        p(z|x) ~ exp(sum_y p(y|x) log r(z|y) - ln2 lam . c(x, z) / p(x)),
+        p(z|x) ~ exp(sum_y p(y|x) log r(z|y) - ln2 lam c(x, z) / p(x)),
         r(z|y) = sum_x p(x|y) p(z|x),
 
     Csiszar-Tusnady alternating minimization of a jointly convex function
@@ -577,13 +583,14 @@ class _LibraryBA:
     Iterates are kept as log p, shifted per column, so the gradient stays
     exact on columns whose mass underflows.  The Frank-Wolfe gap over the
     product of row simplices is a row-wise gradient minimum, so every
-    channel certifies L(p, lam) - lam . t - gap <= R without an LP.  After
+    channel certifies L(p, lam) - lam t - gap <= R without an LP.  After
     ``budget`` iterations in all, every solve stops after one.
 
-    A zero target allows no mass on an entry with a positive coefficient;
-    a fixed penalty of _ZERO_TARGET_NATS on those entries drives their mass
-    to an exact zero.  The penalty term is left out of the Lagrangian, which
-    only lowers the certified bound.
+    Further constraints carry no multiplier; they are only evaluated, except
+    that a zero target, like a zero first target, allows no mass on an entry
+    with a positive coefficient: a fixed penalty of _ZERO_TARGET_NATS on
+    those entries drives their mass to an exact zero.  The penalty term is
+    left out of the Lagrangian, which only lowers the certified bound.
     """
 
     def __init__(self, pxy: np.ndarray, costs, targets, budget: int):
@@ -592,8 +599,9 @@ class _LibraryBA:
         self.p_y_given_x = pxy / np.maximum(px, _TINY)[:, None]
         self.p_x_given_y = pxy / np.maximum(pxy.sum(axis=0), _TINY)
         self.costs = np.asarray(costs, dtype=float)  # (K, X, N)
-        self.scaled = self.costs * (LN2 / np.maximum(px, _TINY))[:, None]
+        self.scaled = self.costs[0] * (LN2 / np.maximum(px, _TINY))[:, None]
         self.targets = np.asarray(targets, dtype=float)
+        self.target = self.targets[0]
         zero = self.costs[self.targets <= 0.0]
         self.forbidden = _ZERO_TARGET_NATS * (zero > 0.0).any(axis=0)
         n = self.costs.shape[2]
@@ -604,18 +612,15 @@ class _LibraryBA:
         self.budget = budget
         self.exhausted = False
 
-    def iterate(self, logp: np.ndarray, lam: np.ndarray) -> _Iterate:
+    def iterate(self, logp: np.ndarray) -> _Iterate:
         p = np.exp(logp)
         costs = np.einsum("kxn,xn->k", self.costs, p)
-        return _Iterate(logp, max(self.problem.value(p), 0.0), costs, lam.copy())
+        return _Iterate(logp, max(self.problem.value(p), 0.0), costs)
 
     def _lagrangian(self, p, lam) -> float:
         """L(p, lam); p may hold the library's columns several times over."""
-        costs = np.tile(self.costs, p.shape[1] // self.costs.shape[2])
-        return self.problem.value(p) + float(lam @ np.einsum("kxn,xn->k", costs, p))
-
-    def _penalty(self, lam):
-        return self.forbidden + np.tensordot(lam, self.scaled, axes=1)
+        cost = np.tile(self.costs[0], p.shape[1] // self.costs.shape[2])
+        return self.problem.value(p) + lam * float((cost * p).sum())
 
     def _step(self, logp, penalty):
         """One update from logp, and the Frank-Wolfe gap (bits) at logp."""
@@ -642,7 +647,7 @@ class _LibraryBA:
                 return cut
         return new
 
-    def certify(self, lo: _Iterate, hi: _Iterate, theta: float, lam: np.ndarray) -> float:
+    def certify(self, lo: _Iterate, hi: _Iterate, theta: float, lam: float) -> float:
         """Certified lower bound on R from time-sharing two iterates.
 
         The point is theta lo beside (1 - theta) hi on two copies of the
@@ -653,15 +658,15 @@ class _LibraryBA:
         when mixing the two on one library would merge columns.
         """
         logp = np.hstack([np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp])
-        _, gap = self._step(logp, np.tile(self._penalty(lam), 2))
-        return self._lagrangian(np.exp(logp), lam) - float(lam @ self.targets) - gap
+        _, gap = self._step(logp, np.tile(self.forbidden + lam * self.scaled, 2))
+        return self._lagrangian(np.exp(logp), lam) - lam * self.target - gap
 
-    def solve(self, lam: np.ndarray, tol: float):
+    def solve(self, lam: float, tol: float):
         """Minimize L(., lam) from ``warm`` until the gap is <= tol.
 
         Returns (certified lower bound on R, iterate).
         """
-        penalty = self._penalty(lam)
+        penalty = self.forbidden + lam * self.scaled
         logp = np.log((1.0 - self.restart) * self.warm + self.restart / self.warm.shape[1])
         for it in range(1, max(1, min(_BA_MAX_ITERS, self.budget - self.iterations)) + 1):
             new, gap = self._step(logp, penalty)
@@ -672,64 +677,51 @@ class _LibraryBA:
             logp = new
         self.iterations += it
         self.exhausted = self.iterations >= self.budget
-        res = self.iterate(logp, lam)
+        res = self.iterate(logp)
         self.warm = res.channel
-        return res.value + float(lam @ (res.costs - self.targets)) - gap, res
+        return res.value + lam * (res.costs[0] - self.target) - gap, res
 
 
-def _share(ba: _LibraryBA, lo: _Iterate, hi: _Iterate, k: int) -> float:
+def _share(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> float:
     """The weight on lo of the combination of two iterates, one above and
-    one at or below target k, that meets target k exactly (kept inside
+    one at or below the first target, that meets it exactly (kept inside
     (0, 1) so that both logarithms stay finite)."""
-    theta = (ba.targets[k] - hi.costs[k]) / (lo.costs[k] - hi.costs[k])
+    theta = (ba.target - hi.costs[0]) / (lo.costs[0] - hi.costs[0])
     return min(max(theta, 1e-300), 1.0 - 1e-16)
 
 
-def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate, k: int) -> _Iterate:
+def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> _Iterate:
     """That combination of the two channels; F is convex, so its value is at
     most the same combination of theirs."""
-    theta = _share(ba, lo, hi, k)
-    logp = np.logaddexp(np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp)
-    return ba.iterate(logp, theta * lo.lam + (1.0 - theta) * hi.lam)
+    theta = _share(ba, lo, hi)
+    return ba.iterate(np.logaddexp(np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp))
 
 
-def _dual_search(ba: _LibraryBA, lam: np.ndarray, k: int, tol: float):
-    """Maximize the certified bound over lam[k:], with lam[:k] fixed.
+def _dual_search(ba: _LibraryBA, tol: float):
+    """Maximize the certified bound over the multiplier of the first target.
 
-    The dual is concave but can be nonsmooth, so lam[k] is bracketed by the
-    sign of its supergradient C_k p - t_k and the bracket shrunk by cutting
-    planes: each iterate's Lagrangian is a line in lam[k] above the dual,
-    and the next lam[k] is where the lines of the two bracketing iterates
-    meet (exact at a kink, secant-like where the dual is smooth), or the
-    midpoint after the same end moved twice.  Each value is solved by the
-    next multiplier's search, by BA for the last one, coarsely while the
-    gap is wide.  The primal is the mix of the two bracketing iterates that
-    meets target k; its Lagrangian under lam[:k] minus the best bound met
-    is this level's certified gap, and the search stops once that is <=
+    The dual is concave but can be nonsmooth, so lam is bracketed by the
+    sign of its supergradient c . p - t and the bracket shrunk by cutting
+    planes: each iterate's Lagrangian is a line in lam above the dual, and
+    the next lam is where the lines of the two bracketing iterates meet
+    (exact at a kink, secant-like where the dual is smooth), or the
+    midpoint after the same end moved twice.  Each lam is solved by BA,
+    coarsely while the gap is wide.  The primal is the mix of the two
+    bracketing iterates that meets the target; its value minus the best
+    bound met is the certified gap, and the search stops once that is <=
     tol.  Returns (best certified lower bound on R, primal iterate); the
-    primal meets targets k.. unless no multiplier up to _DUAL_MAX_LAMBDA
-    reaches target k.
+    primal meets the first target unless no multiplier up to
+    _DUAL_MAX_LAMBDA reaches it.
     """
-    target = ba.targets[k]
-
-    def evaluate(value, level_tol):
-        lam[k] = value
-        if k + 1 == len(lam):
-            return ba.solve(lam, 0.1 * level_tol)
-        return _dual_search(ba, lam, k + 1, level_tol)
-
-    def outer(it):  # the Lagrangian of the multipliers fixed above this level
-        return it.value + float(lam[:k] @ (it.costs[:k] - ba.targets[:k]))
-
-    bound, lo = evaluate(0.0, tol)
-    if lo.costs[k] <= target:
+    bound, lo = ba.solve(0.0, 0.1 * tol)
+    if lo.costs[0] <= ba.target:
         return bound, lo
     coarse = max(tol, _DUAL_COARSE_GAP)
     lam_lo, lam_hi = 0.0, 1.0
     while True:
-        got, res = evaluate(lam_hi, coarse)
+        got, res = ba.solve(lam_hi, 0.1 * coarse)
         bound = max(bound, got)
-        if res.costs[k] <= target:
+        if res.costs[0] <= ba.target:
             hi = res
             break
         lo, lam_lo, lam_hi = res, lam_hi, 4.0 * lam_hi
@@ -737,15 +729,14 @@ def _dual_search(ba: _LibraryBA, lam: np.ndarray, k: int, tol: float):
             return bound, lo
     repeats, last_side = 0, None
     for _ in range(_DUAL_MAX_STEPS):
-        primal = _mix(ba, lo, hi, k)
-        value = (outer(hi) - outer(lo)) / (lo.costs[k] - hi.costs[k])
+        primal = _mix(ba, lo, hi)
+        value = (hi.value - lo.value) / (lo.costs[0] - hi.costs[0])
         if lam_lo < value < lam_hi:
             # at a kink both iterates minimize the Lagrangian at the meeting
             # point, so sharing time between them certifies the optimum
             # there without a solve
-            cut = np.concatenate([lam[:k], [value], primal.lam[k + 1 :]])
-            bound = max(bound, ba.certify(lo, hi, _share(ba, lo, hi, k), cut))
-        gap = outer(primal) - bound
+            bound = max(bound, ba.certify(lo, hi, _share(ba, lo, hi), value))
+        gap = primal.value - bound
         if gap <= tol or ba.exhausted:
             break
         if repeats >= 2 or not lam_lo < value < lam_hi:
@@ -757,49 +748,50 @@ def _dual_search(ba: _LibraryBA, lam: np.ndarray, k: int, tol: float):
         # uniform mass as the bracket narrows
         ba.warm = (lo if value - lam_lo < lam_hi - value else hi).channel
         ba.restart = min(_BA_RESTART_MIX, (lam_hi - lam_lo) / lam_hi)
-        got, res = evaluate(value, max(tol, min(coarse, 0.01 * gap)))
+        got, res = ba.solve(value, 0.1 * max(tol, min(coarse, 0.01 * gap)))
         ba.restart = _BA_RESTART_MIX
         bound = max(bound, got)
-        side = res.costs[k] > target
+        side = res.costs[0] > ba.target
         repeats = repeats + 1 if side == last_side else 1
         last_side = side
         if side:
             lo, lam_lo = res, value
         else:
             hi, lam_hi = res, value
-    return bound, _mix(ba, lo, hi, k)
+    return bound, _mix(ba, lo, hi)
 
 
 def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
-    """Certified minimum over the full column library, which the scan over
-    its m-column subsets would otherwise enumerate.
+    """Certified Wyner-Ziv minimum over the full column library, which the
+    scan over its m-column subsets would otherwise enumerate.
 
-    Returns (lower bound, primal iterate or None if it misses a target,
-    BA iterations).  The search aims at a gap of _UNIVERSE_GAP times
-    inner_tolerance.  It stops early after a number of BA iterations per
-    candidate of that scan (_BA_PER_CANDIDATE at the cardinality bound,
-    _BA_PER_CANDIDATE_FLOOR below it), at most _BA_BUDGET, so that a hard
-    instance with few candidates falls back to the scan quickly; the bound
-    is certified either way.
+    Only the first (decoder) constraint carries a multiplier: the bound,
+    on the problem without the others, holds for R as well, and the solve
+    settles R only when its primal also meets them.  Returns (lower bound,
+    primal iterate or None if it misses a target, BA iterations).  The
+    search aims at a gap of _UNIVERSE_GAP times inner_tolerance.  It stops
+    early after a number of BA iterations per candidate of that scan
+    (_BA_PER_CANDIDATE at the cardinality bound, _BA_PER_CANDIDATE_FLOOR
+    below it), at most _BA_BUDGET, so that a hard instance with few
+    candidates falls back to the scan quickly; the bound is certified
+    either way.
     """
     per_candidate = _BA_PER_CANDIDATE if at_bound else _BA_PER_CANDIDATE_FLOOR
     count = math.comb(cons[0].shape[1], m)
     ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, per_candidate * count))
-    bound, primal = _dual_search(
-        ba, np.zeros(len(targets)), 0, _UNIVERSE_GAP * cfg.inner_tolerance
-    )
+    bound, primal = _dual_search(ba, _UNIVERSE_GAP * cfg.inner_tolerance)
     if np.any(primal.costs > ba.targets + 1e-12):
         primal = None
     return bound, primal, ba.iterations
 
 
-def _caratheodory_witness(src, sigs, cons, channel):
+def _caratheodory_witness(src, cons, channel):
     """At most |X| + 3 library columns with the same rate, distortions and p(x).
 
     Each used column z is the point (p(x|z) without its last coordinate,
     H(X|z) - H(Y|z), E[d_d | z], E[d_e | z]) weighted by p(z); the rate is
-    H(X) - H(Y) - sum_z p(z) (H(X|z) - H(Y|z)), so caratheodory_reduce keeps
-    the rate, both distortions and the X-marginal.  Returns (library
+    H(X) - H(Y) - sum_z p(z) (H(X|z) - H(Y|z)), so Caratheodory's reduction
+    keeps the rate, both distortions and the X-marginal.  Returns (library
     indices, channel on them).
     """
     px = src.px
@@ -811,12 +803,10 @@ def _caratheodory_witness(src, sigs, cons, channel):
     h = (xlogy(post_y, post_y).sum(axis=0) - xlogy(post, post).sum(axis=0)) / LN2
     per_z = [(c[:, used] * channel[:, used]).sum(axis=0) / mass[used] for c in cons]
     points = np.column_stack([post[:-1].T, h] + per_z)
-    reduced = caratheodory_reduce(ConvexCombination(points, mass[used] / mass.sum()))
-    rows = [int(np.flatnonzero((points == pt).all(axis=1))[0]) for pt in reduced.points]
-    cols = used[rows]
-    out = reduced.weights[None, :] * post[:, rows] / np.maximum(px, _TINY)[:, None]
-    out[px <= 0.0] = 1.0 / len(cols)
-    return cols, out / out.sum(axis=1, keepdims=True)
+    rows, weights = caratheodory_support(ConvexCombination(points, mass[used] / mass.sum()))
+    out = weights[None, :] * post[:, rows] / np.maximum(px, _TINY)[:, None]
+    out[px <= 0.0] = 1.0 / len(rows)
+    return used[rows], out / out.sum(axis=1, keepdims=True)
 
 
 def _signature_library(src: JointSource, spec: DistortionSpec, with_psi: bool):
@@ -907,19 +897,20 @@ def solve_rate(
     m = min(z_size, n_sig)
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
     targets = [dd_target, de_target]
+    # at the cardinality bound a Wyner-Ziv solve over the full library
+    # settles R when its primal meets D_e; otherwise it only floors and
+    # orders the scan, whose size is checked before the solve below the bound
+    at_bound = n_sig > m and z_size >= src.x_size + 3
+    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
     floor, mass, iters = -math.inf, None, 0
     if n_sig > m:
-        # the encoder multiplier outermost: its first value, 0, is a
-        # Wyner-Ziv search that already ends the solve when D_e is slack
-        at_bound = z_size >= src.x_size + 3
-        floor, primal, iters = _universe_solve(
-            src.pxy, cons[::-1], targets[::-1], cfg, m, at_bound
-        )
+        floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m, at_bound)
         if primal is not None:
             if at_bound and primal.value - floor <= _EXACT_GAP:
                 return _universe_point(src, spec, sigs, cons, primal, floor, iters, targets)
             mass = src.px @ primal.channel
-    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
+    if cands is None:
+        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     best, best_idx, scan_iters = scan_candidates(
         _InnerProblem(src.pxy, m), cons, cands, targets, cfg, floor, mass
     )
@@ -942,7 +933,7 @@ def solve_rate(
 def _universe_point(src, spec, sigs, cons, primal, bound, iters, targets):
     """RatePoint from a certified full-library solution: the Caratheodory
     witness, labelled "exact" when its gap to the bound is <= _EXACT_GAP."""
-    cols, channel = _caratheodory_witness(src, sigs, cons, primal.channel)
+    cols, channel = _caratheodory_witness(src, cons, primal.channel)
     phi, psi, channel = _witness_tables(sigs, cols, channel, src.y_size, src.x_size)
     ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
     rate = max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0)
@@ -1010,15 +1001,17 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     n_sig = len(sigs)
     m = min(z_size, n_sig)
     cons = [np.ascontiguousarray(a_rows.T)]
+    at_bound = n_sig > m and z_size >= src.x_size + 1
+    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
     floor, mass = -math.inf, None
     if n_sig > m:
-        at_bound = z_size >= src.x_size + 1
         floor, primal, _ = _universe_solve(src.pxy, cons, [dd_target], cfg, m, at_bound)
         if primal is not None:
             if at_bound and primal.value - floor <= _EXACT_GAP:
                 return primal.value
             mass = src.px @ primal.channel
-    cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
+    if cands is None:
+        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     best, _, _ = scan_candidates(
         _InnerProblem(src.pxy, m), cons, cands, [dd_target], cfg, floor, mass
     )

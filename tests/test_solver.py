@@ -324,12 +324,13 @@ def encoder_active_instance():
 
 class TestUniverseFirst:
     def test_encoder_active_matches_full_enumeration(self):
-        # the ladder never binds the encoder constraint, so this is the check
-        # of the two-multiplier dual search
+        # the ladder never binds the encoder constraint: here the full-library
+        # Wyner-Ziv solve misses D_e, so the point comes from the scan, which
+        # must agree with a full enumeration
         src, spec, dd_t = encoder_active_instance()
         de_t = 0.02
         point = solve_rate(src, spec, dd_t, de_t)
-        assert point.label == "exact" and 0.0 <= point.gap <= 1e-7
+        assert point.label == "exact"
         assert point.rate > r_wz(src, spec, dd_t) + 1e-3
         assert point.achieved_de <= de_t + 1e-9
         sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
@@ -340,15 +341,12 @@ class TestUniverseFirst:
             solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t], SolveConfig()
         )
         assert point.rate == pytest.approx(full.rate, abs=1e-8)
-        # the dual search itself: a certified bound below the rate and a
-        # primal meeting both targets above it (here its gap stays near 1e-3
-        # within the iteration budget, so solve_rate finished by the scan)
+        # the Wyner-Ziv solve's bound floors the scan and holds for R
         bound, primal, _ = solver_module._universe_solve(
-            src.pxy, cons[::-1], [de_t, dd_t], SolveConfig(), 5, True
+            src.pxy, cons, [dd_t, de_t], SolveConfig(), 5, True
         )
+        assert primal is None
         assert bound <= full.rate + 1e-9
-        assert np.all(primal.costs <= [de_t + 1e-12, dd_t + 1e-12])
-        assert primal.value >= full.rate - 1e-8
 
     def test_four_letter_ladder_is_exact(self):
         src, spec, dd_t, de_t = ladder_instance(4, 4, 4)
