@@ -352,6 +352,9 @@ def cmd_sphere_sim(args, cfg: _Config) -> str:
                 "freq_any": result.freq_any,
             }
         )
+        # JSON rows only: the CSV keeps _SIM_COLUMNS; null if no trial decoded
+        decoded = {"decoded_dd": result.decoded_dd, "decoded_de": result.decoded_de}
+        rows[-1].update({k: None if math.isnan(v) else v for k, v in decoded.items()})
     return _tabular(rows, _SIM_COLUMNS, args.format, args.seed)
 
 

@@ -16,16 +16,23 @@ over the whole codebook; decoding matches the side-information angle to
 sqrt(1 - 2^(-2 (R' - R))) within the sent bin.  Ties (measure zero in
 theory, possible in floats) go to the lowest codeword index.
 
+The simulation encodes its trials in blocks: one pass over the codebook,
+in row chunks of a few thousand codewords, scores every trial of a block
+with one matrix product per chunk, so the codebook is read once per block
+instead of once per trial.  Everything after the encoder's choice runs
+trial by trial in trial order, exactly as for a single trial.
+
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
 t draws its source pair from the stream seeded by (seed, 1, t), X before
-U.  Aggregates are therefore identical however trials are scheduled.
+U.  Aggregates are therefore identical however trials are scheduled,
+blocked or not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -35,6 +42,12 @@ from .gaussian import SchemeParams
 from .model import _freeze
 
 DEFAULT_CODEBOOK_CAP = 2**22
+
+# Codebook rows scored per matrix product and trials encoded per pass over
+# the codebook: together they bound the score block (_TRIAL_BLOCK x
+# _ROW_CHUNK floats, 4 MB) whatever the codebook size.
+_ROW_CHUNK = 2048
+_TRIAL_BLOCK = 256
 
 
 def _rng(*key) -> np.random.Generator:
@@ -64,8 +77,10 @@ def cap_exponent(tau: float) -> float:
 
 def _sample_sphere_batch(count: int, n: int, radius: float, rng: np.random.Generator):
     v = rng.standard_normal((count, n))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return v * (radius / norms)
+    for lo in range(0, count, _ROW_CHUNK):  # in place: no second count x n array
+        block = v[lo : lo + _ROW_CHUNK]
+        block *= radius / np.linalg.norm(block, axis=1, keepdims=True)
+    return v
 
 
 def sample_sphere(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -166,16 +181,25 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Immutable codebook: point matrix plus the contiguous-bin layout."""
+    """Immutable codebook: point matrix plus the contiguous-bin layout.
+
+    The vectors are copied, so the caller's array stays theirs; _owned=True
+    (for arrays this module has just drawn) freezes the array in place
+    instead of copying it.
+    """
 
     vectors: np.ndarray
     n_bins: int
     bin_size: int
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         if self.n_bins < 1 or self.bin_size < 1:
             raise AssumptionError("codebook needs at least one nonempty bin")
-        object.__setattr__(self, "vectors", _freeze(np.asarray(self.vectors, dtype=float)))
+        if _owned:
+            self.vectors.flags.writeable = False
+        else:
+            object.__setattr__(self, "vectors", _freeze(np.asarray(self.vectors, dtype=float)))
 
     @property
     def size(self) -> int:
@@ -215,7 +239,7 @@ def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None) -> Co
     if rng is None:
         rng = _rng(cfg.seed, 0)
     vectors = _sample_sphere_batch(total, cfg.n, math.sqrt(cfg.n * cfg.var_z), rng)
-    return Codebook(vectors=vectors, n_bins=n_bins, bin_size=bin_size)
+    return Codebook(vectors=vectors, n_bins=n_bins, bin_size=bin_size, _owned=True)
 
 
 @dataclass(frozen=True)
@@ -233,26 +257,65 @@ class DecodeResult:
     recon_decoder: np.ndarray
 
 
-def _cosines(block: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
+def _closest_angle(vectors: np.ndarray, points: np.ndarray, target: float,
+                   radius: float) -> np.ndarray:
+    """For each row p of points, the index of the row z of vectors whose
+    cosine z.p / (radius |p|) is closest to target; ties go to the lowest
+    index.
+
+    The rows of vectors are scored in chunks with one matrix product per
+    chunk, so they are read once for all points; a later chunk replaces a
+    point's best only when strictly closer.  A single point gets numpy's
+    matrix-vector product; for several, the matrix product may round a
+    cosine differently in the last bit, which can only move a near-tie
+    within one rounding error.
+    """
+    # per-point norm, rounded exactly as for a single point (an axis=1
+    # norm sums in another order)
+    scale = np.empty((len(points), 1))
+    for j, p in enumerate(points):
+        scale[j] = radius * np.linalg.norm(p)
+    if not np.all(scale):
         raise AssumptionError("cannot take angles with the zero vector")
-    return (block @ v) / (radius * vnorm)
+    rows = np.arange(len(points))
+    best = np.zeros(len(points), dtype=np.intp)
+    best_err = np.full(len(points), np.inf)
+    for lo in range(0, len(vectors), _ROW_CHUNK):
+        err = points @ vectors[lo : lo + _ROW_CHUNK].T
+        err /= scale
+        err -= target
+        np.abs(err, out=err)
+        idx = np.argmin(err, axis=1)
+        err_min = err[rows, idx]
+        closer = err_min < best_err
+        best_err[closer] = err_min[closer]
+        best[closer] = lo + idx[closer]
+    return best
 
 
-def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult:
+def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[EncodeResult]:
     """Pick the codeword whose angle with x is closest to the encoding target;
-    send its bin, reconstruct as z* + b x."""
+    send its bin, reconstruct as z* + b x.
+
+    x is one source vector of shape (n,), giving one EncodeResult, or a
+    block of them of shape (k, n), giving a list of k results from a single
+    pass over the codebook.
+    """
+    xs = np.atleast_2d(x)
     radius = math.sqrt(cfg.n * cfg.var_z)
-    cos = _cosines(cb.vectors, x, radius)
-    idx = int(np.argmin(np.abs(cos - cfg.enc_target)))
-    z_star = cb.vectors[idx]
-    return EncodeResult(
-        bin_index=cb.bin_of(idx),
-        codeword_index=idx,
-        codeword=z_star,
-        recon_encoder=z_star + cfg.params.b * x,
-    )
+    results = []
+    for idx, row in zip(_closest_angle(cb.vectors, xs, cfg.enc_target, radius), xs):
+        idx = int(idx)
+        z_star = cb.vectors[idx]
+        results.append(
+            EncodeResult(
+                bin_index=cb.bin_of(idx),
+                codeword_index=idx,
+                codeword=z_star,
+                recon_encoder=z_star + cfg.params.b * row,
+            )
+        )
+    return results if np.ndim(x) == 2 else results[0]
 
 
 def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
@@ -261,8 +324,7 @@ def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
     lo, hi = cb.bin_bounds(m)
     assert hi > lo, "selected bin is empty (cannot occur for an encoder-chosen bin)"
     radius = math.sqrt(cfg.n * cfg.var_z)
-    cos = _cosines(cb.vectors[lo:hi], y, radius)
-    idx = lo + int(np.argmin(np.abs(cos - cfg.dec_target)))
+    idx = lo + int(_closest_angle(cb.vectors[lo:hi], y[np.newaxis], cfg.dec_target, radius)[0])
     z_hat = cb.vectors[idx]
     return DecodeResult(
         codeword_index=idx,
@@ -276,8 +338,9 @@ class SimResult:
     """Empirical distortions and error-event frequencies of one run.
 
     Distortions are unconditional averages over all trials; cond_dd/cond_de
-    are the diagnostics conditioned on no error event (nan if every trial
-    had an event).
+    are the diagnostics conditioned on no error event, decoded_dd/decoded_de
+    those conditioned on correct decoding (no dec2 event); each is nan when
+    no trial qualifies.
     """
 
     empirical_dd: float
@@ -290,6 +353,15 @@ class SimResult:
     trials_run: int
     cond_dd: float = float("nan")
     cond_de: float = float("nan")
+    decoded_dd: float = float("nan")
+    decoded_de: float = float("nan")
+
+
+def _draw_trial(cfg: SimConfig, t: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = _rng(cfg.seed, 1, t)
+    x = math.sqrt(cfg.var_x) * rng.standard_normal(cfg.n)
+    u = math.sqrt(cfg.var_u) * rng.standard_normal(cfg.n)
+    return x, u
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -303,6 +375,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     * enc:  best codeword angle with x off the encoding target (band eps);
     * dec1: chosen codeword angle with y off the decoding target (band 4 eps);
     * dec2: decoder picked a different codeword than the encoder.
+
+    Trials are encoded _TRIAL_BLOCK at a time in one pass over the codebook;
+    the rest of each trial, and every sum, runs in trial order.
     """
     cb = build_codebook(cfg)
     n = cfg.n
@@ -310,14 +385,16 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     rho_xy = math.sqrt(cfg.var_x / var_y)
     sums = np.zeros(2)
     cond_sums = np.zeros(2)
+    decoded_sums = np.zeros(2)
     counts = np.zeros(5)  # src, enc, dec1, dec2, any
     n_clean = 0
+    n_decoded = 0
     for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 1, t)
-        x = math.sqrt(cfg.var_x) * rng.standard_normal(n)
-        u = math.sqrt(cfg.var_u) * rng.standard_normal(n)
+        if t % _TRIAL_BLOCK == 0:
+            pairs = [_draw_trial(cfg, s) for s in range(t, min(t + _TRIAL_BLOCK, cfg.trials))]
+            encs = encode(np.stack([x for x, _ in pairs]), cb, cfg)
+        (x, u), enc = pairs[t % _TRIAL_BLOCK], encs[t % _TRIAL_BLOCK]
         y = x + u
-        enc = encode(x, cb, cfg)
         dec = decode(enc.bin_index, y, cb, cfg)
         dd = float(np.sum((x - dec.recon_decoder) ** 2)) / n
         de = float(np.sum((dec.recon_decoder - enc.recon_encoder) ** 2)) / n
@@ -342,8 +419,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         if not any_e:
             cond_sums += (dd, de)
             n_clean += 1
+        if not e_dec2:
+            decoded_sums += (dd, de)
+            n_decoded += 1
     trials = cfg.trials
-    cond = cond_sums / n_clean if n_clean else np.full(2, float("nan"))
+    nan2 = np.full(2, float("nan"))
+    cond = cond_sums / n_clean if n_clean else nan2
+    decoded = decoded_sums / n_decoded if n_decoded else nan2
     return SimResult(
         empirical_dd=sums[0] / trials,
         empirical_de=sums[1] / trials,
@@ -355,4 +437,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         trials_run=trials,
         cond_dd=float(cond[0]),
         cond_de=float(cond[1]),
+        decoded_dd=float(decoded[0]),
+        decoded_de=float(decoded[1]),
     )

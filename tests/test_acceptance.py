@@ -186,7 +186,9 @@ def test_c07_scheme_simulation():
     print(
         f"\n  n={n}: dd={big.empirical_dd:.4f} (bound 0.2875) "
         f"de={big.empirical_de:.4f} (bound 0.071875) "
-        f"freq_any={big.freq_any:.3f} vs {half.freq_any:.3f} at n={n//2}"
+        f"freq_any={big.freq_any:.3f} vs {half.freq_any:.3f} at n={n//2}; "
+        f"given correct decoding dd={big.decoded_dd:.4f} de={big.decoded_de:.4f} "
+        f"(freq_dec2={big.freq_dec2:.3f})"
     )
     assert time.time() - start <= 600.0
     assert big.empirical_dd <= 1.15 * 0.25

@@ -241,6 +241,17 @@ class TestSphereSim:
         assert lines[0].startswith("n,trials,seed,a,b,var_w,delta,epsilon,rate_nominal")
         assert len(lines) == 3
 
+    def test_json_rows_carry_decoded_distortions(self, capsys):
+        status, out = run(self.ARGS + ["--format", "json"], capsys)
+        assert status == 0
+        report = json.loads(out)
+        assert not {"decoded_dd", "decoded_de"} & set(report["columns"])
+        for row in report["rows"]:
+            for key in ("decoded_dd", "decoded_de"):
+                assert row[key] is None or row[key] >= 0.0
+        _, csv_out = run(self.ARGS, capsys)
+        assert "decoded" not in csv_out
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(self.ARGS, capsys)
         _, out2 = run(self.ARGS, capsys)

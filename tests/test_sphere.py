@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from rdsi import sphere
 from rdsi.errors import AssumptionError, InfeasibleError, ResourceCapError
 from rdsi.gaussian import GaussianProblem, SchemeParams, scheme_params
 from rdsi.sphere import (
     Codebook,
     SimConfig,
+    SimResult,
     _rng,
     build_codebook,
     cap_exponent,
@@ -161,6 +163,20 @@ class TestCodebook:
         n_max = max_feasible_blocklength(1.0, 0.5, cfg.params, 8)
         assert str(n_max) in str(err.value)
 
+    def test_caller_array_is_copied(self):
+        vec = _rng(2).standard_normal((4, 3))
+        cb = Codebook(vectors=vec, n_bins=1, bin_size=4)
+        before = cb.vectors.copy()
+        vec[:] = 0.0
+        np.testing.assert_array_equal(cb.vectors, before)
+        assert not cb.vectors.flags.writeable
+
+    def test_built_codebook_is_read_only(self):
+        cb = build_codebook(small_cfg(n=8))
+        assert not cb.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            cb.vectors[0, 0] = 1.0
+
     def test_bin_of_matches_bounds(self):
         cfg = small_cfg(n=8)
         cb = build_codebook(cfg)
@@ -239,7 +255,111 @@ class TestEncodeDecode:
         assert enc.codeword_index == 0
 
 
+def random_codebook(rows, n, seed):
+    # random rows on the sphere of the small configuration's radius
+    cfg = small_cfg(n=n)
+    vectors = sphere._sample_sphere_batch(rows, n, math.sqrt(n * cfg.var_z), _rng(seed))
+    return cfg, Codebook(vectors, n_bins=1, bin_size=rows)
+
+
+class TestBatchedEncode:
+    def test_block_matches_per_row_encode(self):
+        # a codebook spanning several row chunks, with a ragged last chunk
+        cfg, cb = random_codebook(3 * sphere._ROW_CHUNK + 77, 8, seed=21)
+        xs = _rng(22).standard_normal((40, 8))
+        block = encode(xs, cb, cfg)
+        assert len(block) == 40
+        for x, enc in zip(xs, block):
+            one = encode(x, cb, cfg)
+            assert enc.codeword_index == one.codeword_index
+            assert enc.bin_index == one.bin_index
+            np.testing.assert_array_equal(enc.recon_encoder, one.recon_encoder)
+
+    def test_duplicate_across_chunk_boundary_goes_to_lower_index(self):
+        cfg, cb = random_codebook(2 * sphere._ROW_CHUNK, 8, seed=23)
+        xs = _rng(24).standard_normal((2, 8))
+        vectors = np.array(cb.vectors)
+        # move x's best codeword to the last row of the first chunk and the
+        # first row of the second, and turn the original away from x
+        best = encode(xs[0], cb, cfg).codeword_index
+        low, high = sphere._ROW_CHUNK - 1, sphere._ROW_CHUNK
+        winner = vectors[best].copy()
+        vectors[best] = -winner
+        vectors[[low, high]] = winner
+        dup = Codebook(vectors, n_bins=1, bin_size=len(vectors))
+        assert encode(xs[0], dup, cfg).codeword_index == low
+        assert encode(xs, dup, cfg)[0].codeword_index == low
+
+    def test_zero_row_in_block_rejected(self):
+        cfg, cb = random_codebook(100, 8, seed=25)
+        xs = _rng(26).standard_normal((5, 8))
+        xs[3] = 0.0
+        with pytest.raises(AssumptionError):
+            encode(xs, cb, cfg)
+
+
+def reference_simulation(cfg):
+    """The simulation written trial by trial: one draw, one encode() and one
+    decode() per trial, in trial order."""
+    cb = build_codebook(cfg)
+    n = cfg.n
+    var_y = cfg.var_x + cfg.var_u
+    rho_xy = math.sqrt(cfg.var_x / var_y)
+    sums, cond_sums, decoded_sums = np.zeros(2), np.zeros(2), np.zeros(2)
+    counts = np.zeros(5)
+    n_clean = n_decoded = 0
+    for t in range(cfg.trials):
+        rng = _rng(cfg.seed, 1, t)
+        x = math.sqrt(cfg.var_x) * rng.standard_normal(n)
+        u = math.sqrt(cfg.var_u) * rng.standard_normal(n)
+        y = x + u
+        enc = encode(x, cb, cfg)
+        dec = decode(enc.bin_index, y, cb, cfg)
+        dd = float(np.sum((x - dec.recon_decoder) ** 2)) / n
+        de = float(np.sum((dec.recon_decoder - enc.recon_encoder) ** 2)) / n
+        xx, yy = float(x @ x), float(y @ y)
+        cos_xy = float(x @ y) / math.sqrt(xx * yy)
+        e_src = (
+            abs(xx / n - cfg.var_x) > cfg.epsilon * cfg.var_x
+            or abs(yy / n - var_y) > cfg.epsilon * var_y
+            or abs(cos_xy - rho_xy) > cfg.epsilon * rho_xy
+        )
+        zz = float(enc.codeword @ enc.codeword)
+        cos_xz = float(x @ enc.codeword) / math.sqrt(xx * zz)
+        e_enc = abs(cos_xz - cfg.enc_target) > cfg.epsilon * cfg.enc_target
+        cos_yz = float(y @ enc.codeword) / math.sqrt(yy * zz)
+        e_dec1 = abs(cos_yz - cfg.dec_target) > 4.0 * cfg.epsilon * cfg.dec_target
+        e_dec2 = dec.codeword_index != enc.codeword_index
+        any_e = e_src or e_enc or e_dec1 or e_dec2
+        sums += (dd, de)
+        counts += (e_src, e_enc, e_dec1, e_dec2, any_e)
+        if not any_e:
+            cond_sums += (dd, de)
+            n_clean += 1
+        if not e_dec2:
+            decoded_sums += (dd, de)
+            n_decoded += 1
+    nan = float("nan")
+    return SimResult(
+        *(sums / cfg.trials), *(counts / cfg.trials), cfg.trials,
+        *(cond_sums / n_clean if n_clean else (nan, nan)),
+        *(decoded_sums / n_decoded if n_decoded else (nan, nan)),
+    )
+
+
 class TestRunSimulation:
+    def test_blocked_run_matches_trial_by_trial_reference(self):
+        # 2^13 codewords span four row chunks; the trial count leaves a
+        # partial second block
+        cfg = small_cfg(n=26, trials=sphere._TRIAL_BLOCK + 13, seed=4)
+        assert build_codebook(cfg).size > 3 * sphere._ROW_CHUNK
+        got, want = run_simulation(cfg), reference_simulation(cfg)
+        for field in dataclasses.fields(SimResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+        assert 0.0 < got.freq_dec2 < 1.0
+        assert not math.isnan(got.decoded_dd)
+
     def test_deterministic_given_seed(self):
         cfg = small_cfg(n=10, trials=8, seed=5)
         r1 = run_simulation(cfg)
@@ -274,6 +394,7 @@ class TestRunSimulation:
         r = run_simulation(cfg)
         assert r.freq_dec2 == 0.0
         assert r.empirical_de == 0.0
+        assert (r.decoded_dd, r.decoded_de) == (r.empirical_dd, r.empirical_de)
 
     def test_epsilon_feasibility_enforced(self):
         params = case3_params()
