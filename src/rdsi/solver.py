@@ -29,22 +29,27 @@ column.
 Full-library solve.  The same minimization over the complete column
 library (no subset restriction) lower-bounds every candidate, and by the
 cardinality bound it equals the rate once z_size >= |X| + 3 (|X| + 1 for
-the Wyner-Ziv baseline).  Its Wyner-Ziv relaxation (the decoder
-constraint only) is one convex problem, solved by a Lagrangian
-Blahut-Arimoto iteration over all columns with a bracketing search on the
-decoder multiplier; every iterate carries a certified lower bound (its
-Lagrangian minus a Frank-Wolfe gap that needs no LP), and the primal is a
-mix of iterates meeting the decoder target.  The bound holds for the rate
-too.  At or above the bound, when library columns outnumber z_size and
-the primal also meets the encoder target, a gap of at most 1e-7 bits
-settles the point: Caratheodory's theorem on the per-column vectors
-(posterior, H(X|z) - H(Y|z), distortions) cuts the witness to at most
-|X| + 3 columns with the same rate and distortions, and nothing is
-enumerated.
+the Wyner-Ziv baseline).  It is one convex problem.  A Lagrangian
+Blahut-Arimoto iteration over all columns with a bracketing search on
+the decoder multiplier solves its Wyner-Ziv relaxation (the decoder
+constraint only); every iterate carries a certified lower bound (its
+Lagrangian minus a Frank-Wolfe gap that needs no LP), which holds for
+the rate too.  The iteration finds the support of the optimum quickly
+but converges on it only geometrically, so at the bound each new
+bracket is settled on its support instead: Newton's method on the KKT
+system of at most |X| + 3 heaviest columns gives the exact optimum there
+and its multipliers, the Frank-Wolfe gap at those multipliers, with the
+other columns at their Blahut-Arimoto shapes, certifies it, and a column
+whose mass would grow enters the support (column generation).  Where the
+Wyner-Ziv solution misses the encoder target, the same support solve
+holds both targets and is certified at both multipliers.  A gap of at
+most 1e-7 bits settles the point: Caratheodory's theorem on the
+per-column vectors (posterior, H(X|z) - H(Y|z), distortions) cuts the
+witness to at most |X| + 3 columns with the same rate and distortions,
+and nothing is enumerated.
 
-Inner solve (enumeration).  Below the bound, where the encoder constraint
-binds, or when the full-library solve misses 1e-7 within its iteration
-budget, candidates are enumerated.
+Inner solve (enumeration).  Below the bound, or when the full-library
+solve misses 1e-7 within its iteration budget, candidates are enumerated.
 Each is solved by conditional gradient (Frank-Wolfe) over the product of
 row simplices with a staged quadratic penalty for the distortion
 constraints; the linearization minimum along the way is a certified
@@ -57,9 +62,7 @@ certified by a small linear program.
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
 order, so its support comes first; the scan stops at the first candidate
-within 1e-8 bits of the full library's certified lower bound (which, when
-the encoder constraint binds, lies below every candidate, so the whole
-scan runs).  Ties
+within 1e-8 bits of the full library's certified lower bound.  Ties
 between equally good candidates resolve to the first one in scan order.
 
 All rates are in bits.
@@ -72,6 +75,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import xlogy
 
@@ -98,12 +102,19 @@ _BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
 _BA_PER_CANDIDATE = 300  # per candidate it may spare at the cardinality bound ...
 _BA_PER_CANDIDATE_FLOOR = 20  # ... or below it, where it only floors and orders the scan
 _BA_RESTART_MIX = 0.1  # largest uniform share of a warm start, so no column stays dead
-_BA_CUT_PERIOD = 50  # iterations between cuts of dying columns
-_BA_CUT_MASS = 1e-3  # a shrinking column below this mass is cut ...
-_BA_CUT_DROP = 40.0  # ... by this many nats of log-mass
+_SUPPORT_EXTRA = 3  # a support solve starts from at most |X| + this many columns ...
+_SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's mass
+_SUPPORT_FLOOR = 1e-9  # smallest starting entry of a support column
+_NEWTON_MAX_ITERS = 50
+_NEWTON_TOL = 1e-10  # largest relative entry change of a converged Newton step
+_CERT_STEPS = 20  # Blahut-Arimoto steps of a support certificate
+_DEAD_NATS = 60.0  # log-mass of a column off the support, below its BA shape
+_PRICING_ROUNDS = 10  # support solves per settle attempt, one entering column each
+_ENTER_MASS = 1e-3  # starting mass of an entering column
 _DUAL_MAX_STEPS = 100  # bracket-shrinking steps per multiplier
 _DUAL_MAX_LAMBDA = 1e12
-_DUAL_COARSE_GAP = 1e-4  # inner accuracy while a multiplier is far from its optimum
+_DUAL_COARSE_GAP = 1e-4  # inner accuracy while a multiplier is far from its optimum,
+_SETTLE_COARSE_GAP = 1e-2  # ... or where support solves settle and BA need only find the support
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 
 
@@ -114,8 +125,7 @@ class SolveConfig:
     inner_tolerance also sets the full-library solve's target gap (1e-3 of
     it).  enumeration_cap limits the candidate scan, which runs below the
     cardinality bound, or at it when the full-library solve cannot settle
-    its point (the encoder constraint binds, or no certificate within its
-    iteration budget).
+    its point (no certificate within its iteration budget).
     """
 
     z_size: int | None = None
@@ -512,9 +522,9 @@ def scan_candidates(problem, cons, cands, targets, cfg, floor=-math.inf, mass=No
     library; cands: (C, m) library column indices, one row per candidate
     in ascending lexicographic order.  A candidate's columns are gathered
     only when the scan reaches it.  ``floor`` is a lower bound on every
-    candidate's optimum, the full library's certified Wyner-Ziv bound for
-    the base solver (solve_rate_ext passes an uncertified one); the scan stops
-    at the first candidate within _STOP_TOL of it.
+    candidate's optimum, the full library's certified bound for the base
+    solver (solve_rate_ext passes an uncertified one); the scan stops at
+    the first candidate within _STOP_TOL of it.
     ``mass`` (length N) orders the scan: candidates are visited in
     descending total mass of their columns, equal masses in lexicographic
     order, so the full library's own support comes first.
@@ -599,7 +609,7 @@ class _LibraryBA:
         self.p_y_given_x = pxy / np.maximum(px, _TINY)[:, None]
         self.p_x_given_y = pxy / np.maximum(pxy.sum(axis=0), _TINY)
         self.costs = np.asarray(costs, dtype=float)  # (K, X, N)
-        self.scaled = self.costs[0] * (LN2 / np.maximum(px, _TINY))[:, None]
+        self.per_x = LN2 / np.maximum(px, _TINY)
         self.targets = np.asarray(targets, dtype=float)
         self.target = self.targets[0]
         zero = self.costs[self.targets <= 0.0]
@@ -617,10 +627,14 @@ class _LibraryBA:
         costs = np.einsum("kxn,xn->k", self.costs, p)
         return _Iterate(logp, max(self.problem.value(p), 0.0), costs)
 
-    def _lagrangian(self, p, lam) -> float:
-        """L(p, lam); p may hold the library's columns several times over."""
-        cost = np.tile(self.costs[0], p.shape[1] // self.costs.shape[2])
-        return self.problem.value(p) + lam * float((cost * p).sum())
+    def penalty(self, lam: np.ndarray) -> np.ndarray:
+        """Per-entry log-mass penalty of the update at multipliers lam (K,)."""
+        return self.forbidden + np.tensordot(lam, self.costs, 1) * self.per_x[:, None]
+
+    def lagrangian(self, p: np.ndarray, lam: np.ndarray) -> float:
+        """L(p, lam) - lam . t."""
+        cost = np.einsum("k,kxn,xn->", lam, self.costs, p)
+        return self.problem.value(p) + float(cost - lam @ self.targets)
 
     def _step(self, logp, penalty):
         """One update from logp, and the Frank-Wolfe gap (bits) at logp."""
@@ -631,73 +645,189 @@ class _LibraryBA:
         gap = float(self.px @ ((np.exp(logp) * d).sum(axis=1) - d.min(axis=1))) / LN2
         return new, gap
 
-    def _cut_dying(self, logp, new, lam):
-        """Take a block of log-mass off shrinking light columns, if L drops.
-
-        Plain updates shrink a column that should be empty only
-        geometrically, which dominates the iteration count near the optimum.
-        """
-        after = self.px @ np.exp(new)
-        dying = (after < _BA_CUT_MASS) & (after < self.px @ np.exp(logp))
-        if dying.any():
-            cut = new.copy()
-            cut[:, dying] -= _BA_CUT_DROP
-            cut = _log_normalize(cut)
-            if self._lagrangian(np.exp(cut), lam) <= self._lagrangian(np.exp(new), lam):
-                return cut
-        return new
-
-    def certify(self, lo: _Iterate, hi: _Iterate, theta: float, lam: float) -> float:
-        """Certified lower bound on R from time-sharing two iterates.
-
-        The point is theta lo beside (1 - theta) hi on two copies of the
-        library, a channel of the same problem whose copy columns keep their
-        posteriors and so their gradients.  Where lo and hi both minimize
-        L(., lam), as at a kink of the dual, its Frank-Wolfe gap is zero (the
-        gradient is the same at every minimizer of a convex program), even
-        when mixing the two on one library would merge columns.
-        """
-        logp = np.hstack([np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp])
-        _, gap = self._step(logp, np.tile(self.forbidden + lam * self.scaled, 2))
-        return self._lagrangian(np.exp(logp), lam) - lam * self.target - gap
-
     def solve(self, lam: float, tol: float):
         """Minimize L(., lam) from ``warm`` until the gap is <= tol.
 
         Returns (certified lower bound on R, iterate).
         """
-        penalty = self.forbidden + lam * self.scaled
+        multipliers = np.zeros(len(self.targets))
+        multipliers[0] = lam
+        penalty = self.penalty(multipliers)
         logp = np.log((1.0 - self.restart) * self.warm + self.restart / self.warm.shape[1])
         for it in range(1, max(1, min(_BA_MAX_ITERS, self.budget - self.iterations)) + 1):
             new, gap = self._step(logp, penalty)
             if gap <= tol:
                 break
-            if it % _BA_CUT_PERIOD == 0:
-                new = self._cut_dying(logp, new, lam)
             logp = new
         self.iterations += it
         self.exhausted = self.iterations >= self.budget
-        res = self.iterate(logp)
+        res = self.last = self.iterate(logp)
         self.warm = res.channel
         return res.value + lam * (res.costs[0] - self.target) - gap, res
 
 
-def _share(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> float:
-    """The weight on lo of the combination of two iterates, one above and
-    one at or below the first target, that meets it exactly (kept inside
-    (0, 1) so that both logarithms stay finite)."""
-    theta = (ba.target - hi.costs[0]) / (lo.costs[0] - hi.costs[0])
-    return min(max(theta, 1e-300), 1.0 - 1e-16)
-
-
 def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> _Iterate:
-    """That combination of the two channels; F is convex, so its value is at
-    most the same combination of theirs."""
-    theta = _share(ba, lo, hi)
+    """The combination of two iterates, one above and one at or below the
+    first target, that meets it exactly (its weights kept inside (0, 1) so
+    that both logarithms stay finite); F is convex, so its value is at most
+    the same combination of theirs."""
+    theta = (ba.target - hi.costs[0]) / (lo.costs[0] - hi.costs[0])
+    theta = min(max(theta, 1e-300), 1.0 - 1e-16)
     return ba.iterate(np.logaddexp(np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp))
 
 
-def _dual_search(ba: _LibraryBA, tol: float):
+def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
+    """Exact minimum of F on the heaviest columns of ``channel`` with the
+    ``active`` constraints held at their targets.
+
+    Newton's method on the KKT system.  F's Hessian (in nats) is
+    block-diagonal, one X x X block diag(p(x) / p(z|x)) - sum_y p(x, y)
+    p(x', y) / q(y, z) per column, q(y, z) = sum_x p(x, y) p(z|x), bordered
+    by the row-sum and constraint rows; steps are cut short of the simplex
+    boundary.  F is positively homogeneous in each column, so with more
+    columns than equations it is linear along a rescaling of the columns
+    that keeps every equation: the solve moves along it, downhill, until a
+    column empties, as Caratheodory's reduction does.  A column whose mass
+    a Newton step would take below zero is dropped as well.  Entries a zero
+    target forbids stay zero.  Returns (channel over the library, zero off
+    its support; multipliers of the active constraints in bits per unit),
+    or None if Newton does not converge.
+    """
+    pxy, px = ba.problem.pxy, ba.px
+    live = px > 0.0
+    nx, n_live = len(px), int(live.sum())
+    mass = px @ channel
+    order = np.argsort(-mass, kind="stable")[: n_live + _SUPPORT_EXTRA]
+    cols = order[mass[order] > _SUPPORT_PRUNE * mass[order[0]]]
+    ok = live[:, None] & (ba.forbidden[:, cols] == 0.0)
+    p = np.where(ok, np.maximum(channel[:, cols], _SUPPORT_FLOOR), 0.0)
+    costs, targets = ba.costs[active][:, :, cols], ba.targets[active]
+    diag = np.arange(nx)
+    for _ in range(_NEWTON_MAX_ITERS):
+        if not ok[live].any(axis=1).all():
+            return None
+        p[live] /= p[live].sum(axis=1, keepdims=True)
+        q = pxy.T @ p
+        g = px[:, None] * np.log(np.where(ok, p, 1.0)) - pxy @ np.log(np.maximum(q, _TINY))
+        rows = np.concatenate([np.eye(nx)[live][:, :, None] * p, costs * p])  # (eqs, X, Z)
+        if len(cols) > len(rows):
+            # F is linear along a null direction of the column sums: empty
+            # the first column that reaches zero going downhill
+            dirn = np.linalg.svd(rows.sum(axis=1))[2][-1]
+            if dirn @ (g * p).sum(axis=0) > 0.0:
+                dirn = -dirn
+            j = int(np.argmin(dirn))
+            p *= 1.0 - dirn / dirn[j]
+            cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
+            continue
+        # the step in Jacobi-scaled coordinates dp = scale * v, which give
+        # the Hessian a unit diagonal however small an entry is
+        scale = np.sqrt(p / np.maximum(px, _TINY)[:, None])
+        w = scale.T[:, :, None] * pxy  # (Z, X, Y)
+        blocks = -np.einsum("zxy,yz,zwy->zxw", w, 1.0 / np.maximum(q, _TINY), w)
+        blocks[:, diag, diag] += 1.0
+        var = ok.T.ravel()
+        a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
+        n = int(var.sum())
+        kkt = np.zeros((n + len(a), n + len(a)))
+        kkt[:n, :n] = block_diag(*blocks)[np.ix_(var, var)]
+        kkt[:n, n:] = a.T
+        kkt[n:, :n] = a
+        residual = np.r_[np.ones(n_live), targets] - rows.sum(axis=(1, 2))
+        rhs = np.concatenate([-(g * scale).T.ravel()[var], residual])
+        if not np.isfinite(kkt).all() or not np.isfinite(rhs).all():
+            return None
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        step = np.zeros(var.size)
+        step[var] = sol[:n]
+        step = step.reshape(len(cols), nx).T * scale / np.where(ok, p, 1.0)  # relative change
+        before = px @ p
+        after = px @ (p * (1.0 + step))
+        if (after <= 0.0).any():
+            share = np.where(after <= 0.0, before / (before - after), np.inf)
+            j = int(np.argmin(share))
+            cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
+            continue
+        low = step.min()
+        alpha = min(1.0, 0.995 / -low) if low < 0.0 else 1.0
+        p *= 1.0 + alpha * step
+        if alpha == 1.0 and np.abs(step).max() <= _NEWTON_TOL:
+            out = np.zeros_like(channel)
+            out[:, cols] = p
+            out[~live, cols[0]] = 1.0
+            return out, sol[n + n_live :] / LN2
+    return None
+
+
+def _log_mass(logp: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """log sum_x p(x) p(z|x) of each column, from log p(z|x)."""
+    top = logp.max(axis=0)
+    return top + np.log(px @ np.exp(logp - top))
+
+
+def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
+    """Certified lower bound on R from a support solution p at multipliers lam.
+
+    The bound is L(., lam) - lam . t - FW gap at p with the columns off its
+    support added _DEAD_NATS below mass one.  Only their shapes matter
+    there (a column's gradient depends on its shape alone), so they start
+    from the log-shapes in ``shapes`` (a BA iterate) and take up to
+    _CERT_STEPS Blahut-Arimoto steps at lam towards their best response,
+    with the support held at p, stopping once value minus the bound is <=
+    tol.  Returns (best bound, the last iterate, the log-mass growth of each
+    column in its last step: positive where a column would enter).
+    """
+    penalty = ba.penalty(lam)
+    off = p == 0.0
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    bound = -math.inf
+    for it in range(1, _CERT_STEPS + 1):
+        point = _log_normalize(np.where(off, shapes - _log_mass(shapes, ba.px) - _DEAD_NATS, logp))
+        shapes, gap = ba._step(point, penalty)
+        bound = max(bound, ba.lagrangian(np.exp(point), lam) - gap)
+        if value - bound <= tol:
+            break
+    ba.iterations += it
+    return bound, shapes, _log_mass(shapes, ba.px) - _log_mass(point, ba.px)
+
+
+def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
+    """Certified support solve, started on the heaviest columns of channel.
+
+    Each round solves the support exactly (_support_solve) and certifies
+    the solution at its KKT multipliers, with the other columns at their
+    log-shapes in ``shapes``; while the gap exceeds tol, the column whose
+    mass grew most in the certificate's last step enters the support (a
+    column-generation step: its reduced cost is negative), for at most
+    _PRICING_ROUNDS rounds.  Returns (best certified lower bound on R, the
+    lowest-rate solution as an iterate over the library) or None.
+    """
+    bound, best = -math.inf, None
+    for _ in range(_PRICING_ROUNDS):
+        got = _support_solve(ba, channel, active)
+        if got is None:
+            break
+        p, lam = got
+        with np.errstate(divide="ignore"):
+            point = ba.iterate(np.log(p))
+        if best is None or point.value < best.value:
+            best = point
+        full = np.zeros(len(ba.targets))
+        full[active] = np.maximum(lam, 0.0)  # the bound needs lam >= 0
+        got, shapes, growth = _certificate(ba, shapes, p, full, point.value, tol)
+        bound = max(bound, got)
+        growth[ba.px @ p > 0.0] = -math.inf
+        enter = int(np.argmax(growth))
+        if best.value - bound <= tol or not growth[enter] > 0.0:
+            break
+        channel = p.copy()
+        shape = shapes[:, enter] - _log_mass(shapes, ba.px)[enter]
+        channel[:, enter] += _ENTER_MASS * np.exp(shape)
+    return None if best is None else (bound, best)
+
+
+def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     """Maximize the certified bound over the multiplier of the first target.
 
     The dual is concave but can be nonsmooth, so lam is bracketed by the
@@ -706,17 +836,21 @@ def _dual_search(ba: _LibraryBA, tol: float):
     the next lam is where the lines of the two bracketing iterates meet
     (exact at a kink, secant-like where the dual is smooth), or the
     midpoint after the same end moved twice.  Each lam is solved by BA,
-    coarsely while the gap is wide.  The primal is the mix of the two
-    bracketing iterates that meets the target; its value minus the best
-    bound met is the certified gap, and the search stops once that is <=
-    tol.  Returns (best certified lower bound on R, primal iterate); the
-    primal meets the first target unless no multiplier up to
-    _DUAL_MAX_LAMBDA reaches it.
+    coarsely while the gap is wide (more coarsely with ``settle``).  The
+    primal is the mix of the two bracketing iterates that meets the
+    target; its value minus the best bound met is the certified gap, and
+    the search stops once that is <= tol.  BA finds the support of the
+    optimum long before it converges on it, so with ``settle`` every new
+    bracket first tries _settle on the mix's heaviest columns: an exact
+    solve there, certified at its own multiplier, ends the search when its
+    gap is <= tol, and the bracketing goes on otherwise.  Returns (best
+    certified lower bound on R, primal iterate); the primal meets the
+    first target unless no multiplier up to _DUAL_MAX_LAMBDA reaches it.
     """
     bound, lo = ba.solve(0.0, 0.1 * tol)
     if lo.costs[0] <= ba.target:
         return bound, lo
-    coarse = max(tol, _DUAL_COARSE_GAP)
+    coarse = max(tol, _SETTLE_COARSE_GAP if settle else _DUAL_COARSE_GAP)
     lam_lo, lam_hi = 0.0, 1.0
     while True:
         got, res = ba.solve(lam_hi, 0.1 * coarse)
@@ -730,12 +864,13 @@ def _dual_search(ba: _LibraryBA, tol: float):
     repeats, last_side = 0, None
     for _ in range(_DUAL_MAX_STEPS):
         primal = _mix(ba, lo, hi)
+        if settle:
+            got = _settle(ba, primal.channel, primal.logp, [0], tol)
+            if got is not None:
+                bound = max(bound, got[0])
+                if got[1].value - bound <= tol:
+                    return bound, got[1]
         value = (hi.value - lo.value) / (lo.costs[0] - hi.costs[0])
-        if lam_lo < value < lam_hi:
-            # at a kink both iterates minimize the Lagrangian at the meeting
-            # point, so sharing time between them certifies the optimum
-            # there without a solve
-            bound = max(bound, ba.certify(lo, hi, _share(ba, lo, hi), value))
         gap = primal.value - bound
         if gap <= tol or ba.exhausted:
             break
@@ -765,21 +900,41 @@ def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
     """Certified Wyner-Ziv minimum over the full column library, which the
     scan over its m-column subsets would otherwise enumerate.
 
-    Only the first (decoder) constraint carries a multiplier: the bound,
-    on the problem without the others, holds for R as well, and the solve
-    settles R only when its primal also meets them.  Returns (lower bound,
-    primal iterate or None if it misses a target, BA iterations).  The
-    search aims at a gap of _UNIVERSE_GAP times inner_tolerance.  It stops
-    early after a number of BA iterations per candidate of that scan
-    (_BA_PER_CANDIDATE at the cardinality bound, _BA_PER_CANDIDATE_FLOOR
-    below it), at most _BA_BUDGET, so that a hard instance with few
-    candidates falls back to the scan quickly; the bound is certified
-    either way.
+    Only the first (decoder) constraint carries a multiplier in the
+    search: the bound, on the problem without the others, holds for R as
+    well.  At the cardinality bound the search settles on support solves
+    (_dual_search), and where its primal misses another target a support
+    solve holding every positive target, certified at all multipliers,
+    settles R or at least raises the bound; below the bound the search
+    only floors and orders the scan.  Returns (lower bound, primal iterate
+    or None if it misses a target, BA iterations, certificate steps
+    included).  The search aims at a gap of _UNIVERSE_GAP times
+    inner_tolerance.  It stops early after a number of BA iterations per
+    candidate of that scan (_BA_PER_CANDIDATE at the cardinality bound,
+    _BA_PER_CANDIDATE_FLOOR below it), at most _BA_BUDGET, so that a hard
+    instance with few candidates falls back to the scan quickly; the bound
+    is certified either way.
     """
     per_candidate = _BA_PER_CANDIDATE if at_bound else _BA_PER_CANDIDATE_FLOOR
     count = math.comb(cons[0].shape[1], m)
     ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, per_candidate * count))
-    bound, primal = _dual_search(ba, _UNIVERSE_GAP * cfg.inner_tolerance)
+    tol = _UNIVERSE_GAP * cfg.inner_tolerance
+    bound, primal = _dual_search(ba, tol, at_bound)
+    if at_bound and np.any(primal.costs > ba.targets + 1e-12):
+        # the encoder constraint binds: a support solve with every positive
+        # target held, from the Wyner-Ziv solution and the last BA iterate,
+        # certified at all multipliers
+        active = list(np.flatnonzero(ba.targets > 0.0))
+        start = 0.5 * (primal.channel + ba.last.channel)
+        got = _settle(ba, start, ba.last.logp, active, tol)
+        if got is None:
+            # no support there reaches every target: add a vertex that does
+            vertex = _feasibility_lp(list(ba.costs), ba.targets, *start.shape)
+            if vertex is not None:
+                got = _settle(ba, vertex, ba.last.logp, active, tol)
+        if got is not None:
+            bound = max(bound, got[0])
+            primal = got[1]
     if np.any(primal.costs > ba.targets + 1e-12):
         primal = None
     return bound, primal, ba.iterations
@@ -897,9 +1052,9 @@ def solve_rate(
     m = min(z_size, n_sig)
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
     targets = [dd_target, de_target]
-    # at the cardinality bound a Wyner-Ziv solve over the full library
-    # settles R when its primal meets D_e; otherwise it only floors and
-    # orders the scan, whose size is checked before the solve below the bound
+    # at the cardinality bound a solve over the full library settles R when
+    # it certifies 1e-7; otherwise it only floors and orders the scan, whose
+    # size is checked before the solve below the bound
     at_bound = n_sig > m and z_size >= src.x_size + 3
     cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
     floor, mass, iters = -math.inf, None, 0

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -309,11 +311,12 @@ class TestSignatureLibrary:
         assert point.rate <= conditional_entropy_x_given_y(src) + 1e-9
 
 
-def encoder_active_instance():
-    """A 2x2x3 instance (9 decoder columns) whose encoder constraint binds
-    at D_d = 0.6 x the cheapest constant E d_d: (src, spec, dd_target)."""
-    rng = np.random.default_rng(2)
-    pxy = rng.random((2, 2)) + 0.1
+def encoder_active_instance(seed=2, y_size=2):
+    """A 2 x y_size x 3 instance (3^y_size decoder columns) whose encoder
+    constraint binds at D_d = 0.6 x the cheapest constant E d_d and a small
+    D_e: (src, spec, dd_target)."""
+    rng = np.random.default_rng(seed)
+    pxy = rng.random((2, y_size)) + 0.1
     pxy /= pxy.sum()
     dd = hamming(3)[:2] * (0.5 + rng.random((2, 3)))
     de = hamming(3) * (0.5 + rng.random((3, 3)))
@@ -322,31 +325,128 @@ def encoder_active_instance():
     return src, spec, 0.6 * float((src.px[:, None] * dd).sum(axis=0).min())
 
 
+@functools.lru_cache(maxsize=None)
+def encoder_active_enumeration():
+    """R of encoder_active_instance at D_e = 0.02 from a full enumeration of
+    all 126 five-column candidates of its 9-column library."""
+    src, spec, dd_t = encoder_active_instance()
+    de_t = 0.02
+    sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+    assert len(sigs) == 9
+    cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
+    cands = solver_module._candidate_array(len(sigs), 5, 10**6)
+    full, _, _ = solver_module.scan_candidates(
+        solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t], SolveConfig()
+    )
+    return full.rate
+
+
+def encoder_active_library():
+    """A _LibraryBA over encoder_active_instance's full column library at
+    D_e = 0.02."""
+    de_t = 0.02
+    src, spec, dd_t = encoder_active_instance()
+    _, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+    return solver_module._LibraryBA(src.pxy, [a_rows.T, e_rows.T], [dd_t, de_t], 10**5)
+
+
 class TestUniverseFirst:
     def test_encoder_active_matches_full_enumeration(self):
-        # the ladder never binds the encoder constraint: here the full-library
-        # Wyner-Ziv solve misses D_e, so the point comes from the scan, which
-        # must agree with a full enumeration
+        # the ladder never binds the encoder constraint: here the Wyner-Ziv
+        # solution misses D_e, so the point comes from the support solve with
+        # both constraints held, which must agree with a full enumeration
         src, spec, dd_t = encoder_active_instance()
         de_t = 0.02
         point = solve_rate(src, spec, dd_t, de_t)
         assert point.label == "exact"
+        assert 0.0 <= point.gap <= 1e-7
         assert point.rate > r_wz(src, spec, dd_t) + 1e-3
         assert point.achieved_de <= de_t + 1e-9
-        sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
-        assert len(sigs) == 9
-        cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
-        cands = solver_module._candidate_array(len(sigs), 5, 10**6)  # all 126
-        full, _, _ = solver_module.scan_candidates(
-            solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t], SolveConfig()
-        )
-        assert point.rate == pytest.approx(full.rate, abs=1e-8)
-        # the Wyner-Ziv solve's bound floors the scan and holds for R
+        full = encoder_active_enumeration()
+        assert point.rate == pytest.approx(full, abs=1e-8)
+        # the Wyner-Ziv search's solution misses D_e, and its bound holds for R
+        ba = encoder_active_library()
+        bound, primal = solver_module._dual_search(ba, 1e-10, True)
+        assert primal.costs[1] > de_t + 1e-3
+        assert bound <= full + 1e-9
+        # the full-library solve settles the point, with a bound below R
         bound, primal, _ = solver_module._universe_solve(
-            src.pxy, cons, [dd_t, de_t], SolveConfig(), 5, True
+            src.pxy, list(ba.costs), [dd_t, de_t], SolveConfig(), 5, True
         )
-        assert primal is None
-        assert bound <= full.rate + 1e-9
+        assert primal.value == pytest.approx(full, abs=1e-8)
+        assert bound <= full + 1e-9
+
+    @pytest.mark.parametrize(
+        "seed, y_size, de_t, rate",
+        [
+            (2, 2, 0.02, 0.1418548231),  # the full enumeration's rate
+            (3, 3, 0.1, 0.0868711954),  # the same, 80,730 candidates
+            (4, 3, 0.02, None),  # needs a column priced into the support
+            (0, 3, 0.02, None),  # no Wyner-Ziv column set reaches D_e
+        ],
+    )
+    def test_encoder_active_points_settle_without_a_scan(
+        self, monkeypatch, seed, y_size, de_t, rate
+    ):
+        src, spec, dd_t = encoder_active_instance(seed, y_size)
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.label == "exact"
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate > r_wz(src, spec, dd_t) + 1e-3
+        assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
+        edd, ede = expected_distortions(src, spec, point.witness)
+        assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+        if rate is not None:
+            assert point.rate == pytest.approx(rate, abs=1e-9)
+
+    def test_four_letter_encoder_active_point(self, monkeypatch):
+        # D_e at half the E d_e of the Wyner-Ziv solution: C(256, 7)
+        # candidates, out of the scan's reach; 0.4632842706 was certified
+        # within 7.6e-9 by column generation on a prototype
+        src, spec, dd_t, de_t = ladder_instance(4, 4, 4)
+        de_t = 0.5 * solve_rate(src, spec, dd_t, de_t).achieved_de
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.label == "exact"
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(0.4632842706, abs=1e-8)
+        edd, ede = expected_distortions(src, spec, point.witness)
+        assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+
+    def test_certificate_stays_below_the_rate(self):
+        # L(p, lam) - lam . t - FW gap bounds R for every lam >= 0 and every
+        # channel, including ones with empty columns priced at their shapes
+        full = encoder_active_enumeration()
+        ba = encoder_active_library()
+        rng = np.random.default_rng(11)
+        for lam in ([0.0, 0.0], [1.7747538, 0.3064686], [1.0, 3.0], [12.0, 0.0], [0.0, 40.0]):
+            for empty in (0, 4, 7):
+                p = rng.dirichlet(np.full(9, 0.5), size=2)
+                p[:, rng.permutation(9)[:empty]] = 0.0
+                p /= p.sum(axis=1, keepdims=True)
+                shapes = np.log(rng.dirichlet(np.ones(9), size=2))
+                bound, _, _ = solver_module._certificate(
+                    ba, shapes, p, np.asarray(lam), math.inf, 0.0
+                )
+                assert bound <= full + 1e-9
+
+    @pytest.mark.parametrize(
+        "shape, rate, max_iterations",
+        [
+            ((2, 3, 3), 0.2771219323, None),
+            ((3, 3, 3), 0.2331082544, 12_000),
+            ((4, 4, 4), 0.4558785426, 4_000),
+        ],
+    )
+    def test_ladder_reach_points(self, shape, rate, max_iterations):
+        src, spec, dd_t, de_t = ladder_instance(*shape)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.rate == pytest.approx(rate, abs=1e-9)
+        assert point.label == "exact"
+        assert 0.0 <= point.gap <= 1e-7
+        if max_iterations is not None:
+            assert point.iterations <= max_iterations
 
     def test_four_letter_ladder_is_exact(self):
         src, spec, dd_t, de_t = ladder_instance(4, 4, 4)
@@ -407,6 +507,41 @@ class TestStructuralProperties:
         assert solve_rate(src, spec, dd_t, slack).rate == pytest.approx(
             r_wz(src, spec, dd_t), abs=_SLACK
         )
+
+    @_PROPERTY
+    @given(small_instances(), st.floats(0.3, 1.0), st.floats(0.0, 2.0))
+    def test_convex_along_a_segment(self, inst, dd_scale, de_scale):
+        src, spec, dd_t, de_t = inst
+        ends = [(dd_t, de_t), (dd_scale * dd_t, de_scale * de_t)]
+        rates = [solve_rate(src, spec, *end).rate for end in ends]
+        mid = [0.5 * (a + b) for a, b in zip(*ends)]
+        assert solve_rate(src, spec, *mid).rate <= 0.5 * sum(rates) + _SLACK
+
+    @_PROPERTY
+    @given(small_instances())
+    def test_zero_encoder_target_is_common_reconstruction(self, inst):
+        # d_e is zero only on its diagonal, so D_e = 0 forces the decoder's
+        # reconstruction to be the encoder's
+        src, spec, dd_t, _ = inst
+        assert solve_rate(src, spec, dd_t, 0.0).rate == pytest.approx(
+            r_cr(src, spec, dd_t), abs=_SLACK
+        )
+
+    @_PROPERTY
+    @given(small_instances(), st.data())
+    def test_invariant_under_relabelling(self, inst, data):
+        src, spec, dd_t, de_t = inst
+        sx = data.draw(st.permutations(range(src.x_size)))
+        sy = data.draw(st.permutations(range(src.y_size)))
+        sh = data.draw(st.permutations(range(spec.xhat_size)))
+        moved = solve_rate(
+            JointSource.from_pxy(src.pxy[np.ix_(sx, sy)]),
+            DistortionSpec(
+                xhat_size=spec.xhat_size, dd=spec.dd[np.ix_(sx, sh)], de=spec.de[np.ix_(sh, sh)]
+            ),
+            dd_t, de_t,
+        )
+        assert moved.rate == pytest.approx(solve_rate(src, spec, dd_t, de_t).rate, abs=1e-9)
 
 
 class TestWynerZivBaseline:
