@@ -233,7 +233,7 @@ def cmd_discrete_solve(args, cfg: _Config) -> str:
             "phi": point.witness.phi.tolist(),
             "psi": point.witness.psi.tolist(),
         },
-        "diagnostics": {"iterations": point.iterations, "gap": point.gap},
+        "diagnostics": {"iterations": point.iterations, "gap": point.gap, "path": point.path},
     }
     return _json_report(report, args.seed)
 

@@ -26,17 +26,23 @@ covers every (phi, psi) pair; signatures with identical cost columns are
 further deduplicated, keeping the lexicographically smallest decoder
 column.
 
+Rate zero.  A Z independent of X has rate 0; its distortions are one mix
+of the library columns' totals, and with two constraints one column or a
+pair of them decides whether such a mix meets both targets.
+
 Full-library solve.  The same minimization over the complete column
-library (no subset restriction) lower-bounds every candidate, and by the
-cardinality bound it equals the rate once z_size >= |X| + 3 (|X| + 1 for
-the Wyner-Ziv baseline).  It is one convex problem.  A Lagrangian
+library (no subset restriction) lower-bounds every candidate, and it
+equals the rate once z_size >= |X| + 3 (|X| + 1 for the Wyner-Ziv
+baseline), the cardinality bound, or once z_size covers the library; the
+common-reconstruction baseline is the same problem on its |Xhat| constant
+decoder columns.  It is one convex problem.  A Lagrangian
 Blahut-Arimoto iteration over all columns with a bracketing search on
 the decoder multiplier solves its Wyner-Ziv relaxation (the decoder
 constraint only); every iterate carries a certified lower bound (its
 Lagrangian minus a Frank-Wolfe gap that needs no LP), which holds for
 the rate too.  The iteration finds the support of the optimum quickly
-but converges on it only geometrically, so at the bound each new
-bracket is settled on its support instead: Newton's method on the KKT
+but converges on it only geometrically, so where the library is the
+answer each new bracket is settled on its support instead: Newton's method on the KKT
 system of at most |X| + 3 heaviest columns gives the exact optimum there
 and its multipliers, the Frank-Wolfe gap at those multipliers, with the
 other columns at their Blahut-Arimoto shapes, certifies it, and a column
@@ -48,16 +54,18 @@ per-column vectors (posterior, H(X|z) - H(Y|z), distortions) cuts the
 witness to at most |X| + 3 columns with the same rate and distortions,
 and nothing is enumerated.
 
-Inner solve (enumeration).  Below the bound, or when the full-library
-solve misses 1e-7 within its iteration budget, candidates are enumerated.
-Each is solved by conditional gradient (Frank-Wolfe) over the product of
-row simplices with a staged quadratic penalty for the distortion
-constraints; the linearization minimum along the way is a certified
-lower bound on the candidate's constrained optimum (used to prune
-candidates against the incumbent), and an SLSQP step on the exactly
-constrained problem lands within ~1e-9 bits of the candidate optimum
-(the penalty iteration alone stalls around 1e-4).  Joint feasibility is
-certified by a small linear program.
+Inner solve (enumeration).  Below the bound, where the problem is not
+convex, or as the fallback when the full-library solve misses 1e-7 within
+its iteration budget, candidates are enumerated.  Each is solved by
+conditional gradient (Frank-Wolfe) over the product of row simplices with
+a staged quadratic penalty for the distortion constraints; the
+linearization minimum along the way is a certified lower bound on the
+candidate's constrained optimum (used to prune candidates against the
+incumbent), and an SLSQP step on the exactly constrained problem usually
+lands within ~1e-9 bits of the candidate optimum (the penalty iteration
+alone stalls around 1e-4), though on a candidate of many columns it can
+stall far above it.  Joint feasibility is certified by a small linear
+program.
 
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
@@ -72,7 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -111,10 +119,10 @@ _CERT_STEPS = 20  # Blahut-Arimoto steps of a support certificate
 _DEAD_NATS = 60.0  # log-mass of a column off the support, below its BA shape
 _PRICING_ROUNDS = 10  # support solves per settle attempt, one entering column each
 _ENTER_MASS = 1e-3  # starting mass of an entering column
+_SLACK_MULTIPLIER = 1e-9  # a held target whose multiplier is below minus this may be slack
 _DUAL_MAX_STEPS = 100  # bracket-shrinking steps per multiplier
 _DUAL_MAX_LAMBDA = 1e12
-_DUAL_COARSE_GAP = 1e-4  # inner accuracy while a multiplier is far from its optimum,
-_SETTLE_COARSE_GAP = 1e-2  # ... or where support solves settle and BA need only find the support
+_COARSE_GAP = 1e-2  # inner accuracy while a multiplier is far from its optimum
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 
 
@@ -146,12 +154,14 @@ class SolveConfig:
 class RatePoint:
     """A solved point of the trade-off with its witness channel.
 
-    ``label`` is "exact" when the auxiliary alphabet met the cardinality
-    bound (or exhausted the distinct signatures) and "upper_bound" when a
-    smaller configured z_size may leave the true value lower.  A point
-    settled by the full-library solve is "exact" only with a certified
-    ``gap`` (rate minus lower bound) of at most 1e-7 bits, and its witness
-    may have fewer than z_size columns.
+    ``gap`` is the rate minus a certified lower bound on R, never negative.
+    ``label`` is "exact" when z_size meets the cardinality bound (or the
+    number of library columns) and the gap is at most 1e-7 bits, and
+    "upper_bound" otherwise: a smaller configured z_size may leave the true
+    value lower, or no certificate closed.  ``path`` says what settled the
+    point: "constant" (a mix of constant rules, rate 0), "library" (the
+    certified full-library solve; its witness may have fewer than z_size
+    columns) or "scan" (the candidate enumeration).
     """
 
     dd_target: float
@@ -163,6 +173,7 @@ class RatePoint:
     iterations: int = 0
     gap: float = 0.0
     label: str = "exact"
+    path: str = "scan"
 
 
 @dataclass
@@ -700,6 +711,8 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
     order = np.argsort(-mass, kind="stable")[: n_live + _SUPPORT_EXTRA]
     cols = order[mass[order] > _SUPPORT_PRUNE * mass[order[0]]]
     ok = live[:, None] & (ba.forbidden[:, cols] == 0.0)
+    used = ok.any(axis=0)  # a zero target may forbid a whole column
+    cols, ok = cols[used], ok[:, used]
     p = np.where(ok, np.maximum(channel[:, cols], _SUPPORT_FLOOR), 0.0)
     costs, targets = ba.costs[active][:, :, cols], ba.targets[active]
     diag = np.arange(nx)
@@ -800,8 +813,11 @@ def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
     log-shapes in ``shapes``; while the gap exceeds tol, the column whose
     mass grew most in the certificate's last step enters the support (a
     column-generation step: its reduced cost is negative), for at most
-    _PRICING_ROUNDS rounds.  Returns (best certified lower bound on R, the
-    lowest-rate solution as an iterate over the library) or None.
+    _PRICING_ROUNDS rounds.  A held target whose multiplier comes out
+    negative may be slack at the optimum: the support is solved once more
+    without it, and that solution replaces the first when it still meets
+    the target.  Returns (best certified lower bound on R, the lowest-rate
+    solution as an iterate over the library) or None.
     """
     bound, best = -math.inf, None
     for _ in range(_PRICING_ROUNDS):
@@ -809,12 +825,23 @@ def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
         if got is None:
             break
         p, lam = got
+        full = np.zeros(len(ba.targets))
+        full[active] = lam
+        if (full < -_SLACK_MULTIPLIER).any():
+            # a held target whose multiplier is negative may be slack at the
+            # optimum: solve without it, and keep that if it meets the target
+            keep = [k for k in active if full[k] >= -_SLACK_MULTIPLIER]
+            slack = _support_solve(ba, channel, keep)
+            if slack is not None and np.all(
+                np.einsum("kxn,xn->k", ba.costs[active], slack[0]) <= ba.targets[active] + 1e-12
+            ):
+                p, full = slack[0], np.zeros_like(full)
+                full[keep] = slack[1]
+        full = np.maximum(full, 0.0)  # the bound needs lam >= 0
         with np.errstate(divide="ignore"):
             point = ba.iterate(np.log(p))
         if best is None or point.value < best.value:
             best = point
-        full = np.zeros(len(ba.targets))
-        full[active] = np.maximum(lam, 0.0)  # the bound needs lam >= 0
         got, shapes, growth = _certificate(ba, shapes, p, full, point.value, tol)
         bound = max(bound, got)
         growth[ba.px @ p > 0.0] = -math.inf
@@ -836,10 +863,10 @@ def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     the next lam is where the lines of the two bracketing iterates meet
     (exact at a kink, secant-like where the dual is smooth), or the
     midpoint after the same end moved twice.  Each lam is solved by BA,
-    coarsely while the gap is wide (more coarsely with ``settle``).  The
-    primal is the mix of the two bracketing iterates that meets the
-    target; its value minus the best bound met is the certified gap, and
-    the search stops once that is <= tol.  BA finds the support of the
+    coarsely (_COARSE_GAP) while the gap is wide.  The primal is the mix
+    of the two bracketing iterates that meets the target; its value minus
+    the best bound met is the certified gap, and the search stops once
+    that is <= tol.  BA finds the support of the
     optimum long before it converges on it, so with ``settle`` every new
     bracket first tries _settle on the mix's heaviest columns: an exact
     solve there, certified at its own multiplier, ends the search when its
@@ -850,7 +877,7 @@ def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     bound, lo = ba.solve(0.0, 0.1 * tol)
     if lo.costs[0] <= ba.target:
         return bound, lo
-    coarse = max(tol, _SETTLE_COARSE_GAP if settle else _DUAL_COARSE_GAP)
+    coarse = max(tol, _COARSE_GAP)
     lam_lo, lam_hi = 0.0, 1.0
     while True:
         got, res = ba.solve(lam_hi, 0.1 * coarse)
@@ -902,16 +929,17 @@ def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
 
     Only the first (decoder) constraint carries a multiplier in the
     search: the bound, on the problem without the others, holds for R as
-    well.  At the cardinality bound the search settles on support solves
-    (_dual_search), and where its primal misses another target a support
-    solve holding every positive target, certified at all multipliers,
-    settles R or at least raises the bound; below the bound the search
-    only floors and orders the scan.  Returns (lower bound, primal iterate
+    well.  Where the full library is the answer (``at_bound``: z_size at
+    the cardinality bound or at the library's size) the search settles on
+    support solves (_dual_search), and where its primal misses another
+    target a support solve holding every positive target, certified at all
+    multipliers, settles R or at least raises the bound; below the bound
+    the search only floors and orders the scan.  Returns (lower bound, primal iterate
     or None if it misses a target, BA iterations, certificate steps
     included).  The search aims at a gap of _UNIVERSE_GAP times
     inner_tolerance.  It stops early after a number of BA iterations per
-    candidate of that scan (_BA_PER_CANDIDATE at the cardinality bound,
-    _BA_PER_CANDIDATE_FLOOR below it), at most _BA_BUDGET, so that a hard
+    candidate of that scan (_BA_PER_CANDIDATE where the library is the
+    answer, _BA_PER_CANDIDATE_FLOOR below the bound), at most _BA_BUDGET, so that a hard
     instance with few candidates falls back to the scan quickly; the bound
     is certified either way.
     """
@@ -1014,6 +1042,65 @@ def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count * m).reshape(count, m)
 
 
+@dataclass(frozen=True)
+class _Solution:
+    """A point solved over a column library: library indices and the
+    channel on them, its rate, a certified lower bound on the full
+    library's minimum, BA and scan iterations, the path that settled it,
+    and whether the full library is the answer at this z_size."""
+
+    cols: np.ndarray
+    channel: np.ndarray
+    rate: float
+    bound: float
+    iterations: int
+    path: str
+    at_bound: bool
+
+    @property
+    def gap(self) -> float:
+        return max(self.rate - self.bound, 0.0)
+
+
+def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
+    """Minimum of the rate over the column library with cost matrices
+    ``cons`` (one (X, N) matrix per target), on at most z_size columns.
+
+    When z_size meets the cardinality bound z_bound or the library's size,
+    the full library is the answer: a full-library solve certified within
+    _EXACT_GAP settles the point (path "library"; its channel spans the
+    whole library, which solve_rate cuts by Caratheodory's reduction to a
+    witness of at most min(#used columns, |X| + 3) <= z_size columns).
+    Otherwise, or when that solve reaches no certificate, the z_size-column
+    candidates are scanned (path "scan"), floored and ordered by the same
+    solve.  Returns a _Solution, or None when no candidate meets the
+    targets.
+    """
+    n_sig = cons[0].shape[1]
+    if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
+        return None  # even the per-x cheapest columns miss a target
+    m = min(z_size, n_sig)
+    at_bound = z_size >= min(z_bound, n_sig)
+    # the scan's size is checked before the solve below the bound
+    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
+    floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m, at_bound)
+    if primal is not None and at_bound and primal.value - floor <= _EXACT_GAP:
+        return _Solution(
+            np.arange(n_sig), primal.channel, primal.value, floor, iters, "library", True
+        )
+    mass = None if primal is None else src.px @ primal.channel
+    if cands is None:
+        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
+    best, best_idx, scan_iters = scan_candidates(
+        _InnerProblem(src.pxy, m), cons, cands, targets, cfg, floor, mass
+    )
+    if best is None:
+        return None
+    return _Solution(
+        cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan", at_bound
+    )
+
+
 def solve_rate(
     src: JointSource,
     spec: DistortionSpec,
@@ -1023,13 +1110,15 @@ def solve_rate(
 ) -> RatePoint:
     """The rate-distortions function at one target pair, with witness.
 
-    At or above the cardinality bound one certified full-library solve
-    settles the point; otherwise reconstruction-rule candidates are
-    enumerated (deduplicated as described in the module docstring), the
-    best inner minimum kept, and the witness channel reconstructed.
-    Requires the zero-distortion assumption; the rate is bounded by H(X|Y)
-    because the identity channel with zero-distortion rules is always a
-    candidate.
+    A mix of constant rules meeting both targets gives rate 0 ("constant").
+    Otherwise, when z_size meets the cardinality bound |X| + 3 or the
+    number of library columns, one certified full-library solve settles the
+    point ("library"); below the bound, or when that solve reaches no
+    certificate, reconstruction-rule candidates are enumerated ("scan";
+    deduplicated as described in the module docstring) and the best inner
+    minimum kept.  Requires the zero-distortion assumption; the rate is
+    bounded by H(X|Y) because the identity channel with zero-distortion
+    rules is always a candidate.
     """
     cfg = cfg or SolveConfig()
     _check_instance(src, spec)
@@ -1048,76 +1137,73 @@ def solve_rate(
     if zero is not None:
         return zero
 
-    n_sig = len(sigs)
-    m = min(z_size, n_sig)
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
-    targets = [dd_target, de_target]
-    # at the cardinality bound a solve over the full library settles R when
-    # it certifies 1e-7; otherwise it only floors and orders the scan, whose
-    # size is checked before the solve below the bound
-    at_bound = n_sig > m and z_size >= src.x_size + 3
-    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
-    floor, mass, iters = -math.inf, None, 0
-    if n_sig > m:
-        floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m, at_bound)
-        if primal is not None:
-            if at_bound and primal.value - floor <= _EXACT_GAP:
-                return _universe_point(src, spec, sigs, cons, primal, floor, iters, targets)
-            mass = src.px @ primal.channel
-    if cands is None:
-        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
-    best, best_idx, scan_iters = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, targets, cfg, floor, mass
-    )
-    if best is None:
+    sol = _solve_library(src, cons, [dd_target, de_target], cfg, z_size, src.x_size + 3)
+    if sol is None:
         raise InfeasibleError(
             "no reconstruction rule meets the targets at this z_size"
         )
-    cand = [int(i) for i in cands[best_idx]]
-    phi, psi, channel = _witness_tables(sigs, cand, best.channel, src.y_size, src.x_size)
-    ch = TestChannel(z_size=len(cand), pz_given_x=channel, phi=phi, psi=psi)
+    if sol.path == "library":
+        cols, channel = _caratheodory_witness(src, cons, sol.channel)
+        sol = replace(sol, cols=cols, channel=channel,
+                      rate=max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0))
+    phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, src.x_size)
+    ch = TestChannel(z_size=len(sol.cols), pz_given_x=channel, phi=phi, psi=psi)
     add, ade = expected_distortions(src, spec, ch)
-    label = "exact" if m >= min(src.x_size + 3, n_sig) else "upper_bound"
     return RatePoint(
-        dd_target=dd_target, de_target=de_target, rate=best.rate, witness=ch,
-        achieved_dd=add, achieved_de=ade, iterations=iters + scan_iters, gap=best.gap,
-        label=label,
-    )
-
-
-def _universe_point(src, spec, sigs, cons, primal, bound, iters, targets):
-    """RatePoint from a certified full-library solution: the Caratheodory
-    witness, labelled "exact" when its gap to the bound is <= _EXACT_GAP."""
-    cols, channel = _caratheodory_witness(src, cons, primal.channel)
-    phi, psi, channel = _witness_tables(sigs, cols, channel, src.y_size, src.x_size)
-    ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
-    rate = max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0)
-    add, ade = expected_distortions(src, spec, ch)
-    gap = max(rate - bound, 0.0)
-    return RatePoint(
-        dd_target=targets[0], de_target=targets[1], rate=rate, witness=ch,
-        achieved_dd=add, achieved_de=ade, iterations=iters, gap=gap,
-        label="exact" if gap <= _EXACT_GAP else "upper_bound",
+        dd_target=dd_target, de_target=de_target, rate=sol.rate, witness=ch,
+        achieved_dd=add, achieved_de=ade, iterations=sol.iterations, gap=sol.gap,
+        label="exact" if sol.at_bound and sol.gap <= _EXACT_GAP else "upper_bound",
+        path=sol.path,
     )
 
 
 def _constant_rule_point(src, spec, sigs, a_rows, e_rows, dd_target, de_target):
-    """Rate-0 shortcut: a constant-Z rule meeting both targets, if any."""
+    """Rate-0 shortcut: a Z independent of X that meets both targets, if any.
+
+    Such a Z mixes library columns with one weight vector for every x, so
+    its distortions are the same mix of the columns' totals (sum_x a,
+    sum_x e).  With two linear constraints a vertex of that feasible set
+    uses one column or two: a single column meeting both targets (the
+    first in library order), else the first pair, among the columns no
+    other beats on both totals, whose segment meets [0, D_d] x [0, D_e],
+    mixed at the middle of the weights that meet both.
+    """
     const_dd = a_rows.sum(axis=1)
     const_de = e_rows.sum(axis=1)
-    ok = np.nonzero((const_dd <= dd_target + 1e-15) & (const_de <= de_target + 1e-15))[0]
-    if len(ok) == 0:
-        return None
-    i = int(ok[0])
-    f, g = sigs[i]
-    phi = np.asarray(f, dtype=np.int64)[:, None]
-    psi = np.asarray(g, dtype=np.int64)[:, None]
-    ch = TestChannel(
-        z_size=1, pz_given_x=np.ones((src.x_size, 1)), phi=phi, psi=psi
+    dd_t, de_t = dd_target + 1e-15, de_target + 1e-15
+    ok = np.nonzero((const_dd <= dd_t) & (const_de <= de_t))[0]
+    if len(ok):
+        cols, weights = [int(ok[0])], np.ones(1)
+    else:
+        order = np.lexsort((const_de, const_dd))
+        de_sorted = const_de[order]
+        front = order[de_sorted < np.minimum.accumulate(np.r_[np.inf, de_sorted[:-1]])]
+        i, j = np.triu_indices(len(front), 1)
+        i, j = front[i], front[j]
+        # weight w on column i: w (c_i - c_j) <= t - c_j for both totals
+        lo, hi, meet = np.zeros(len(i)), np.ones(len(i)), True
+        for c, t in ((const_dd, dd_t), (const_de, de_t)):
+            d, r = c[i] - c[j], t - c[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = r / d
+            lo = np.maximum(lo, np.where(d < 0.0, ratio, 0.0))
+            hi = np.minimum(hi, np.where(d > 0.0, ratio, 1.0))
+            meet = meet & ((d != 0.0) | (r >= 0.0))
+        hit = np.flatnonzero(meet & (lo <= hi))
+        if len(hit) == 0:
+            return None
+        k = int(hit[0])
+        w = 0.5 * (lo[k] + hi[k])
+        cols, weights = [int(i[k]), int(j[k])], np.array([w, 1.0 - w])
+    phi, psi, channel = _witness_tables(
+        sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
     )
+    ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
     return RatePoint(
         dd_target=dd_target, de_target=de_target, rate=0.0, witness=ch,
-        achieved_dd=float(const_dd[i]), achieved_de=float(const_de[i]),
+        achieved_dd=float(weights @ const_dd[cols]), achieved_de=float(weights @ const_de[cols]),
+        path="constant",
     )
 
 
@@ -1137,8 +1223,10 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
 
     ``spec_dd`` may be a DistortionSpec (whose d_e is ignored) or a plain
     d_d table.  The auxiliary alphabet defaults to |X| + 1 columns, its
-    cardinality bound, where a certified full-library solve gives the rate
-    (a feasible value within 1e-7 bits of the lower bound).
+    cardinality bound; there, or once z_size covers the decoder-column
+    library, a certified full-library solve gives the rate (a feasible
+    value within 1e-7 bits of the lower bound), and the candidate scan
+    runs below the bound or when that solve reaches no certificate.
     """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
@@ -1150,34 +1238,24 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     if not np.all((dd == 0.0).any(axis=1)):
         raise AssumptionError("every source symbol needs a zero-distortion letter")
     z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 1
-    sigs, a_rows, _ = _signature_library(src, spec, with_psi=False)
+    _, a_rows, _ = _signature_library(src, spec, with_psi=False)
     if a_rows.sum(axis=1).min() <= dd_target + 1e-15:
         return 0.0
-    n_sig = len(sigs)
-    m = min(z_size, n_sig)
     cons = [np.ascontiguousarray(a_rows.T)]
-    at_bound = n_sig > m and z_size >= src.x_size + 1
-    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
-    floor, mass = -math.inf, None
-    if n_sig > m:
-        floor, primal, _ = _universe_solve(src.pxy, cons, [dd_target], cfg, m, at_bound)
-        if primal is not None:
-            if at_bound and primal.value - floor <= _EXACT_GAP:
-                return primal.value
-            mass = src.px @ primal.channel
-    if cands is None:
-        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
-    best, _, _ = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, [dd_target], cfg, floor, mass
-    )
-    if best is None:
+    sol = _solve_library(src, cons, [dd_target], cfg, z_size, src.x_size + 1)
+    if sol is None:
         raise InfeasibleError("no decoder rule meets the target at this z_size")
-    return max(best.rate, 0.0)
+    return max(sol.rate, 0.0)
 
 
 def r_cr(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = None) -> float:
     """Common-reconstruction baseline: the reconstruction is the auxiliary
-    itself (Z ranges over Xhat and phi(y, z) = z)."""
+    itself (Z ranges over Xhat and phi(y, z) = z).
+
+    That is the full-library problem on the |Xhat| constant decoder
+    columns, so the certified library solve settles it, with the scan over
+    the same columns as its fallback; z_size plays no part.
+    """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
     spec = _dd_only_spec(dd)
@@ -1188,11 +1266,11 @@ def r_cr(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     a_cols = src.px[:, None] * dd  # E d_d coefficient of column z = xhat
     if a_cols.sum(axis=0).min() <= dd_target + 1e-15:
         return 0.0  # a constant reconstruction already meets the target
-    problem = _InnerProblem(src.pxy, spec.xhat_size)
-    res = solve_constrained(problem, [a_cols], [dd_target], cfg)
-    if res.status == "infeasible":
+    n = spec.xhat_size
+    sol = _solve_library(src, [a_cols], [dd_target], cfg, n, n)
+    if sol is None:
         raise InfeasibleError("target below the minimum achievable distortion")
-    return max(res.rate, 0.0)
+    return max(sol.rate, 0.0)
 
 
 def _dd_only_spec(dd: np.ndarray) -> DistortionSpec:

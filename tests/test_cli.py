@@ -67,6 +67,9 @@ class TestDiscreteSolve:
         assert report["spec_version"] == "1"
         assert report["seed"] == 0
         assert report["witness"]["z_size"] >= 1
+        # z_size 3 sits below the binary library's 4 columns and |X| + 3
+        assert report["diagnostics"]["path"] == "scan"
+        assert report["label"] == "upper_bound"
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -459,6 +459,123 @@ class TestUniverseFirst:
         assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
 
 
+# the bench's BSC(0.25) Hamming sweep at z_size 5, rates of the seed commit
+BSC_SWEEP_DD = (0.05, 0.15, 0.25, 0.35)
+BSC_SWEEP_DE = (0.0, 0.1, 0.2, 0.3)
+BSC_SWEEP_RATES = (
+    (0.562151221182, 0.562151221179, 0.562151221159, 0.562151221163),
+    (0.299895817815, 0.274119626523, 0.274119626524, 0.274119626521),
+    (0.143155878466, 0.0858935270866, 0.0286311761423, 0.0),
+    (0.0496402075079, 0.00906964349505, 6.40685300763e-16, 0.0),
+)
+
+
+def small_library_instance(seed):
+    """A seeded nx x 2 x nhat instance, nx and nhat in {2, 3}, and a decoder
+    target between 0.2 and 0.8 of the cheapest constant rule's E d_d:
+    (src, dd, dd_target)."""
+    rng = np.random.default_rng(seed)
+    nx, nhat = 2 + seed % 2, 2 + (seed // 2) % 2
+    pxy = rng.random((nx, 2)) + 0.1
+    pxy /= pxy.sum()
+    dd = 0.2 + rng.random((nx, nhat))
+    dd[np.arange(nx), np.arange(nx) % nhat] = 0.0
+    src = JointSource.from_pxy(pxy)
+    return src, dd, rng.uniform(0.2, 0.8) * float((src.px[:, None] * dd).sum(axis=0).min())
+
+
+def assert_matches_scan(value, cons, cands, target, src):
+    """value against the candidate scan over the same columns: never above
+    it, and below it by at most the scan's own certified gap."""
+    old, _, _ = solver_module.scan_candidates(
+        solver_module._InnerProblem(src.pxy, cands.shape[1]), cons, cands, [target], SolveConfig()
+    )
+    assert value <= old.rate + 1e-9
+    assert old.rate - value <= max(old.gap, 0.0) + 1e-8
+
+
+class TestLibraryPath:
+    def test_bsc_sweep_settles_on_the_library(self):
+        # 4 library columns fit z_size 5, so every cell is the full-library
+        # problem: certified, or a rate-0 mix of constant rules
+        cfg = SolveConfig(z_size=5)
+        for dd_t, row in zip(BSC_SWEEP_DD, BSC_SWEEP_RATES):
+            for de_t, seed_rate in zip(BSC_SWEEP_DE, row):
+                point = solve_rate(bsc_pair(0.25), hamming_spec(), dd_t, de_t, cfg)
+                assert point.path in ("library", "constant")
+                assert point.label == "exact"
+                assert 0.0 <= point.gap <= 1e-7
+                assert point.rate == pytest.approx(seed_rate, abs=1e-9)
+                assert point.witness.z_size <= 5
+
+    def test_two_constant_rules_give_rate_zero(self):
+        # no single decoder column meets (0.35, 0.2), but a Z independent of
+        # X that mixes two of them does
+        src, spec = bsc_pair(0.25), hamming_spec()
+        point = solve_rate(src, spec, 0.35, 0.2, SolveConfig(z_size=5))
+        assert point.rate == 0.0
+        assert point.path == "constant"
+        w = point.witness
+        assert w.z_size == 2
+        assert np.array_equal(w.pz_given_x[0], w.pz_given_x[1])
+        edd, ede = expected_distortions(src, spec, w)
+        assert edd <= 0.35 + 1e-12 and ede <= 0.2 + 1e-12
+        assert (edd, ede) == pytest.approx((point.achieved_dd, point.achieved_de), abs=1e-12)
+        assert rate_objective(src, w) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_baselines_match_the_scan(self, seed):
+        # r_cr is the full-library problem on the |Xhat| constant decoder
+        # columns, r_wz on the decoder-column library at its bound |X| + 1
+        src, dd, dd_t = small_library_instance(seed)
+        a_cols = src.px[:, None] * dd
+        one = np.arange(dd.shape[1])[None, :]  # a single candidate: every column
+        assert_matches_scan(r_cr(src, dd, dd_t), [a_cols], one, dd_t, src)
+        if dd.shape[1] == 2:  # a 4-column library: a handful of candidates
+            _, a_rows, _ = solver_module._signature_library(
+                src, solver_module._dd_only_spec(dd), with_psi=False
+            )
+            n = len(a_rows)
+            cands = solver_module._candidate_array(n, min(src.x_size + 1, n), 10**6)
+            cons = [np.ascontiguousarray(a_rows.T)]
+            assert_matches_scan(r_wz(src, dd, dd_t), cons, cands, dd_t, src)
+
+    @pytest.mark.parametrize(
+        "seed, dd_scale, de_scale, rate",
+        [
+            # slack D_e: the enumeration solved the one candidate to
+            # 0.1570849542 and labelled it "exact" with gap 0.042, above
+            # its own z_size-3 answer
+            (4, 0.5, None, 0.1496844365),
+            # the support solve holding both targets finds D_e slack (a
+            # negative multiplier) and settles without it
+            (37, 0.8, 0.3, 0.0815615616),
+        ],
+    )
+    def test_exact_needs_a_certificate(self, seed, dd_scale, de_scale, rate):
+        # 3x2x2: the 4 library columns fit the default z_size 6
+        rng = np.random.default_rng(seed)
+        pxy = rng.random((3, 2)) + 0.1
+        pxy /= pxy.sum()
+        dd = 0.2 + rng.random((3, 2))
+        dd[np.arange(3), np.arange(3) % 2] = 0.0
+        de = (0.2 + rng.random((2, 2))) * hamming(2)
+        src = JointSource.from_pxy(pxy)
+        spec = DistortionSpec(xhat_size=2, dd=dd, de=de)
+        dd_t = dd_scale * float((src.px[:, None] * dd).sum(axis=0).min())
+        de_t = float(de.max()) if de_scale is None else de_scale * float(de.mean())
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.label == "exact" and point.path == "library"
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(rate, abs=1e-9)
+        assert point.rate <= solve_rate(src, spec, dd_t, de_t, CFG3).rate + 1e-9
+        assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
+        edd, ede = expected_distortions(src, spec, point.witness)
+        assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+        if de_scale is None:
+            assert point.rate == pytest.approx(r_wz(src, spec, dd_t), abs=1e-9)
+
+
 @st.composite
 def small_instances(draw):
     """A random instance with 2-3 source and reconstruction letters, binary
