@@ -381,7 +381,7 @@ def cmd_ext_solve(args, cfg: _Config) -> str:
             "psi3": point.psi3.tolist(),
             "p_uz_given_x": point.p_uz_given_x.tolist(),
         },
-        "diagnostics": {"iterations": point.iterations, "gap": point.gap},
+        "diagnostics": {"iterations": point.iterations, "gap": point.gap, "path": point.path},
     }
     return _json_report(report, args.seed)
 

@@ -8,15 +8,28 @@ The optimization is
 
 with (U, Z) - X - Y.  The objective sees only the Z-marginal of the joint
 conditional table, so the inner problem stays convex in the full table
-X -> (U x Z) simplex and reuses the base machinery with a column-to-z
-grouping.  Cardinalities: |U| never needs to exceed K, nor the number of
-constraints that actually depend on the encoder reconstruction (the
-automatic default); |Z| never needs to exceed |X| |U| + K + 1.
+X -> (U x Z) simplex.  Cardinalities: |U| never needs to exceed K, nor the
+number of constraints that actually depend on the encoder reconstruction
+(the automatic default); |Z| never needs to exceed |X| |U| + K + 1.
 
-Enumeration uses the same signature trick as the base solver: a z symbol
-is described by (phi(., z), {psi(., z, u)}_u); u symbols within a z column
-are exchangeable and duplicates can carry zero mass, so distinct sorted
-column subsets cover every rule pair.
+Library path.  When at most one of the K tables varies with xhat_e (every
+embedding of a base instance; the automatic |U| = 1 case), the encoder's
+best letter for each (x, f), the argmin of that one table (letter 0 if
+none varies), dominates every other, and the other tables do not depend
+on it; more u symbols cannot help either.  The problem is then the base
+problem on the decoder-column library with K cost matrices, and it runs
+on the base solver's machinery: the same library, the constant-rule
+shortcut for rate 0, and the certified full-library solve, whose
+Caratheodory witness has at most |X| + K + 1 columns and |U| = 1, once
+z_size meets |X| + K + 1 or the library's size; below that its
+z_size-column candidates are scanned.
+
+Grouped path.  When two or more tables depend on xhat_e, a z symbol is
+described by (phi(., z), {psi(., z, u)}_u); u symbols within a z column are
+exchangeable and duplicates can carry zero mass, so distinct sorted column
+subsets cover every rule pair.  The candidates are scanned with a
+column-to-z grouping, floored and ordered by a full-library solve that
+carries no certificate, so such points are labelled "upper_bound".
 """
 
 from __future__ import annotations
@@ -33,7 +46,13 @@ from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_vali
 from .solver import (
     SolveConfig,
     _candidate_array,
+    _constant_mix,
+    _cut_witness,
     _InnerProblem,
+    _signature_library,
+    _Solution,
+    _solve_library,
+    _witness_tables,
     scan_candidates,
     solve_constrained,
 )
@@ -44,9 +63,11 @@ class ExtSolveConfig:
     """Extended-solver knobs.
 
     u_size = None resolves to min(K, number of constraints that depend on
-    xhat_e); z_size = None resolves to min(3, |X| u_size + K + 1) - the
-    conservative desk-scale default; larger explicit values are honored up
-    to the cardinality bound.
+    xhat_e), at least 1.  z_size = None resolves to |X| + K + 1, the
+    library path's cardinality bound, when at most one table depends on
+    xhat_e, and to min(3, |X| u_size + K + 1) otherwise - the conservative
+    desk-scale default of the grouped scan; larger explicit values are
+    honored up to the cardinality bound |X| u_size + K + 1.
     """
 
     u_size: int | None = None
@@ -67,8 +88,14 @@ class ExtSolveConfig:
 class ExtRatePoint:
     """Solved extended point with its witness (phi, psi3, P_{UZ|X}).
 
-    label = "upper_bound" when the configured z_size sits below the
-    cardinality bound |X| u_size + K + 1 (and distinct signatures remain).
+    ``gap`` is the rate minus a certified lower bound on the minimum over
+    the column library, never negative.  ``label`` is "exact" when the
+    library path's z_size meets min(|X| + K + 1, library size) and the gap
+    is at most 1e-7 bits, or the rate is 0; "upper_bound" otherwise, and
+    always on the grouped path, which has no certificate.  ``path`` says
+    what settled the point: "constant" (rate 0 from constant rules),
+    "library" (the certified full-library solve) or "scan" (the candidate
+    enumeration).
     """
 
     targets: np.ndarray
@@ -80,6 +107,7 @@ class ExtRatePoint:
     iterations: int = 0
     gap: float = 0.0
     label: str = "exact"
+    path: str = "scan"
 
 
 def check_zero_distortion_assumption_ext(ext: ExtendedInstance) -> bool:
@@ -187,6 +215,7 @@ def _rate_zero_point(src, ext, sigs, costs, targets, u_size):
                     psi3=psi3,
                     p_uz_given_x=p,
                     achieved=totals,
+                    path="constant",
                 )
     return None
 
@@ -198,7 +227,10 @@ def solve_rate_ext(
 
     Minimizes over rule pairs (phi, psi3) and joint conditionals P_{UZ|X}
     subject to the K linear distortion constraints; the rate is bounded by
-    H(X|Y) under the extended zero-distortion assumption.
+    H(X|Y) under the extended zero-distortion assumption.  With at most
+    one table depending on xhat_e the point is the base problem on the
+    decoder-column library (the library path of the module docstring),
+    whatever u_size; otherwise the grouped candidates are scanned.
     """
     cfg = cfg or ExtSolveConfig()
     _validate(src, ext)
@@ -212,12 +244,54 @@ def solve_rate_ext(
     if u_size < 1:
         raise InvalidInstanceError("u_size must be at least 1")
     z_bound = src.x_size * u_size + kk + 1
-    z_size = cfg.z_size if cfg.z_size is not None else min(3, z_bound)
+    if cfg.z_size is not None:
+        z_size = cfg.z_size
+    else:
+        z_size = src.x_size + kk + 1 if dep <= 1 else min(3, z_bound)
     if not 1 <= z_size <= z_bound:
         raise InvalidInstanceError(f"z_size must lie in [1, {z_bound}]")
-
-    sigs, costs, u_size = _ext_signature_library(src, ext, u_size)
     targets = np.asarray(ext.targets, dtype=float)
+    if dep <= 1:
+        return _library_point(src, ext, targets, z_size, cfg)
+    return _grouped_point(src, ext, targets, z_size, u_size, cfg)
+
+
+def _library_point(src, ext, targets, z_size, cfg) -> ExtRatePoint:
+    """The point on the decoder-column library with K cost matrices."""
+    nx = src.x_size
+    sigs, rows = _signature_library(src.pxy, ext.dk)
+    mix = _constant_mix(rows.sum(axis=2), targets)
+    if mix is not None:
+        cols, weights = mix
+        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, 0.0, 0, "constant", True)
+    else:
+        cons = [np.ascontiguousarray(r.T) for r in rows]
+        sol = _solve_library(src, cons, list(targets), cfg.solve_config(), z_size, nx + ext.k + 1)
+        if sol is None:
+            raise InfeasibleError("no rule pair meets the targets at this z_size")
+        sol = _cut_witness(src, cons, sol)
+    phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, nx)
+    return _ext_point(
+        src, ext, phi, psi[:, :, None], channel[:, None, :], rate=sol.rate,
+        iterations=sol.iterations, gap=sol.gap, label=sol.label, path=sol.path,
+    )
+
+
+def _ext_point(src, ext, phi, psi3, p_uz, **fields) -> ExtRatePoint:
+    """An ExtRatePoint whose achieved distortions come from its witness."""
+    achieved = np.asarray(
+        [ext_expected_distortion_k(src, ext, p_uz, phi, psi3, k) for k in range(ext.k)]
+    )
+    return ExtRatePoint(
+        targets=np.asarray(ext.targets, dtype=float), phi=phi, psi3=psi3,
+        p_uz_given_x=p_uz, achieved=achieved, **fields,
+    )
+
+
+def _grouped_point(src, ext, targets, z_size, u_size, cfg) -> ExtRatePoint:
+    """The grouped candidate scan for two or more xhat_e-dependent tables."""
+    kk = ext.k
+    sigs, costs, u_size = _ext_signature_library(src, ext, u_size)
     zero = _rate_zero_point(src, ext, sigs, costs, targets, u_size)
     if zero is not None:
         return zero
@@ -231,7 +305,7 @@ def solve_rate_ext(
     # [z0 u0, z0 u1, ..., z1 u0, ...]
     lib = np.asarray(costs).transpose(1, 2, 0, 3).reshape(kk, src.x_size, n_sig * u_size)
     cols = (cands[:, :, None] * u_size + np.arange(u_size)).reshape(len(cands), ncols)
-    floor, mass, u_iters = -math.inf, None, 0
+    floor, bound, mass, u_iters = -math.inf, -math.inf, None, 0
     scfg = cfg.solve_config()
     if n_sig > m:
         universe = _InnerProblem(
@@ -240,11 +314,12 @@ def solve_rate_ext(
         u_res = solve_constrained(universe, list(lib), list(targets), scfg)
         if u_res.status == "infeasible":
             raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
+        bound = u_res.lower_bound  # the penalty iteration's certified bound
         if u_res.status == "optimal":
             # the universe's primal value, not a certified bound: its
-            # conditional-gradient gap is ~3e-7 bits on the K = 2 binary
-            # embedding, and a floor that far down would send the scan
-            # through every candidate
+            # conditional-gradient gap is ~3e-7 bits on small instances,
+            # and a floor that far down would send the scan through every
+            # candidate
             floor = u_res.rate
         mass, u_iters = universe.px @ u_res.channel, u_res.iterations
     best, best_idx, total_iters = scan_candidates(
@@ -252,6 +327,8 @@ def solve_rate_ext(
     )
     if best is None:
         raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
+    if n_sig <= m:
+        bound = best.lower_bound  # the one candidate is the whole library
     best_cand = [int(i) for i in cands[best_idx]]
 
     phi = np.zeros((src.y_size, m), dtype=np.int64)
@@ -263,14 +340,9 @@ def solve_rate_ext(
             psi3[:, j, u] = g
     p_flat = best.channel / best.channel.sum(axis=1, keepdims=True)
     p_uz = p_flat.reshape(src.x_size, m, u_size).transpose(0, 2, 1)  # (X, U, Z)
-    achieved = np.asarray(
-        [ext_expected_distortion_k(src, ext, p_uz, phi, psi3, k) for k in range(kk)]
-    )
-    label = "exact" if m >= min(z_bound, n_sig) else "upper_bound"
-    return ExtRatePoint(
-        targets=targets, rate=best.rate, phi=phi, psi3=psi3,
-        p_uz_given_x=p_uz, achieved=achieved,
-        iterations=u_iters + total_iters, gap=best.gap, label=label,
+    return _ext_point(
+        src, ext, phi, psi3, p_uz, rate=best.rate, iterations=u_iters + total_iters,
+        gap=max(best.rate - bound, 0.0), label="upper_bound", path="scan",
     )
 
 

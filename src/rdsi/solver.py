@@ -24,7 +24,9 @@ objective, and unused signatures can carry zero mass.  Enumerating
 subsets of distinct signatures of size min(z_size, #signatures) therefore
 covers every (phi, psi) pair; signatures with identical cost columns are
 further deduplicated, keeping the lexicographically smallest decoder
-column.
+column.  The same library serves the extended problem's K three-argument
+tables when at most one of them varies with the encoder letter
+(rdsi.extended).
 
 Rate zero.  A Z independent of X has rate 0; its distortions are one mix
 of the library columns' totals, and with two constraints one column or a
@@ -969,13 +971,14 @@ def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
 
 
 def _caratheodory_witness(src, cons, channel):
-    """At most |X| + 3 library columns with the same rate, distortions and p(x).
+    """At most |X| + K + 1 library columns, for K cost matrices ``cons``,
+    with the same rate, distortions and p(x).
 
     Each used column z is the point (p(x|z) without its last coordinate,
-    H(X|z) - H(Y|z), E[d_d | z], E[d_e | z]) weighted by p(z); the rate is
-    H(X) - H(Y) - sum_z p(z) (H(X|z) - H(Y|z)), so Caratheodory's reduction
-    keeps the rate, both distortions and the X-marginal.  Returns (library
-    indices, channel on them).
+    H(X|z) - H(Y|z), E[d_1 | z], ..., E[d_K | z]) weighted by p(z); the
+    rate is H(X) - H(Y) - sum_z p(z) (H(X|z) - H(Y|z)), so Caratheodory's
+    reduction keeps the rate, every distortion and the X-marginal.  Returns
+    (library indices, channel on them).
     """
     px = src.px
     joint = px[:, None] * channel
@@ -992,37 +995,44 @@ def _caratheodory_witness(src, cons, channel):
     return used[rows], out / out.sum(axis=1, keepdims=True)
 
 
-def _signature_library(src: JointSource, spec: DistortionSpec, with_psi: bool):
+def _signature_library(pxy: np.ndarray, dk: np.ndarray):
     """One signature per distinct decoder column, with its cost columns.
 
-    Returns (signatures, a_rows, e_rows) where signatures[i] is (f, g) with
-    f the decoder column (length Y) and g the encoder column (length X, or
-    None when the encoder constraint is dropped); a_rows[i], e_rows[i] are
-    the per-x coefficients of E d_d and E d_e for that column.  g picks,
-    per x, the encoder letter with the smallest E d_e coefficient (the
-    smallest letter on ties), which dominates every other encoder column.
-    Signatures with identical cost columns keep only the lexicographically
-    smallest decoder column.
+    ``dk[k, x, xhat_d, xhat_e]`` are K distortion tables of which at most
+    one varies with the encoder letter.  For a decoder column f (length Y)
+    the E d_k coefficient at x with encoder letter c is
+    sum_y p(x, y) dk[k, x, f(y), c]; the letter with the smallest
+    coefficient in the varying table (the smallest letter on ties, letter 0
+    when no table varies) dominates every other, since no other table
+    depends on it.  Returns (signatures, rows): signatures[i] is (f, g) with
+    g that encoder column (length X), and rows[k, i] the per-x coefficients
+    of E d_k for that column, shape (K, N, X).  Columns come in
+    lexicographic order of f, and columns with identical coefficients keep
+    only the smallest f.
     """
-    pxy = src.pxy
     nx, ny = pxy.shape
-    sigs, a_rows, e_rows, seen = [], [], [], set()
-    for f in itertools.product(range(spec.xhat_size), repeat=ny):
-        f_arr = np.asarray(f)
-        a = np.einsum("xy,xy->x", pxy, spec.dd[:, f_arr])
-        g, e = None, np.zeros(nx)
-        if with_psi:
-            per_c = pxy @ spec.de[f_arr]  # (X, Xhat): E d_e coefficient per letter
-            letters = per_c.argmin(axis=1)
-            g, e = tuple(letters.tolist()), per_c[np.arange(nx), letters]
-        key = (a.tobytes(), e.tobytes())
-        if key in seen:
-            continue
-        seen.add(key)
-        sigs.append((f, g))
-        a_rows.append(a)
-        e_rows.append(e)
-    return sigs, np.asarray(a_rows), np.asarray(e_rows)
+    varying = np.flatnonzero((dk.max(axis=3) != dk.min(axis=3)).any(axis=(1, 2)))
+    assert len(varying) <= 1, "no single encoder letter dominates"
+    f_cols = np.asarray(list(itertools.product(range(dk.shape[2]), repeat=ny)))
+    per = np.einsum("xy,kxfye->kfxe", pxy, dk[:, :, f_cols, :])  # (K, F, X, Xhat_e)
+    letters = (
+        per[varying[0]].argmin(axis=2) if len(varying)
+        else np.zeros((len(f_cols), nx), dtype=np.int64)
+    )
+    cost = np.take_along_axis(per, letters[None, :, :, None], axis=3)[..., 0]  # (K, F, X)
+    first = {}
+    for i, column in enumerate(cost.transpose(1, 0, 2)):
+        first.setdefault(column.tobytes(), i)
+    keep = list(first.values())
+    sigs = [(tuple(f_cols[i].tolist()), tuple(letters[i].tolist())) for i in keep]
+    return sigs, np.ascontiguousarray(cost[:, keep])
+
+
+def _base_tables(spec: DistortionSpec) -> np.ndarray:
+    """The base problem as K = 2 tables d_1 = d_d(x, xhat_d), d_2 = d_e(xhat_d, xhat_e)."""
+    dk = np.empty((2,) + spec.dd.shape + (spec.xhat_size,))
+    dk[0], dk[1] = spec.dd[:, :, None], spec.de
+    return dk
 
 
 def _check_instance(src: JointSource, spec: DistortionSpec):
@@ -1061,6 +1071,12 @@ class _Solution:
     def gap(self) -> float:
         return max(self.rate - self.bound, 0.0)
 
+    @property
+    def label(self) -> str:
+        """"exact" where the full library is the answer and the gap is at
+        most _EXACT_GAP, "upper_bound" otherwise."""
+        return "exact" if self.at_bound and self.gap <= _EXACT_GAP else "upper_bound"
+
 
 def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     """Minimum of the rate over the column library with cost matrices
@@ -1069,12 +1085,12 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     When z_size meets the cardinality bound z_bound or the library's size,
     the full library is the answer: a full-library solve certified within
     _EXACT_GAP settles the point (path "library"; its channel spans the
-    whole library, which solve_rate cuts by Caratheodory's reduction to a
-    witness of at most min(#used columns, |X| + 3) <= z_size columns).
-    Otherwise, or when that solve reaches no certificate, the z_size-column
-    candidates are scanned (path "scan"), floored and ordered by the same
-    solve.  Returns a _Solution, or None when no candidate meets the
-    targets.
+    whole library, which _cut_witness cuts by Caratheodory's reduction to
+    at most min(#used columns, |X| + K + 1) columns for K cost matrices,
+    within z_size when z_bound is |X| + K + 1).  Otherwise, or when that
+    solve reaches no certificate, the z_size-column candidates are scanned
+    (path "scan"), floored and ordered by the same solve.  Returns a
+    _Solution, or None when no candidate meets the targets.
     """
     n_sig = cons[0].shape[1]
     if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
@@ -1099,6 +1115,16 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     return _Solution(
         cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan", at_bound
     )
+
+
+def _cut_witness(src, cons, sol: _Solution) -> _Solution:
+    """A library-path solution cut to its Caratheodory witness, with the
+    rate recomputed on it; other solutions unchanged."""
+    if sol.path != "library":
+        return sol
+    cols, channel = _caratheodory_witness(src, cons, sol.channel)
+    rate = max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0)
+    return replace(sol, cols=cols, channel=channel, rate=rate)
 
 
 def solve_rate(
@@ -1131,89 +1157,86 @@ def solve_rate(
             "distortion tables violate the zero-distortion assumption"
         )
     z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 3
-    sigs, a_rows, e_rows = _signature_library(src, spec, with_psi=True)
+    targets = [dd_target, de_target]
+    sigs, rows = _signature_library(src.pxy, _base_tables(spec))
+    totals = rows.sum(axis=2)
+    mix = _constant_mix(totals, targets)
+    if mix is not None:
+        cols, weights = mix
+        phi, psi, channel = _witness_tables(
+            sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
+        )
+        ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
+        add, ade = (float(weights @ t[cols]) for t in totals)
+        return RatePoint(
+            dd_target=dd_target, de_target=de_target, rate=0.0, witness=ch,
+            achieved_dd=add, achieved_de=ade, path="constant",
+        )
 
-    zero = _constant_rule_point(src, spec, sigs, a_rows, e_rows, dd_target, de_target)
-    if zero is not None:
-        return zero
-
-    cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
-    sol = _solve_library(src, cons, [dd_target, de_target], cfg, z_size, src.x_size + 3)
+    cons = [np.ascontiguousarray(r.T) for r in rows]
+    sol = _solve_library(src, cons, targets, cfg, z_size, src.x_size + 3)
     if sol is None:
         raise InfeasibleError(
             "no reconstruction rule meets the targets at this z_size"
         )
-    if sol.path == "library":
-        cols, channel = _caratheodory_witness(src, cons, sol.channel)
-        sol = replace(sol, cols=cols, channel=channel,
-                      rate=max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0))
+    sol = _cut_witness(src, cons, sol)
     phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, src.x_size)
     ch = TestChannel(z_size=len(sol.cols), pz_given_x=channel, phi=phi, psi=psi)
     add, ade = expected_distortions(src, spec, ch)
     return RatePoint(
         dd_target=dd_target, de_target=de_target, rate=sol.rate, witness=ch,
         achieved_dd=add, achieved_de=ade, iterations=sol.iterations, gap=sol.gap,
-        label="exact" if sol.at_bound and sol.gap <= _EXACT_GAP else "upper_bound",
-        path=sol.path,
+        label=sol.label, path=sol.path,
     )
 
 
-def _constant_rule_point(src, spec, sigs, a_rows, e_rows, dd_target, de_target):
-    """Rate-0 shortcut: a Z independent of X that meets both targets, if any.
+def _constant_mix(totals: np.ndarray, targets):
+    """Rate-0 shortcut: a Z independent of X that meets every target, if any.
 
     Such a Z mixes library columns with one weight vector for every x, so
-    its distortions are the same mix of the columns' totals (sum_x a,
-    sum_x e).  With two linear constraints a vertex of that feasible set
-    uses one column or two: a single column meeting both targets (the
-    first in library order), else the first pair, among the columns no
-    other beats on both totals, whose segment meets [0, D_d] x [0, D_e],
-    mixed at the middle of the weights that meet both.
+    its distortions are the same mix of the columns' totals (``totals``,
+    shape (K, N): sum_x of each column's coefficients).  A single column
+    meeting every target is taken first (the first in library order), else
+    the first pair, among the columns no other beats on every total (in
+    lexicographic order of the totals), whose segment meets the targets,
+    mixed at the middle of the weights that meet them.  With two
+    constraints a vertex of the feasible mixes uses one column or two, so
+    this decides whether the rate is 0; with more it may miss a mix of more
+    columns, which the full-library solve then finds.  Returns (columns,
+    weights) or None.
     """
-    const_dd = a_rows.sum(axis=1)
-    const_de = e_rows.sum(axis=1)
-    dd_t, de_t = dd_target + 1e-15, de_target + 1e-15
-    ok = np.nonzero((const_dd <= dd_t) & (const_de <= de_t))[0]
+    bounds = np.asarray(targets, dtype=float) + 1e-15
+    ok = np.flatnonzero((totals <= bounds[:, None]).all(axis=0))
     if len(ok):
-        cols, weights = [int(ok[0])], np.ones(1)
-    else:
-        order = np.lexsort((const_de, const_dd))
-        de_sorted = const_de[order]
-        front = order[de_sorted < np.minimum.accumulate(np.r_[np.inf, de_sorted[:-1]])]
-        i, j = np.triu_indices(len(front), 1)
-        i, j = front[i], front[j]
-        # weight w on column i: w (c_i - c_j) <= t - c_j for both totals
-        lo, hi, meet = np.zeros(len(i)), np.ones(len(i)), True
-        for c, t in ((const_dd, dd_t), (const_de, de_t)):
-            d, r = c[i] - c[j], t - c[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = r / d
-            lo = np.maximum(lo, np.where(d < 0.0, ratio, 0.0))
-            hi = np.minimum(hi, np.where(d > 0.0, ratio, 1.0))
-            meet = meet & ((d != 0.0) | (r >= 0.0))
-        hit = np.flatnonzero(meet & (lo <= hi))
-        if len(hit) == 0:
-            return None
-        k = int(hit[0])
-        w = 0.5 * (lo[k] + hi[k])
-        cols, weights = [int(i[k]), int(j[k])], np.array([w, 1.0 - w])
-    phi, psi, channel = _witness_tables(
-        sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
-    )
-    ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
-    return RatePoint(
-        dd_target=dd_target, de_target=de_target, rate=0.0, witness=ch,
-        achieved_dd=float(weights @ const_dd[cols]), achieved_de=float(weights @ const_de[cols]),
-        path="constant",
-    )
+        return [int(ok[0])], np.ones(1)
+    order = np.lexsort(totals[::-1])
+    ranked = totals[:, order]
+    beaten = np.triu((ranked[:, :, None] <= ranked[:, None, :]).all(axis=0), 1).any(axis=0)
+    front = order[~beaten]
+    i, j = np.triu_indices(len(front), 1)
+    i, j = front[i], front[j]
+    # weight w on column i: w (c_i - c_j) <= t - c_j for every total
+    lo, hi, meet = np.zeros(len(i)), np.ones(len(i)), True
+    for c, t in zip(totals, bounds):
+        d, r = c[i] - c[j], t - c[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = r / d
+        lo = np.maximum(lo, np.where(d < 0.0, ratio, 0.0))
+        hi = np.minimum(hi, np.where(d > 0.0, ratio, 1.0))
+        meet = meet & ((d != 0.0) | (r >= 0.0))
+    hit = np.flatnonzero(meet & (lo <= hi))
+    if len(hit) == 0:
+        return None
+    k = int(hit[0])
+    w = 0.5 * (lo[k] + hi[k])
+    return [int(i[k]), int(j[k])], np.array([w, 1.0 - w])
 
 
 def _witness_tables(sigs, cand, channel, y_size, x_size):
     phi = np.zeros((y_size, len(cand)), dtype=np.int64)
     psi = np.zeros((x_size, len(cand)), dtype=np.int64)
     for j, i in enumerate(cand):
-        f, g = sigs[i]
-        phi[:, j] = f
-        psi[:, j] = g if g is not None else 0
+        phi[:, j], psi[:, j] = sigs[i]
     sums = channel.sum(axis=1, keepdims=True)
     return phi, psi, channel / sums
 
@@ -1238,7 +1261,7 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     if not np.all((dd == 0.0).any(axis=1)):
         raise AssumptionError("every source symbol needs a zero-distortion letter")
     z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 1
-    _, a_rows, _ = _signature_library(src, spec, with_psi=False)
+    _, (a_rows,) = _signature_library(src.pxy, dd[None, :, :, None])
     if a_rows.sum(axis=1).min() <= dd_target + 1e-15:
         return 0.0
     cons = [np.ascontiguousarray(a_rows.T)]

@@ -279,7 +279,7 @@ def test_c09_extended_consistency():
         ext = ExtendedInstance(2, 2, 2, dk, targets=[dd_t, de_t])
         base = solve_rate(src, spec, dd_t, de_t, SolveConfig(z_size=5))
         point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=5))
-        assert abs(point.rate - base.rate) <= 5e-3
+        assert abs(point.rate - base.rate) <= 1e-9
 
 
 @criterion(10, "CLI determinism: byte-identical reruns for every subcommand")

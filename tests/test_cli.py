@@ -285,6 +285,14 @@ class TestExtSolveAndReduce:
         report = json.loads(out)
         assert report["rate"] > 0
         assert len(report["achieved"]) == 2
+        # z_size 3 is below the 4-column library: a scan, not certified
+        assert report["diagnostics"]["path"] == "scan"
+        assert report["label"] == "upper_bound"
+        status, out = run(["ext-solve", "--input", inst], capsys)
+        assert status == 0
+        report = json.loads(out)
+        assert (report["diagnostics"]["path"], report["label"]) == ("library", "exact")
+        assert 0.0 <= report["diagnostics"]["gap"] <= 1e-7
 
     def test_reduce_u(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

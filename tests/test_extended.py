@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bsc_pair, hamming, hamming_spec, random_binary_instance
+from conftest import bsc_pair, hamming, hamming_spec, ladder_instance, random_binary_instance
 import rdsi.extended as extended_module
 from rdsi.errors import AssumptionError, InvalidInstanceError
 from rdsi.extended import (
@@ -156,7 +156,7 @@ class TestSolveRateExt:
         ext = embed_base_instance(spec.dd, spec.de, [0.1, 0.02])
         point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=5))
         base = solve_rate(src, spec, 0.1, 0.02, SolveConfig(z_size=5))
-        assert point.rate == pytest.approx(base.rate, abs=5e-3)
+        assert point.rate == pytest.approx(base.rate, abs=1e-9)
 
     def test_automatic_u_reduction(self):
         src = bsc_pair(0.25)
@@ -207,6 +207,83 @@ class TestSolveRateExt:
         ext = embed_base_instance(spec.dd, spec.de, [0.2, 0.2])
         point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=3))
         assert np.all(point.achieved <= np.asarray(ext.targets) + 1e-6)
+
+
+class TestLibraryPath:
+    """At most one table depends on xhat_e: the base problem on the
+    decoder-column library with K cost matrices."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3, 3, 3), (4, 4, 4)])
+    def test_ladder_embeddings_are_exact(self, shape):
+        src, spec, dd_t, de_t = ladder_instance(*shape)
+        ext = embed_base_instance(spec.dd, spec.de, [dd_t, de_t])
+        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=src.x_size + 3))
+        assert point.path == "library"
+        assert point.label == "exact"
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(solve_rate(src, spec, dd_t, de_t).rate, abs=1e-9)
+        assert point.p_uz_given_x.shape[1] == 1
+        assert point.p_uz_given_x.shape[2] <= src.x_size + 3
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+        assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
+
+    def test_default_z_size_is_the_bound(self):
+        src = bsc_pair(0.25)
+        spec = hamming_spec()
+        ext = embed_base_instance(spec.dd, spec.de, [0.15, 0.1])
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert point.rate == pytest.approx(solve_rate(src, spec, 0.15, 0.1).rate, abs=1e-9)
+
+    def test_looser_copy_of_a_table_changes_nothing(self):
+        src, spec, dd_t, de_t = ladder_instance(3, 2, 2)
+        ext = embed_base_instance(spec.dd, spec.de, [dd_t, de_t])
+        dk = np.concatenate([ext.dk, ext.dk[:1]])
+        ext3 = ExtendedInstance(2, 2, 3, dk, targets=[dd_t, de_t, 1.5 * dd_t])
+        point = solve_rate_ext(src, ext3)
+        assert point.label == "exact"
+        assert point.rate == pytest.approx(solve_rate_ext(src, ext).rate, abs=1e-9)
+        assert len(point.achieved) == 3
+
+    def test_explicit_u_size_gives_a_single_u_witness(self):
+        src, spec, dd_t, de_t = ladder_instance(2, 3, 3)
+        ext = embed_base_instance(spec.dd, spec.de, [dd_t, de_t])
+        one = solve_rate_ext(src, ext, ExtSolveConfig(u_size=1))
+        two = solve_rate_ext(src, ext, ExtSolveConfig(u_size=2))
+        assert two.rate == pytest.approx(one.rate, abs=1e-9)
+        assert two.p_uz_given_x.shape[1] == 1 and two.psi3.shape[2] == 1
+
+    def test_rate_zero_from_two_constant_rules(self):
+        # the BSC cell (0.35, 0.2): no single constant rule meets both
+        # targets, a mix of two does
+        src = bsc_pair(0.25)
+        spec = hamming_spec()
+        ext = embed_base_instance(spec.dd, spec.de, [0.35, 0.2])
+        point = solve_rate_ext(src, ext)
+        assert (point.rate, point.path, point.label) == (0.0, "constant", "exact")
+        p = point.p_uz_given_x[:, 0, :]
+        assert p.shape[1] == 2 and np.array_equal(p[0], p[1])
+        assert np.all(point.achieved <= ext.targets + 1e-12)
+
+    def test_below_the_bound_is_an_upper_bound(self):
+        src = bsc_pair(0.25)
+        spec = hamming_spec()
+        ext = embed_base_instance(spec.dd, spec.de, [0.15, 0.1])
+        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=2))
+        assert (point.path, point.label) == ("scan", "upper_bound")
+        assert point.gap >= 0.0
+        assert point.rate >= solve_rate_ext(src, ext).rate - 1e-9
+
+    def test_two_encoder_tables_are_never_exact(self, rng):
+        # the grouped scan has no certificate
+        src = bsc_pair(0.3)
+        dk = rng.random((2, 2, 2, 2))
+        dk[:, 0, 0, 0] = dk[:, 1, 1, 1] = 0.0
+        ext = ExtendedInstance(2, 2, 2, dk, targets=[0.15, 0.15])
+        assert constraints_depending_on_xhat_e(ext) == 2
+        point = solve_rate_ext(src, ext, ExtSolveConfig(u_size=1, z_size=2))
+        assert (point.path, point.label) == ("scan", "upper_bound")
+        assert point.rate > 0.0 and point.gap >= 0.0
 
 
 class TestVerifyUReduction:

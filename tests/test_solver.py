@@ -236,30 +236,33 @@ class TestSolveRate:
             assert 0.0 <= point.rate <= hxy + 1e-6
 
 
-def full_signature_library(src, spec, with_psi):
+def full_signature_library(pxy, dk):
     """Every (decoder column, encoder column) signature with distinct cost
     columns: the library before the encoder column is collapsed onto its
     best letter."""
-    assert with_psi
-    nx, ny = src.pxy.shape
-    sigs, a_rows, e_rows, seen = [], [], [], set()
-    for f in itertools.product(range(spec.xhat_size), repeat=ny):
-        a = np.einsum("xy,xy->x", src.pxy, spec.dd[:, list(f)])
-        for g in itertools.product(range(spec.xhat_size), repeat=nx):
-            e = np.einsum("xy,xy->x", src.pxy, spec.de[list(f)][:, list(g)].T)
-            key = (a.tobytes(), e.tobytes())
+    nx, ny = pxy.shape
+    sigs, rows, seen = [], [], set()
+    for f in itertools.product(range(dk.shape[2]), repeat=ny):
+        per = np.einsum("xy,kxye->kxe", pxy, dk[:, :, list(f), :])
+        for g in itertools.product(range(dk.shape[3]), repeat=nx):
+            cost = per[:, np.arange(nx), list(g)]
+            key = cost.tobytes()
             if key not in seen:
                 seen.add(key)
                 sigs.append((f, g))
-                a_rows.append(a)
-                e_rows.append(e)
-    return sigs, np.asarray(a_rows), np.asarray(e_rows)
+                rows.append(cost)
+    return sigs, np.asarray(rows).transpose(1, 0, 2)
+
+
+def base_library(src, spec):
+    """The solver's library of a base instance: (signatures, rows (2, N, X))."""
+    return solver_module._signature_library(src.pxy, solver_module._base_tables(spec))
 
 
 class TestSignatureLibrary:
     def test_one_column_per_decoder_rule(self):
         src, spec, _, _ = ladder_instance(3, 3, 3)
-        sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+        sigs, (a_rows, e_rows) = base_library(src, spec)
         assert len(sigs) == 3**3 == a_rows.shape[0] == e_rows.shape[0]
         assert len({f for f, _ in sigs}) == len(sigs)
 
@@ -267,7 +270,7 @@ class TestSignatureLibrary:
         instances = [ladder_instance(2, 3, 3)[:2], ladder_instance(3, 2, 2)[:2]]
         instances += [random_binary_instance(rng) for _ in range(3)]
         for src, spec in instances:
-            sigs, _, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+            sigs, (_, e_rows) = base_library(src, spec)
             for (f, _), e_best in zip(sigs, e_rows):
                 de_f = spec.de[list(f)]  # (Y, Xhat)
                 for g in itertools.product(range(spec.xhat_size), repeat=src.x_size):
@@ -278,7 +281,7 @@ class TestSignatureLibrary:
         # independent uniform side information: for f = (0, 1) both encoder
         # letters cost 1/4 at every x
         src = JointSource.from_pxy(np.full((2, 2), 0.25))
-        sigs, _, _ = solver_module._signature_library(src, hamming_spec(), with_psi=True)
+        sigs, _ = base_library(src, hamming_spec())
         assert dict(sigs)[(0, 1)] == (0, 0)
 
     @pytest.mark.parametrize("z_size", [2, 3])
@@ -331,7 +334,7 @@ def encoder_active_enumeration():
     all 126 five-column candidates of its 9-column library."""
     src, spec, dd_t = encoder_active_instance()
     de_t = 0.02
-    sigs, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+    sigs, (a_rows, e_rows) = base_library(src, spec)
     assert len(sigs) == 9
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
     cands = solver_module._candidate_array(len(sigs), 5, 10**6)
@@ -346,7 +349,7 @@ def encoder_active_library():
     D_e = 0.02."""
     de_t = 0.02
     src, spec, dd_t = encoder_active_instance()
-    _, a_rows, e_rows = solver_module._signature_library(src, spec, with_psi=True)
+    _, (a_rows, e_rows) = base_library(src, spec)
     return solver_module._LibraryBA(src.pxy, [a_rows.T, e_rows.T], [dd_t, de_t], 10**5)
 
 
@@ -532,9 +535,7 @@ class TestLibraryPath:
         one = np.arange(dd.shape[1])[None, :]  # a single candidate: every column
         assert_matches_scan(r_cr(src, dd, dd_t), [a_cols], one, dd_t, src)
         if dd.shape[1] == 2:  # a 4-column library: a handful of candidates
-            _, a_rows, _ = solver_module._signature_library(
-                src, solver_module._dd_only_spec(dd), with_psi=False
-            )
+            _, (a_rows,) = solver_module._signature_library(src.pxy, dd[None, :, :, None])
             n = len(a_rows)
             cands = solver_module._candidate_array(n, min(src.x_size + 1, n), 10**6)
             cons = [np.ascontiguousarray(a_rows.T)]
