@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
+from ._scipy import linprog, nnls
 from .errors import RdsiError
 from .model import ExtendedInstance, JointSource, _freeze
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._scipy import xlogy
 from .errors import InvalidInstanceError
 
 MASS_TOL = 1e-12

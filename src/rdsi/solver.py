@@ -85,10 +85,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linprog, minimize, minimize_scalar
-from scipy.special import xlogy
 
+from ._scipy import linprog, minimize, minimize_scalar, xlogy
 from .caratheodory import ConvexCombination, caratheodory_support
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
@@ -745,7 +743,11 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
         n = int(var.sum())
         kkt = np.zeros((n + len(a), n + len(a)))
-        kkt[:n, :n] = block_diag(*blocks)[np.ix_(var, var)]
+        start = 0
+        for block, v in zip(blocks, ok.T):  # the Hessian is block diagonal by column
+            end = start + int(v.sum())
+            kkt[start:end, start:end] = block[np.ix_(v, v)]
+            start = end
         kkt[:n, n:] = a.T
         kkt[n:, :n] = a
         residual = np.r_[np.ones(n_live), targets] - rows.sum(axis=(1, 2))

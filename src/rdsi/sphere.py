@@ -35,8 +35,8 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.special import betainc
 
+from ._scipy import betainc
 from .errors import AssumptionError, InfeasibleError, ResourceCapError
 from .gaussian import SchemeParams
 from .model import _freeze

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rdsi
+from conftest import ladder_instance
 from rdsi.cli import main
+from rdsi.sphere import cap_ratio
 
 
 def write_json(path, payload):
@@ -47,9 +53,42 @@ def ext_instance_file(tmp_path, targets=(0.1, 0.05)):
     )
 
 
+def reduce_u_witness_file(tmp_path):
+    """A K = 2 witness with |U| = 4 over the binary extended instance."""
+    rng = np.random.default_rng(3)
+    pz = rng.random((2, 2)) + 0.1
+    pz /= pz.sum(axis=1, keepdims=True)
+    pu = rng.random((2, 2, 4)) + 0.1
+    pu /= pu.sum(axis=2, keepdims=True)
+    payload = json.loads(open(ext_instance_file(tmp_path)).read())
+    payload.update(
+        {
+            "targets": [1.0, 1.0],
+            "z_size": 2,
+            "u_size": 4,
+            "pz_given_x": pz.ravel().tolist(),
+            "pu_given_xz": pu.ravel().tolist(),
+            "phi": rng.integers(0, 2, (2, 2)).ravel().tolist(),
+            "psi3": rng.integers(0, 2, (2, 2, 4)).ravel().tolist(),
+        }
+    )
+    return write_json(tmp_path / "witness.json", payload)
+
+
 def run(args, capsys):
     status = main(args)
     return status, capsys.readouterr().out
+
+
+def fresh_python(*args):
+    """stdout of a new interpreter run with ``args``, importing this rdsi."""
+    path = [os.path.dirname(os.path.dirname(rdsi.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestDiscreteSolve:
@@ -295,24 +334,7 @@ class TestExtSolveAndReduce:
         assert 0.0 <= report["diagnostics"]["gap"] <= 1e-7
 
     def test_reduce_u(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        pz = rng.random((2, 2)) + 0.1
-        pz /= pz.sum(axis=1, keepdims=True)
-        pu = rng.random((2, 2, 4)) + 0.1
-        pu /= pu.sum(axis=2, keepdims=True)
-        payload = json.loads(open(ext_instance_file(tmp_path)).read())
-        payload.update(
-            {
-                "targets": [1.0, 1.0],
-                "z_size": 2,
-                "u_size": 4,
-                "pz_given_x": pz.ravel().tolist(),
-                "pu_given_xz": pu.ravel().tolist(),
-                "phi": rng.integers(0, 2, (2, 2)).ravel().tolist(),
-                "psi3": rng.integers(0, 2, (2, 2, 4)).ravel().tolist(),
-            }
-        )
-        witness = write_json(tmp_path / "witness.json", payload)
+        witness = reduce_u_witness_file(tmp_path)
         status, out = run(["reduce-u", "--input", witness], capsys)
         assert status == 0
         report = json.loads(out)
@@ -341,3 +363,58 @@ class TestOutputFile:
         )
         assert status == 0
         assert "rate" in json.loads(out_path.read_text())
+
+
+class TestStartup:
+    """Importing rdsi loads nothing from scipy; each function loads on first call.
+
+    These run in a new interpreter: the test session itself has scipy loaded.
+    """
+
+    COLD = """
+import contextlib, io, json, sys
+import rdsi, rdsi.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    rdsi.cli.main(["gaussian-curve", "--config", "var_x=1", "--config", "var_u=1",
+                   "--config", "dd=0.25,0.6", "--config", "de=0,0.01"])
+loaded["gaussian-curve"] = scipy_modules()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = rdsi.cli.main(["discrete-solve", "--input", sys.argv[1],
+                            "--config", "dd_target=" + sys.argv[2],
+                            "--config", "de_target=" + sys.argv[3]])
+loaded["discrete-solve"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.getvalue())}))
+"""
+
+    def test_cold_import_loads_no_scipy(self, tmp_path):
+        src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
+        inst = write_json(
+            tmp_path / "3x3x3.json",
+            {"x_size": 3, "y_size": 3, "xhat_size": 3, "pxy": src.pxy.ravel().tolist(),
+             "dd": spec.dd.ravel().tolist(), "de": spec.de.ravel().tolist()},
+        )
+        result = json.loads(fresh_python("-c", self.COLD, inst, repr(dd_t), repr(de_t)))
+        loaded = result["loaded"]
+        assert loaded["import"] == []
+        assert loaded["gaussian-curve"] == []
+        assert result["status"] == 0
+        assert result["report"]["diagnostics"]["path"] == "library"
+        assert "scipy.optimize" not in loaded["discrete-solve"]
+
+    def test_first_calls_match_in_process(self, tmp_path, capsys):
+        # sphere-sim loads no scipy function; cap_ratio is betainc's first
+        # call, reduce-u that of linprog and nnls
+        sim = TestSphereSim.ARGS
+        _, sim_out = run(sim, capsys)
+        assert fresh_python("-m", "rdsi", *sim) == sim_out
+        witness = reduce_u_witness_file(tmp_path)
+        _, reduce_out = run(["reduce-u", "--input", witness], capsys)
+        assert fresh_python("-m", "rdsi", "reduce-u", "--input", witness) == reduce_out
+        cap = "from rdsi.sphere import cap_ratio; print(repr(cap_ratio(7, 0.3)))"
+        assert fresh_python("-c", cap) == repr(cap_ratio(7, 0.3)) + "\n"
