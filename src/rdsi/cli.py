@@ -179,13 +179,12 @@ def load_extended_instance(path):
     return src, ext, data
 
 
-_SOLVE_KEYS = ("z_size", "inner_max_iters", "inner_tolerance", "enumeration_cap")
+_SOLVE_KEYS = ("z_size", "inner_tolerance", "enumeration_cap")
 
 
 def _solve_config(cfg: _Config) -> SolveConfig:
     return SolveConfig(
         z_size=cfg.get_int("z_size"),
-        inner_max_iters=cfg.get_int("inner_max_iters", 400),
         inner_tolerance=cfg.get_float("inner_tolerance", 1e-7),
         enumeration_cap=cfg.get_int("enumeration_cap", 1_000_000),
     )
@@ -365,7 +364,6 @@ def cmd_ext_solve(args, cfg: _Config) -> str:
         ExtSolveConfig(
             u_size=cfg.get_int("u_size"),
             z_size=cfg.get_int("z_size"),
-            inner_max_iters=cfg.get_int("inner_max_iters", 400),
             inner_tolerance=cfg.get_float("inner_tolerance", 1e-7),
             enumeration_cap=cfg.get_int("enumeration_cap", 1_000_000),
         ),

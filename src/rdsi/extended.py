@@ -20,9 +20,9 @@ on it; more u symbols cannot help either.  The problem is then the base
 problem on the decoder-column library with K cost matrices, and it runs
 on the base solver's machinery: the same library, the constant-rule
 shortcut for rate 0, and the certified full-library solve, whose
-Caratheodory witness has at most |X| + K + 1 columns and |U| = 1, once
-z_size meets |X| + K + 1 or the library's size; below that its
-z_size-column candidates are scanned.
+Caratheodory witness has at most |X| + K + 1 columns and |U| = 1, at any
+z_size the witness fits in; otherwise its z_size-column candidates are
+scanned.
 
 Grouped path.  When two or more tables depend on xhat_e, a z symbol is
 described by (phi(., z), {psi(., z, u)}_u); u symbols within a z column are
@@ -47,7 +47,6 @@ from .solver import (
     SolveConfig,
     _candidate_array,
     _constant_mix,
-    _cut_witness,
     _InnerProblem,
     _signature_library,
     _Solution,
@@ -72,13 +71,11 @@ class ExtSolveConfig:
 
     u_size: int | None = None
     z_size: int | None = None
-    inner_max_iters: int = 400
     inner_tolerance: float = 1e-7
     enumeration_cap: int = 1_000_000
 
     def solve_config(self) -> SolveConfig:
         return SolveConfig(
-            inner_max_iters=self.inner_max_iters,
             inner_tolerance=self.inner_tolerance,
             enumeration_cap=self.enumeration_cap,
         )
@@ -89,10 +86,11 @@ class ExtRatePoint:
     """Solved extended point with its witness (phi, psi3, P_{UZ|X}).
 
     ``gap`` is the rate minus a certified lower bound on the minimum over
-    the column library, never negative.  ``label`` is "exact" when the
-    library path's z_size meets min(|X| + K + 1, library size) and the gap
-    is at most 1e-7 bits, or the rate is 0; "upper_bound" otherwise, and
-    always on the grouped path, which has no certificate.  ``path`` says
+    the column library, never negative.  ``label`` is "exact" on the
+    library path when the gap is at most 1e-7 bits, at any z_size (the
+    full-library minimum bounds every z_size), or the rate is 0;
+    "upper_bound" otherwise, and always on the grouped path, which has no
+    certificate.  ``path`` says
     what settled the point: "constant" (rate 0 from constant rules),
     "library" (the certified full-library solve) or "scan" (the candidate
     enumeration).
@@ -263,13 +261,12 @@ def _library_point(src, ext, targets, z_size, cfg) -> ExtRatePoint:
     mix = _constant_mix(rows.sum(axis=2), targets)
     if mix is not None:
         cols, weights = mix
-        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, 0.0, 0, "constant", True)
+        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, 0.0, 0, "constant")
     else:
         cons = [np.ascontiguousarray(r.T) for r in rows]
         sol = _solve_library(src, cons, list(targets), cfg.solve_config(), z_size, nx + ext.k + 1)
         if sol is None:
             raise InfeasibleError("no rule pair meets the targets at this z_size")
-        sol = _cut_witness(src, cons, sol)
     phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, nx)
     return _ext_point(
         src, ext, phi, psi[:, :, None], channel[:, None, :], rate=sol.rate,
@@ -311,7 +308,12 @@ def _grouped_point(src, ext, targets, z_size, u_size, cfg) -> ExtRatePoint:
         universe = _InnerProblem(
             src.pxy, n_sig * u_size, col_group=np.repeat(np.arange(n_sig), u_size)
         )
-        u_res = solve_constrained(universe, list(lib), list(targets), scfg)
+        # only a floor: SLSQP often ends ~1e-9 outside the polytope on this
+        # many columns, and a floor lost to that sends the scan through every candidate
+        u_res = solve_constrained(
+            universe, list(lib), list(targets), scfg,
+            feasibility_tol=10 * scfg.inner_tolerance,
+        )
         if u_res.status == "infeasible":
             raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
         bound = u_res.lower_bound  # the penalty iteration's certified bound

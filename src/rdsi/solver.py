@@ -33,41 +33,42 @@ of the library columns' totals, and with two constraints one column or a
 pair of them decides whether such a mix meets both targets.
 
 Full-library solve.  The same minimization over the complete column
-library (no subset restriction) lower-bounds every candidate, and it
-equals the rate once z_size >= |X| + 3 (|X| + 1 for the Wyner-Ziv
-baseline), the cardinality bound, or once z_size covers the library; the
-common-reconstruction baseline is the same problem on its |Xhat| constant
-decoder columns.  It is one convex problem.  A Lagrangian
-Blahut-Arimoto iteration over all columns with a bracketing search on
-the decoder multiplier solves its Wyner-Ziv relaxation (the decoder
-constraint only); every iterate carries a certified lower bound (its
-Lagrangian minus a Frank-Wolfe gap that needs no LP), which holds for
-the rate too.  The iteration finds the support of the optimum quickly
-but converges on it only geometrically, so where the library is the
-answer each new bracket is settled on its support instead: Newton's method on the KKT
+library (no subset restriction) lower-bounds the rate at every z_size, a
+smaller z_size only restricting it, and it equals the rate once z_size >=
+|X| + 3 (|X| + 1 for the Wyner-Ziv baseline), the cardinality bound, or
+once z_size covers the library; the common-reconstruction baseline is the
+same problem on its |Xhat| constant decoder columns.  It is one convex
+problem.  A Lagrangian Blahut-Arimoto iteration over all columns with a
+bracketing search on the decoder multiplier solves its Wyner-Ziv
+relaxation (the decoder constraint only); every iterate carries a
+certified lower bound (its Lagrangian minus a Frank-Wolfe gap that needs
+no LP), which holds for the rate too.  The iteration finds the support of
+the optimum quickly but converges on it only geometrically, so each new
+bracket is settled on its support instead: Newton's method on the KKT
 system of at most |X| + 3 heaviest columns gives the exact optimum there
 and its multipliers, the Frank-Wolfe gap at those multipliers, with the
 other columns at their Blahut-Arimoto shapes, certifies it, and a column
 whose mass would grow enters the support (column generation).  Where the
 Wyner-Ziv solution misses the encoder target, the same support solve
-holds both targets and is certified at both multipliers.  A gap of at
-most 1e-7 bits settles the point: Caratheodory's theorem on the
-per-column vectors (posterior, H(X|z) - H(Y|z), distortions) cuts the
-witness to at most |X| + 3 columns with the same rate and distortions,
-and nothing is enumerated.
+holds both targets and is certified at both multipliers.  Caratheodory's
+theorem on the per-column vectors (posterior, H(X|z) - H(Y|z),
+distortions) cuts the solution to a witness of at most |X| + 3 columns
+with the same rate and distortions.  A gap of at most 1e-7 bits settles
+the point, at any z_size the witness fits in, and nothing is enumerated.
 
-Inner solve (enumeration).  Below the bound, where the problem is not
-convex, or as the fallback when the full-library solve misses 1e-7 within
-its iteration budget, candidates are enumerated.  Each is solved by
-conditional gradient (Frank-Wolfe) over the product of row simplices with
-a staged quadratic penalty for the distortion constraints; the
-linearization minimum along the way is a certified lower bound on the
-candidate's constrained optimum (used to prune candidates against the
-incumbent), and an SLSQP step on the exactly constrained problem usually
-lands within ~1e-9 bits of the candidate optimum (the penalty iteration
-alone stalls around 1e-4), though on a candidate of many columns it can
-stall far above it.  Joint feasibility is certified by a small linear
-program.
+Inner solve (enumeration).  Where the certified witness needs more than
+z_size columns, so that the restricted problem is not convex, or as the
+fallback when the full-library solve misses 1e-7 within its iteration
+budget, candidates are enumerated.  Each is solved by conditional
+gradient (Frank-Wolfe) over the product of row simplices with a staged
+quadratic penalty for the distortion constraints; the linearization
+minimum along the way is a certified lower bound on the candidate's
+constrained optimum (used to prune candidates against the incumbent), and
+an SLSQP step on the exactly constrained problem usually lands within
+~1e-9 bits of the candidate optimum (the penalty iteration alone stalls
+around 1e-4), though on a candidate of many columns it can stall far
+above it.  A candidate counts only if it meets every target within 1e-12.
+Joint feasibility is certified by a small linear program.
 
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +108,7 @@ _EXACT_GAP = 1e-7  # certified gap (bits) below which a full-library point is "e
 _UNIVERSE_GAP = 1e-3  # full-library target gap, as a fraction of inner_tolerance
 _BA_MAX_ITERS = 50_000  # Blahut-Arimoto iterations per multiplier value
 _BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
-_BA_PER_CANDIDATE = 300  # per candidate it may spare at the cardinality bound ...
-_BA_PER_CANDIDATE_FLOOR = 20  # ... or below it, where it only floors and orders the scan
+_BA_PER_CANDIDATE = 300  # per candidate of the scan it may spare
 _BA_RESTART_MIX = 0.1  # largest uniform share of a warm start, so no column stays dead
 _SUPPORT_EXTRA = 3  # a support solve starts from at most |X| + this many columns ...
 _SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's mass
@@ -131,13 +131,14 @@ class SolveConfig:
     """Solver knobs.  z_size = None means the cardinality bound |X| + 3.
 
     inner_tolerance also sets the full-library solve's target gap (1e-3 of
-    it).  enumeration_cap limits the candidate scan, which runs below the
-    cardinality bound, or at it when the full-library solve cannot settle
-    its point (no certificate within its iteration budget).
+    it).  enumeration_cap limits the candidate scan, which runs where the
+    certified full-library witness does not fit in z_size, or where that
+    solve cannot settle its point (no certificate within its iteration
+    budget).  Below the cardinality bound the cap is checked before any
+    solve.
     """
 
     z_size: int | None = None
-    inner_max_iters: int = 400
     inner_tolerance: float = 1e-7
     enumeration_cap: int = 1_000_000
 
@@ -146,21 +147,22 @@ class SolveConfig:
             raise InvalidInstanceError("z_size must be at least 1")
         if self.inner_tolerance <= 0:
             raise InvalidInstanceError("inner_tolerance must be positive")
-        if self.inner_max_iters < 1 or self.enumeration_cap < 1:
-            raise InvalidInstanceError("iteration and enumeration caps must be positive")
+        if self.enumeration_cap < 1:
+            raise InvalidInstanceError("enumeration cap must be positive")
 
 
 @dataclass(frozen=True)
 class RatePoint:
     """A solved point of the trade-off with its witness channel.
 
-    ``gap`` is the rate minus a certified lower bound on R, never negative.
-    ``label`` is "exact" when z_size meets the cardinality bound (or the
-    number of library columns) and the gap is at most 1e-7 bits, and
-    "upper_bound" otherwise: a smaller configured z_size may leave the true
-    value lower, or no certificate closed.  ``path`` says what settled the
-    point: "constant" (a mix of constant rules, rate 0), "library" (the
-    certified full-library solve; its witness may have fewer than z_size
+    ``gap`` is the rate minus a certified lower bound on R, never negative;
+    R lower-bounds the rate at every z_size.  ``label`` is "exact" when the
+    gap is at most 1e-7 bits, at any z_size: the rate is then within 1e-7
+    of both R and the z_size-restricted minimum.  It is "upper_bound"
+    otherwise: the z_size-restricted minimum may lie above R, or no
+    certificate closed.  ``path`` says what settled the point: "constant"
+    (a mix of constant rules, rate 0), "library" (the certified
+    full-library solve, whose witness fits in z_size; it may have fewer
     columns) or "scan" (the candidate enumeration).
     """
 
@@ -313,7 +315,7 @@ def _fw_single(problem, cons, targets, p0, cfg):
     lb = -math.inf
     iters = 0
     for rho, n_iters in ((16.0, 60), (4096.0, 60)):
-        for j in range(min(n_iters, cfg.inner_max_iters)):
+        for j in range(n_iters):
             iters += 1
             f, grad = problem.value_and_grad(p)
             fpen = f
@@ -429,6 +431,7 @@ def solve_constrained(
     cfg: SolveConfig,
     best_bound: float | None = None,
     skip_lp: bool = False,
+    feasibility_tol: float = 1e-12,
 ) -> InnerResult:
     """Core inner solve: convex rate objective, linear distortion constraints.
 
@@ -436,7 +439,11 @@ def solve_constrained(
     set: only if the penalty loop fails to reach a near-feasible point);
     the penalized Frank-Wolfe loop provides a warm start and a lower bound
     used to prune against best_bound; SLSQP then enforces the constraints
-    exactly and drives the objective to the candidate optimum.
+    exactly and drives the objective to the candidate optimum.  A point
+    counts as feasible only if it meets every target within
+    feasibility_tol: by default 1e-12, as on the full-library path, so
+    that no candidate undercuts the certified bound by overshooting a
+    target.
     """
     nx = problem.pxy.shape[0]
     ncols = problem.n_cols
@@ -481,7 +488,7 @@ def solve_constrained(
             (max((c * candidate).sum() - t, 0.0) for c, t in zip(cons, targets)),
             default=0.0,
         )
-        if overshoot <= 10 * cfg.inner_tolerance and value < best_value:
+        if overshoot <= feasibility_tol and value < best_value:
             best_p, best_value = candidate, value
     if best_p is None:
         return InnerResult(
@@ -494,7 +501,7 @@ def solve_constrained(
     viol = max(
         (max((c * best_p).sum() - t, 0.0) for c, t in zip(cons, targets)), default=0.0
     )
-    status = "optimal" if viol <= 10 * cfg.inner_tolerance else "max_iterations"
+    status = "optimal" if viol <= feasibility_tol else "max_iterations"
     return InnerResult(
         status=status, channel=best_p, rate=rate, gap=gap,
         violation=viol, iterations=iters, lower_bound=lb,
@@ -858,7 +865,7 @@ def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
     return None if best is None else (bound, best)
 
 
-def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
+def _dual_search(ba: _LibraryBA, tol: float):
     """Maximize the certified bound over the multiplier of the first target.
 
     The dual is concave but can be nonsmooth, so lam is bracketed by the
@@ -870,11 +877,11 @@ def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     coarsely (_COARSE_GAP) while the gap is wide.  The primal is the mix
     of the two bracketing iterates that meets the target; its value minus
     the best bound met is the certified gap, and the search stops once
-    that is <= tol.  BA finds the support of the
-    optimum long before it converges on it, so with ``settle`` every new
-    bracket first tries _settle on the mix's heaviest columns: an exact
-    solve there, certified at its own multiplier, ends the search when its
-    gap is <= tol, and the bracketing goes on otherwise.  Returns (best
+    that is <= tol.  BA finds the support of the optimum long before it
+    converges on it, so every new bracket first tries _settle on the mix's
+    heaviest columns: an exact solve there, certified at its own
+    multiplier, ends the search when its gap is <= tol, and the bracketing
+    goes on otherwise.  Returns (best
     certified lower bound on R, primal iterate); the primal meets the
     first target unless no multiplier up to _DUAL_MAX_LAMBDA reaches it.
     """
@@ -895,12 +902,11 @@ def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     repeats, last_side = 0, None
     for _ in range(_DUAL_MAX_STEPS):
         primal = _mix(ba, lo, hi)
-        if settle:
-            got = _settle(ba, primal.channel, primal.logp, [0], tol)
-            if got is not None:
-                bound = max(bound, got[0])
-                if got[1].value - bound <= tol:
-                    return bound, got[1]
+        got = _settle(ba, primal.channel, primal.logp, [0], tol)
+        if got is not None:
+            bound = max(bound, got[0])
+            if got[1].value - bound <= tol:
+                return bound, got[1]
         value = (hi.value - lo.value) / (lo.costs[0] - hi.costs[0])
         gap = primal.value - bound
         if gap <= tol or ba.exhausted:
@@ -927,32 +933,27 @@ def _dual_search(ba: _LibraryBA, tol: float, settle: bool):
     return bound, _mix(ba, lo, hi)
 
 
-def _universe_solve(pxy, cons, targets, cfg, m, at_bound):
-    """Certified Wyner-Ziv minimum over the full column library, which the
-    scan over its m-column subsets would otherwise enumerate.
+def _universe_solve(pxy, cons, targets, cfg, m):
+    """Certified minimum over the full column library, which the scan over
+    its m-column subsets would otherwise enumerate.
 
-    Only the first (decoder) constraint carries a multiplier in the
-    search: the bound, on the problem without the others, holds for R as
-    well.  Where the full library is the answer (``at_bound``: z_size at
-    the cardinality bound or at the library's size) the search settles on
-    support solves (_dual_search), and where its primal misses another
-    target a support solve holding every positive target, certified at all
-    multipliers, settles R or at least raises the bound; below the bound
-    the search only floors and orders the scan.  Returns (lower bound, primal iterate
-    or None if it misses a target, BA iterations, certificate steps
-    included).  The search aims at a gap of _UNIVERSE_GAP times
-    inner_tolerance.  It stops early after a number of BA iterations per
-    candidate of that scan (_BA_PER_CANDIDATE where the library is the
-    answer, _BA_PER_CANDIDATE_FLOOR below the bound), at most _BA_BUDGET, so that a hard
-    instance with few candidates falls back to the scan quickly; the bound
-    is certified either way.
+    Only the first (decoder) constraint carries a multiplier in the search
+    (_dual_search), which settles on support solves: its bound, on the
+    problem without the others, holds for R as well.  Where its primal
+    misses another target, a support solve holding every positive target,
+    certified at all multipliers, settles R or at least raises the bound.
+    Returns (lower bound, primal iterate or None if it misses a target, BA
+    iterations, certificate steps included).  The search aims at a gap of
+    _UNIVERSE_GAP times inner_tolerance.  It stops early after
+    _BA_PER_CANDIDATE BA iterations per candidate of that scan, at most
+    _BA_BUDGET, so that a hard instance with few candidates falls back to
+    the scan quickly; the bound is certified either way.
     """
-    per_candidate = _BA_PER_CANDIDATE if at_bound else _BA_PER_CANDIDATE_FLOOR
     count = math.comb(cons[0].shape[1], m)
-    ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, per_candidate * count))
+    ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, _BA_PER_CANDIDATE * count))
     tol = _UNIVERSE_GAP * cfg.inner_tolerance
-    bound, primal = _dual_search(ba, tol, at_bound)
-    if at_bound and np.any(primal.costs > ba.targets + 1e-12):
+    bound, primal = _dual_search(ba, tol)
+    if np.any(primal.costs > ba.targets + 1e-12):
         # the encoder constraint binds: a support solve with every positive
         # target held, from the Wyner-Ziv solution and the last BA iterate,
         # certified at all multipliers
@@ -1058,8 +1059,8 @@ def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
 class _Solution:
     """A point solved over a column library: library indices and the
     channel on them, its rate, a certified lower bound on the full
-    library's minimum, BA and scan iterations, the path that settled it,
-    and whether the full library is the answer at this z_size."""
+    library's minimum, BA and scan iterations, and the path that settled
+    it."""
 
     cols: np.ndarray
     channel: np.ndarray
@@ -1067,7 +1068,6 @@ class _Solution:
     bound: float
     iterations: int
     path: str
-    at_bound: bool
 
     @property
     def gap(self) -> float:
@@ -1075,24 +1075,27 @@ class _Solution:
 
     @property
     def label(self) -> str:
-        """"exact" where the full library is the answer and the gap is at
-        most _EXACT_GAP, "upper_bound" otherwise."""
-        return "exact" if self.at_bound and self.gap <= _EXACT_GAP else "upper_bound"
+        """"exact" when the gap is at most _EXACT_GAP, "upper_bound"
+        otherwise.  The full-library minimum is a lower bound at every
+        z_size (a smaller z_size only restricts the problem), so such a
+        rate is within _EXACT_GAP of the z_size-restricted minimum and of R."""
+        return "exact" if self.gap <= _EXACT_GAP else "upper_bound"
 
 
 def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     """Minimum of the rate over the column library with cost matrices
     ``cons`` (one (X, N) matrix per target), on at most z_size columns.
 
-    When z_size meets the cardinality bound z_bound or the library's size,
-    the full library is the answer: a full-library solve certified within
-    _EXACT_GAP settles the point (path "library"; its channel spans the
-    whole library, which _cut_witness cuts by Caratheodory's reduction to
-    at most min(#used columns, |X| + K + 1) columns for K cost matrices,
-    within z_size when z_bound is |X| + K + 1).  Otherwise, or when that
-    solve reaches no certificate, the z_size-column candidates are scanned
-    (path "scan"), floored and ordered by the same solve.  Returns a
-    _Solution, or None when no candidate meets the targets.
+    A full-library solve certified within _EXACT_GAP settles the point
+    (path "library") when Caratheodory's reduction cuts its channel to at
+    most z_size columns (it keeps at most |X| + K + 1 for K cost matrices),
+    or whatever the cut keeps once z_size meets the cardinality bound
+    z_bound or the library's size (r_wz's bound |X| + 1 is tighter than
+    Caratheodory's |X| + 2); its rate is the full-library value, which the
+    reduction keeps.  Otherwise the z_size-column candidates are scanned
+    (path "scan"), floored by that solve's certified bound and ordered by
+    its primal.  Returns a _Solution, or None when no candidate meets the
+    targets.
     """
     n_sig = cons[0].shape[1]
     if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
@@ -1101,11 +1104,11 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     at_bound = z_size >= min(z_bound, n_sig)
     # the scan's size is checked before the solve below the bound
     cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
-    floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m, at_bound)
-    if primal is not None and at_bound and primal.value - floor <= _EXACT_GAP:
-        return _Solution(
-            np.arange(n_sig), primal.channel, primal.value, floor, iters, "library", True
-        )
+    floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m)
+    if primal is not None and primal.value - floor <= _EXACT_GAP:
+        cols, channel = _caratheodory_witness(src, cons, primal.channel)
+        if at_bound or len(cols) <= z_size:
+            return _Solution(cols, channel, primal.value, floor, iters, "library")
     mass = None if primal is None else src.px @ primal.channel
     if cands is None:
         cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
@@ -1114,19 +1117,7 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     )
     if best is None:
         return None
-    return _Solution(
-        cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan", at_bound
-    )
-
-
-def _cut_witness(src, cons, sol: _Solution) -> _Solution:
-    """A library-path solution cut to its Caratheodory witness, with the
-    rate recomputed on it; other solutions unchanged."""
-    if sol.path != "library":
-        return sol
-    cols, channel = _caratheodory_witness(src, cons, sol.channel)
-    rate = max(_InnerProblem(src.pxy, len(cols)).value(channel), 0.0)
-    return replace(sol, cols=cols, channel=channel, rate=rate)
+    return _Solution(cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan")
 
 
 def solve_rate(
@@ -1139,14 +1130,14 @@ def solve_rate(
     """The rate-distortions function at one target pair, with witness.
 
     A mix of constant rules meeting both targets gives rate 0 ("constant").
-    Otherwise, when z_size meets the cardinality bound |X| + 3 or the
-    number of library columns, one certified full-library solve settles the
-    point ("library"); below the bound, or when that solve reaches no
-    certificate, reconstruction-rule candidates are enumerated ("scan";
-    deduplicated as described in the module docstring) and the best inner
-    minimum kept.  Requires the zero-distortion assumption; the rate is
-    bounded by H(X|Y) because the identity channel with zero-distortion
-    rules is always a candidate.
+    Otherwise one certified full-library solve settles the point
+    ("library") when its witness fits in z_size, which it always does at
+    the cardinality bound |X| + 3; when it does not, or when that solve
+    reaches no certificate, reconstruction-rule candidates are enumerated
+    ("scan"; deduplicated as described in the module docstring) and the
+    best inner minimum kept.  Requires the zero-distortion assumption; the
+    rate is bounded by H(X|Y) because the identity channel with
+    zero-distortion rules is always a candidate.
     """
     cfg = cfg or SolveConfig()
     _check_instance(src, spec)
@@ -1181,7 +1172,6 @@ def solve_rate(
         raise InfeasibleError(
             "no reconstruction rule meets the targets at this z_size"
         )
-    sol = _cut_witness(src, cons, sol)
     phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, src.x_size)
     ch = TestChannel(z_size=len(sol.cols), pz_given_x=channel, phi=phi, psi=psi)
     add, ade = expected_distortions(src, spec, ch)
@@ -1248,10 +1238,10 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
 
     ``spec_dd`` may be a DistortionSpec (whose d_e is ignored) or a plain
     d_d table.  The auxiliary alphabet defaults to |X| + 1 columns, its
-    cardinality bound; there, or once z_size covers the decoder-column
-    library, a certified full-library solve gives the rate (a feasible
-    value within 1e-7 bits of the lower bound), and the candidate scan
-    runs below the bound or when that solve reaches no certificate.
+    cardinality bound; there, once z_size covers the decoder-column
+    library, or once the solution's witness fits in z_size, a certified
+    full-library solve gives the rate (a feasible value within 1e-7 bits
+    of the lower bound), and otherwise the candidate scan runs.
     """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)

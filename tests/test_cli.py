@@ -94,21 +94,23 @@ def fresh_python(*args):
 class TestDiscreteSolve:
     def test_valid_instance(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path)
-        status, out = run(
-            ["discrete-solve", "--input", inst,
-             "--config", "dd_target=0.1", "--config", "de_target=0.05",
-             "--config", "z_size=3"],
-            capsys,
-        )
+        argv = ["discrete-solve", "--input", inst,
+                "--config", "dd_target=0.1", "--config", "de_target=0.05"]
+        status, out = run(argv + ["--config", "z_size=3"], capsys)
         assert status == 0
         report = json.loads(out)
         assert "rate" in report and report["rate"] > 0
         assert report["spec_version"] == "1"
         assert report["seed"] == 0
         assert report["witness"]["z_size"] >= 1
-        # z_size 3 sits below the binary library's 4 columns and |X| + 3
-        assert report["diagnostics"]["path"] == "scan"
-        assert report["label"] == "upper_bound"
+        # z_size 3 sits below the binary library's 4 columns and |X| + 3,
+        # but the certified full-library witness fits in 3 columns
+        assert (report["diagnostics"]["path"], report["label"]) == ("library", "exact")
+        # the witness does not fit in 2: a scan, not certified
+        status, out = run(argv + ["--config", "z_size=2"], capsys)
+        assert status == 0
+        report = json.loads(out)
+        assert (report["diagnostics"]["path"], report["label"]) == ("scan", "upper_bound")
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -169,6 +171,11 @@ class TestDiscreteSolve:
         assert status == 2
         status, _ = run(["reduce-u", "--input", inst, "--config", "z_size=3"], capsys)
         assert status == 2
+        # the inner solve's iteration stages are fixed: no inner_max_iters key
+        for sub in ("discrete-solve", "ext-solve"):
+            status, out = run([sub, "--input", inst, "--config", "inner_max_iters=5"], capsys)
+            assert status == 2
+            assert "inner_max_iters" in json.loads(out)["error"]["message"]
 
     def test_baselines_accept_z_size(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path)
@@ -318,15 +325,22 @@ class TestExtSolveAndReduce:
     def test_ext_solve(self, tmp_path, capsys):
         inst = ext_instance_file(tmp_path)
         status, out = run(
-            ["ext-solve", "--input", inst, "--config", "z_size=3"], capsys
+            ["ext-solve", "--input", inst, "--config", "z_size=2"], capsys
         )
         assert status == 0
         report = json.loads(out)
         assert report["rate"] > 0
         assert len(report["achieved"]) == 2
-        # z_size 3 is below the 4-column library: a scan, not certified
-        assert report["diagnostics"]["path"] == "scan"
-        assert report["label"] == "upper_bound"
+        # z_size 2 is below the 4-column library and misses the witness: a
+        # scan, not certified
+        assert (report["diagnostics"]["path"], report["label"]) == ("scan", "upper_bound")
+        # z_size 3 is below the library too, but the witness fits in it
+        status, out = run(
+            ["ext-solve", "--input", inst, "--config", "z_size=3"], capsys
+        )
+        assert status == 0
+        report = json.loads(out)
+        assert (report["diagnostics"]["path"], report["label"]) == ("library", "exact")
         status, out = run(["ext-solve", "--input", inst], capsys)
         assert status == 0
         report = json.loads(out)

@@ -372,12 +372,12 @@ class TestUniverseFirst:
         assert point.rate == pytest.approx(full, abs=1e-8)
         # the Wyner-Ziv search's solution misses D_e, and its bound holds for R
         ba = encoder_active_library()
-        bound, primal = solver_module._dual_search(ba, 1e-10, True)
+        bound, primal = solver_module._dual_search(ba, 1e-10)
         assert primal.costs[1] > de_t + 1e-3
         assert bound <= full + 1e-9
         # the full-library solve settles the point, with a bound below R
         bound, primal, _ = solver_module._universe_solve(
-            src.pxy, list(ba.costs), [dd_t, de_t], SolveConfig(), 5, True
+            src.pxy, list(ba.costs), [dd_t, de_t], SolveConfig(), 5
         )
         assert primal.value == pytest.approx(full, abs=1e-8)
         assert bound <= full + 1e-9
@@ -578,6 +578,61 @@ class TestLibraryPath:
         assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
         if de_scale is None:
             assert point.rate == pytest.approx(r_wz(src, spec, dd_t), abs=1e-9)
+
+
+def ternary_instance():
+    """A 2x2x3 instance with 9 library columns, drawn from the seed of the
+    ``rng`` fixture: (src, spec)."""
+    rng = np.random.default_rng(20240817)
+    pxy = rng.random((2, 2)) + 0.1
+    pxy /= pxy.sum()
+    dd = rng.random((2, 3))
+    dd[0, 0] = dd[1, 1] = 0.0
+    de = rng.random((3, 3))
+    np.fill_diagonal(de, 0.0)
+    return JointSource.from_pxy(pxy), DistortionSpec(xhat_size=3, dd=dd, de=de)
+
+
+class TestBelowTheBound:
+    def test_scan_never_undercuts_the_certified_bound(self):
+        # a candidate counts only within 1e-12 of every target, so even the
+        # full scan of this library stays at or above its certified bound
+        src, spec = ternary_instance()
+        _, rows = base_library(src, spec)
+        cons = [np.ascontiguousarray(r.T) for r in rows]
+        targets = [0.1, 0.0]
+        bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets, SolveConfig(), 5)
+        cands = solver_module._candidate_array(len(rows[0]), 5, 10**6)
+        full, _, _ = solver_module.scan_candidates(
+            solver_module._InnerProblem(src.pxy, 5), cons, cands, targets, SolveConfig()
+        )
+        assert full.rate >= bound - 1e-9
+
+    def test_rate_never_rises_with_z_size(self):
+        src, spec = ternary_instance()
+        rates = [solve_rate(src, spec, 0.1, 0.05, SolveConfig(z_size=z)).rate for z in range(2, 6)]
+        assert all(b <= a + 1e-10 for a, b in zip(rates, rates[1:]))
+
+    def test_exact_below_the_bound_is_the_rate(self):
+        # the full-library bound holds at every z_size, so a point within
+        # 1e-7 of it is "exact" below the cardinality bound too, and then
+        # it is the unrestricted rate; a scan never undercuts that rate
+        src, spec = ternary_instance()
+        cases = [(src, spec, 0.15, 0.1), (src, spec, 0.1, 0.05)]
+        for seed in range(3):
+            src, spec, dd_t = encoder_active_instance(seed, 2)
+            cases.append((src, spec, dd_t, 0.02))
+        exact = 0
+        for src, spec, dd_t, de_t in cases:
+            rate = solve_rate(src, spec, dd_t, de_t).rate
+            for z_size in range(2, src.x_size + 3):
+                point = solve_rate(src, spec, dd_t, de_t, SolveConfig(z_size=z_size))
+                assert point.rate >= rate - 1e-9
+                if point.label == "exact":
+                    exact += 1
+                    assert point.rate == pytest.approx(rate, abs=1e-9)
+                    assert point.witness.z_size <= z_size
+        assert exact > 0
 
 
 @st.composite
@@ -802,15 +857,8 @@ class TestBeyondBinary:
         hxy = conditional_entropy_x_given_y(src)
         assert r_wz(src, spec, 0.08, CFG3) - 1e-6 <= point.rate <= hxy + 1e-6
 
-    def test_ternary_reconstruction_alphabet(self, rng):
-        pxy = rng.random((2, 2)) + 0.1
-        pxy /= pxy.sum()
-        src = JointSource.from_pxy(pxy)
-        dd = rng.random((2, 3))
-        dd[0, 0] = dd[1, 1] = 0.0
-        de = rng.random((3, 3))
-        np.fill_diagonal(de, 0.0)
-        spec = DistortionSpec(xhat_size=3, dd=dd, de=de)
+    def test_ternary_reconstruction_alphabet(self):
+        src, spec = ternary_instance()
         point = solve_rate(src, spec, 0.15, 0.1, SolveConfig(z_size=2))
         assert point.achieved_dd <= 0.15 + 1e-6
 
@@ -876,15 +924,11 @@ class TestScipyNames:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        # the 2x2x3 point of test_ternary_reconstruction_alphabet, below the bound
-        pxy = rng.random((2, 2)) + 0.1
-        pxy /= pxy.sum()
-        dd = rng.random((2, 3))
-        dd[0, 0] = dd[1, 1] = 0.0
-        de = rng.random((3, 3))
-        np.fill_diagonal(de, 0.0)
-        spec = DistortionSpec(xhat_size=3, dd=dd, de=de)
-        solve_rate(JointSource.from_pxy(pxy), spec, 0.15, 0.1, SolveConfig(z_size=2))
+        # an encoder-active 2x2x3 point below the bound whose certified
+        # witness does not fit in z_size 2, so the scan solves candidates
+        src, spec, dd_t = encoder_active_instance(2, 2)
+        point = solve_rate(src, spec, dd_t, 0.02, SolveConfig(z_size=2))
+        assert point.path == "scan"
         ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
         pz = rng.random((2, 2)) + 0.05
         pz /= pz.sum(axis=1, keepdims=True)
