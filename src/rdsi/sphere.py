@@ -16,11 +16,13 @@ over the whole codebook; decoding matches the side-information angle to
 sqrt(1 - 2^(-2 (R' - R))) within the sent bin.  Ties (measure zero in
 theory, possible in floats) go to the lowest codeword index.
 
-The simulation encodes its trials in blocks: one pass over the codebook,
-in row chunks of a few thousand codewords, scores every trial of a block
-with one matrix product per chunk, so the codebook is read once per block
-instead of once per trial.  Everything after the encoder's choice runs
-trial by trial in trial order, exactly as for a single trial.
+The codebook streams through a thread pool in row chunks of a few
+thousand codewords: the calling thread draws each chunk while workers
+normalise and score earlier ones, with one matrix product per chunk for
+a whole block of trials, so the codebook is read once per block (the
+first block while it is drawn).  Scores merge in chunk order, so no
+result depends on the number of workers.  Everything after the encoder's
+choice runs trial by trial in trial order, exactly as for a single trial.
 
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
@@ -32,6 +34,7 @@ blocked or not.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -75,11 +78,90 @@ def cap_exponent(tau: float) -> float:
     return 0.5 * math.log2(1.0 - tau * tau)
 
 
-def _sample_sphere_batch(count: int, n: int, radius: float, rng: np.random.Generator):
-    v = rng.standard_normal((count, n))
-    for lo in range(0, count, _ROW_CHUNK):  # in place: no second count x n array
+def _workers() -> int:
+    """Pool size: one worker per core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Search:
+    """For each row p of points, the index (best) of the codebook row z whose
+    cosine z.p / (radius |p|) is closest to target, filled in by _scan.
+
+    A single point gets numpy's matrix-vector product; for several, the
+    matrix product may round a cosine differently in the last bit, which
+    can only move a near-tie within one rounding error.
+    """
+
+    def __init__(self, points: np.ndarray, target: float, radius: float):
+        # per-point norm, rounded exactly as for a single point (an axis=1
+        # norm sums in another order)
+        self.scale = np.array([[radius * np.linalg.norm(p)] for p in points])
+        if not np.all(self.scale):
+            raise AssumptionError("cannot take angles with the zero vector")
+        self.points, self.target = points, target
+        self.best, self.best_err = np.zeros(len(points), np.intp), np.full(len(points), np.inf)
+
+    def score(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        err = self.points @ block.T
+        err /= self.scale
+        err -= self.target
+        np.abs(err, out=err)
+        idx = np.argmin(err, axis=1)
+        return idx, err[np.arange(len(idx)), idx]
+
+
+def _scan(v: np.ndarray, search: _Search | None, rng: np.random.Generator | None = None,
+          radius: float = 1.0) -> None:
+    """Stream the rows of v through a thread pool in _ROW_CHUNK-row chunks.
+
+    With rng, the calling thread fills the chunks in row order, continuing
+    one stream exactly as a single draw of v would, while workers scale
+    earlier chunks' rows to norm radius.  With search, workers score each
+    chunk, and the chunks merge in row order: a later chunk replaces a
+    point's best only when strictly closer, so ties go to the lowest index.
+    On any exception, queued chunks are cancelled and only running ones
+    awaited.
+    """
+
+    def drawn(chunks):
+        for lo in chunks:
+            if rng is not None:
+                rng.standard_normal(out=v[lo : lo + _ROW_CHUNK])
+            yield lo
+
+    def work(lo):
         block = v[lo : lo + _ROW_CHUNK]
-        block *= radius / np.linalg.norm(block, axis=1, keepdims=True)
+        if rng is not None:
+            block *= radius / np.linalg.norm(block, axis=1, keepdims=True)
+        return search.score(block) if search else None
+
+    chunks = range(0, len(v), _ROW_CHUNK)
+    if len(chunks) <= 1:  # nothing to overlap: a worker would only add its start-up
+        scored = [work(lo) for lo in drawn(chunks)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(_workers())
+        try:
+            futures = [pool.submit(work, lo) for lo in drawn(chunks)]
+            scored = [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown()
+    if search:
+        for lo, (idx, err) in zip(chunks, scored):
+            closer = err < search.best_err
+            search.best_err[closer] = err[closer]
+            search.best[closer] = lo + idx[closer]
+
+
+def _sample_sphere_batch(count: int, n: int, radius: float, rng: np.random.Generator,
+                         search: _Search | None = None) -> np.ndarray:
+    v = np.empty((count, n))
+    _scan(v, search, rng, radius)
     return v
 
 
@@ -217,12 +299,14 @@ class Codebook:
         return lo, hi
 
 
-def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None) -> Codebook:
+def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None,
+                   _search: _Search | None = None) -> Codebook:
     """Draw the codebook and bin layout for a configuration.
 
     Deterministic given cfg.seed when rng is omitted.  Raises when the
     codebook size would exceed cfg.codebook_cap, reporting the largest
-    feasible blocklength instead of silently truncating.
+    feasible blocklength instead of silently truncating.  _search (for
+    run_simulation) is scored over the codebook while it is drawn.
     """
     size_log = cfg.n * cfg.rate_fine
     if size_log > math.log2(cfg.codebook_cap):
@@ -238,7 +322,7 @@ def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None) -> Co
     )
     if rng is None:
         rng = _rng(cfg.seed, 0)
-    vectors = _sample_sphere_batch(total, cfg.n, math.sqrt(cfg.n * cfg.var_z), rng)
+    vectors = _sample_sphere_batch(total, cfg.n, math.sqrt(cfg.n * cfg.var_z), rng, _search)
     return Codebook(vectors=vectors, n_bins=n_bins, bin_size=bin_size, _owned=True)
 
 
@@ -257,40 +341,13 @@ class DecodeResult:
     recon_decoder: np.ndarray
 
 
-def _closest_angle(vectors: np.ndarray, points: np.ndarray, target: float,
-                   radius: float) -> np.ndarray:
-    """For each row p of points, the index of the row z of vectors whose
-    cosine z.p / (radius |p|) is closest to target; ties go to the lowest
-    index.
-
-    The rows of vectors are scored in chunks with one matrix product per
-    chunk, so they are read once for all points; a later chunk replaces a
-    point's best only when strictly closer.  A single point gets numpy's
-    matrix-vector product; for several, the matrix product may round a
-    cosine differently in the last bit, which can only move a near-tie
-    within one rounding error.
-    """
-    # per-point norm, rounded exactly as for a single point (an axis=1
-    # norm sums in another order)
-    scale = np.empty((len(points), 1))
-    for j, p in enumerate(points):
-        scale[j] = radius * np.linalg.norm(p)
-    if not np.all(scale):
-        raise AssumptionError("cannot take angles with the zero vector")
-    rows = np.arange(len(points))
-    best = np.zeros(len(points), dtype=np.intp)
-    best_err = np.full(len(points), np.inf)
-    for lo in range(0, len(vectors), _ROW_CHUNK):
-        err = points @ vectors[lo : lo + _ROW_CHUNK].T
-        err /= scale
-        err -= target
-        np.abs(err, out=err)
-        idx = np.argmin(err, axis=1)
-        err_min = err[rows, idx]
-        closer = err_min < best_err
-        best_err[closer] = err_min[closer]
-        best[closer] = lo + idx[closer]
-    return best
+def _encoded(best: np.ndarray, xs: np.ndarray, cb: Codebook,
+             cfg: SimConfig) -> list[EncodeResult]:
+    return [
+        EncodeResult(bin_index=cb.bin_of(i), codeword_index=i, codeword=cb.vectors[i],
+                     recon_encoder=cb.vectors[i] + cfg.params.b * x)
+        for i, x in zip(map(int, best), xs)
+    ]
 
 
 def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[EncodeResult]:
@@ -302,19 +359,9 @@ def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[E
     pass over the codebook.
     """
     xs = np.atleast_2d(x)
-    radius = math.sqrt(cfg.n * cfg.var_z)
-    results = []
-    for idx, row in zip(_closest_angle(cb.vectors, xs, cfg.enc_target, radius), xs):
-        idx = int(idx)
-        z_star = cb.vectors[idx]
-        results.append(
-            EncodeResult(
-                bin_index=cb.bin_of(idx),
-                codeword_index=idx,
-                codeword=z_star,
-                recon_encoder=z_star + cfg.params.b * row,
-            )
-        )
+    search = _Search(xs, cfg.enc_target, math.sqrt(cfg.n * cfg.var_z))
+    _scan(cb.vectors, search)
+    results = _encoded(search.best, xs, cb, cfg)
     return results if np.ndim(x) == 2 else results[0]
 
 
@@ -323,8 +370,9 @@ def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
     decoding target; reconstruct as zhat + b y."""
     lo, hi = cb.bin_bounds(m)
     assert hi > lo, "selected bin is empty (cannot occur for an encoder-chosen bin)"
-    radius = math.sqrt(cfg.n * cfg.var_z)
-    idx = lo + int(_closest_angle(cb.vectors[lo:hi], y[np.newaxis], cfg.dec_target, radius)[0])
+    search = _Search(y[np.newaxis], cfg.dec_target, math.sqrt(cfg.n * cfg.var_z))
+    _scan(cb.vectors[lo:hi], search)
+    idx = lo + int(search.best[0])
     z_hat = cb.vectors[idx]
     return DecodeResult(
         codeword_index=idx,
@@ -376,10 +424,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     * dec1: chosen codeword angle with y off the decoding target (band 4 eps);
     * dec2: decoder picked a different codeword than the encoder.
 
-    Trials are encoded _TRIAL_BLOCK at a time in one pass over the codebook;
-    the rest of each trial, and every sum, runs in trial order.
+    Trials are encoded _TRIAL_BLOCK at a time in one pass over the codebook,
+    the first block while the codebook is drawn; the rest of each trial, and
+    every sum, runs in trial order.
     """
-    cb = build_codebook(cfg)
     n = cfg.n
     var_y = cfg.var_x + cfg.var_u
     rho_xy = math.sqrt(cfg.var_x / var_y)
@@ -392,7 +440,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     for t in range(cfg.trials):
         if t % _TRIAL_BLOCK == 0:
             pairs = [_draw_trial(cfg, s) for s in range(t, min(t + _TRIAL_BLOCK, cfg.trials))]
-            encs = encode(np.stack([x for x, _ in pairs]), cb, cfg)
+            xs = np.stack([x for x, _ in pairs])
+            if t == 0:
+                first = _Search(xs, cfg.enc_target, math.sqrt(n * cfg.var_z))
+                cb = build_codebook(cfg, _search=first)
+                encs = _encoded(first.best, xs, cb, cfg)
+            else:
+                encs = encode(xs, cb, cfg)
         (x, u), enc = pairs[t % _TRIAL_BLOCK], encs[t % _TRIAL_BLOCK]
         y = x + u
         dec = decode(enc.bin_index, y, cb, cfg)

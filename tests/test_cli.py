@@ -421,6 +421,11 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert result["report"]["diagnostics"]["path"] == "library"
         assert "scipy.optimize" not in loaded["discrete-solve"]
 
+    def test_cold_import_loads_no_thread_pool(self):
+        # the codebook's thread pool is imported on the first multi-chunk scan
+        probe = "import sys, rdsi.cli; print('concurrent.futures' in sys.modules)"
+        assert fresh_python("-c", probe) == "False\n"
+
     def test_first_calls_match_in_process(self, tmp_path, capsys):
         # sphere-sim loads no scipy function; cap_ratio is betainc's first
         # call, reduce-u that of linprog and nnls

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -345,6 +347,100 @@ def reference_simulation(cfg):
         *(cond_sums / n_clean if n_clean else (nan, nan)),
         *(decoded_sums / n_decoded if n_decoded else (nan, nan)),
     )
+
+
+def same_result(got, want):
+    for field in dataclasses.fields(SimResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+
+
+class Interrupt(BaseException):
+    """Stands in for a timeout or Ctrl-C arriving mid-stream."""
+
+
+class TestStreamedCodebook:
+    def test_chunked_draw_matches_one_shot(self):
+        # 2^12.5 -> 5793 codewords: two full row chunks and a ragged one
+        cfg = small_cfg(n=25)
+        cb = build_codebook(cfg)
+        assert cb.size > sphere._ROW_CHUNK and cb.size % sphere._ROW_CHUNK
+        v = _rng(cfg.seed, 0).standard_normal((cb.size, cfg.n))
+        v *= math.sqrt(cfg.n * cfg.var_z) / np.linalg.norm(v, axis=1, keepdims=True)
+        assert cb.vectors.tobytes() == v.tobytes()
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        cfg = small_cfg(n=25, trials=sphere._TRIAL_BLOCK + 13, seed=6)
+        real_build = sphere.build_codebook
+        ys = _rng(7).standard_normal((3, cfg.n))
+
+        def run(workers):
+            books = []
+
+            def build(*args, **kwargs):
+                books.append(real_build(*args, **kwargs))
+                return books[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(sphere, "_workers", lambda: workers)
+                m.setattr(sphere, "build_codebook", build)
+                result = run_simulation(cfg)
+                # a single bin spanning every chunk sends decode through the pool
+                one_bin = Codebook(books[0].vectors, n_bins=1, bin_size=books[0].size)
+                decoded = [decode(0, y, one_bin, cfg).codeword_index for y in ys]
+            return result, books[0].vectors.tobytes(), decoded
+
+        result, book, decoded = run(1)
+        assert len(book) == 5793 * cfg.n * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (3, 2):
+                other, other_book, other_decoded = run(workers)
+                same_result(other, result)
+                assert other_book == book
+                assert other_decoded == decoded
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["draw", "score"])
+    def test_interrupt_cancels_queued_chunks_and_joins_workers(self, monkeypatch, where):
+        # 2^16 codewords: 32 row chunks
+        cfg = small_cfg(n=32, trials=4)
+        baseline = threading.active_count()
+        real_rng, real_score = sphere._rng, sphere._Search.score
+        draws, scores = [], []  # list.append is atomic across threads
+        release = threading.Event()
+
+        class Stream:  # the codebook's stream, interrupted at its 20th chunk
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(1)
+                if len(draws) == 20:
+                    release.set()
+                    if where == "draw":
+                        raise Interrupt
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def score(search, block):
+            # workers hold their first chunks until the interruption
+            scores.append(1)
+            assert release.wait(timeout=60)
+            if where == "score":
+                raise Interrupt
+            return real_score(search, block)
+
+        monkeypatch.setattr(sphere, "_workers", lambda: 2)
+        monkeypatch.setattr(sphere, "_rng", lambda *key: (
+            Stream(real_rng(*key)) if key == (cfg.seed, 0) else real_rng(*key)))
+        monkeypatch.setattr(sphere._Search, "score", score)
+        with pytest.raises(Interrupt):
+            run_simulation(cfg)
+        assert threading.active_count() == baseline
+        if where == "draw":  # chunks still queued at the interruption were never scored
+            assert len(scores) < len(draws) - 1
 
 
 class TestRunSimulation:
