@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,18 +60,6 @@ def _parse_config_value(raw: str):
         except ValueError:
             continue
     return raw
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation: subcommand, paths, seed, and config overrides."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    format: str = "csv"
-    config: tuple = field(default_factory=tuple)
 
 
 class _Config:
@@ -179,13 +166,12 @@ def load_extended_instance(path):
     return src, ext, data
 
 
-_SOLVE_KEYS = ("z_size", "inner_tolerance", "enumeration_cap")
+_SOLVE_KEYS = ("z_size", "enumeration_cap")
 
 
 def _solve_config(cfg: _Config) -> SolveConfig:
     return SolveConfig(
         z_size=cfg.get_int("z_size"),
-        inner_tolerance=cfg.get_float("inner_tolerance", 1e-7),
         enumeration_cap=cfg.get_int("enumeration_cap", 1_000_000),
     )
 
@@ -364,7 +350,6 @@ def cmd_ext_solve(args, cfg: _Config) -> str:
         ExtSolveConfig(
             u_size=cfg.get_int("u_size"),
             z_size=cfg.get_int("z_size"),
-            inner_tolerance=cfg.get_float("inner_tolerance", 1e-7),
             enumeration_cap=cfg.get_int("enumeration_cap", 1_000_000),
         ),
     )
@@ -447,22 +432,14 @@ def _emit(text: str, output: str | None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        format=args.format,
-        config=tuple(args.config),
-    )
-    command, keys = _COMMANDS[manifest.subcommand]
+    command, keys = _COMMANDS[args.subcommand]
     try:
-        text = command(manifest, _Config(manifest.config, keys))
+        text = command(args, _Config(args.config, keys))
     except RdsiError as exc:
         error = {"error": {"kind": exc.kind, "message": str(exc)}}
-        _emit(_json_report(error, manifest.seed), manifest.output)
+        _emit(_json_report(error, args.seed), args.output)
         return exc.exit_status
-    _emit(text, manifest.output)
+    _emit(text, args.output)
     return 0
 
 

@@ -71,14 +71,10 @@ class ExtSolveConfig:
 
     u_size: int | None = None
     z_size: int | None = None
-    inner_tolerance: float = 1e-7
     enumeration_cap: int = 1_000_000
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            inner_tolerance=self.inner_tolerance,
-            enumeration_cap=self.enumeration_cap,
-        )
+        return SolveConfig(enumeration_cap=self.enumeration_cap)
 
 
 @dataclass(frozen=True)
@@ -303,29 +299,24 @@ def _grouped_point(src, ext, targets, z_size, u_size, cfg) -> ExtRatePoint:
     lib = np.asarray(costs).transpose(1, 2, 0, 3).reshape(kk, src.x_size, n_sig * u_size)
     cols = (cands[:, :, None] * u_size + np.arange(u_size)).reshape(len(cands), ncols)
     floor, bound, mass, u_iters = -math.inf, -math.inf, None, 0
-    scfg = cfg.solve_config()
     if n_sig > m:
         universe = _InnerProblem(
             src.pxy, n_sig * u_size, col_group=np.repeat(np.arange(n_sig), u_size)
         )
         # only a floor: SLSQP often ends ~1e-9 outside the polytope on this
         # many columns, and a floor lost to that sends the scan through every candidate
-        u_res = solve_constrained(
-            universe, list(lib), list(targets), scfg,
-            feasibility_tol=10 * scfg.inner_tolerance,
-        )
+        u_res = solve_constrained(universe, list(lib), list(targets), feasibility_tol=1e-6)
         if u_res.status == "infeasible":
             raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")
         bound = u_res.lower_bound  # the penalty iteration's certified bound
         if u_res.status == "optimal":
-            # the universe's primal value, not a certified bound: its
-            # conditional-gradient gap is ~3e-7 bits on small instances,
-            # and a floor that far down would send the scan through every
-            # candidate
+            # the universe's primal value, not a certified bound: the
+            # penalty bound lies far below it, and a floor that far down
+            # would send the scan through every candidate
             floor = u_res.rate
         mass, u_iters = universe.px @ u_res.channel, u_res.iterations
     best, best_idx, total_iters = scan_candidates(
-        problem, list(lib), cols, list(targets), scfg, floor, mass
+        problem, list(lib), cols, list(targets), floor, mass
     )
     if best is None:
         raise InfeasibleError("no rule pair meets the targets at this (z_size, u_size)")

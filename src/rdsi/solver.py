@@ -63,12 +63,13 @@ budget, candidates are enumerated.  Each is solved by conditional
 gradient (Frank-Wolfe) over the product of row simplices with a staged
 quadratic penalty for the distortion constraints; the linearization
 minimum along the way is a certified lower bound on the candidate's
-constrained optimum (used to prune candidates against the incumbent), and
-an SLSQP step on the exactly constrained problem usually lands within
-~1e-9 bits of the candidate optimum (the penalty iteration alone stalls
-around 1e-4), though on a candidate of many columns it can stall far
-above it.  A candidate counts only if it meets every target within 1e-12.
-Joint feasibility is certified by a small linear program.
+constrained optimum, which prunes candidates against the incumbent and
+gives the candidate's gap (its rate minus that bound).  An SLSQP step on
+the exactly constrained problem then usually lands within ~1e-9 bits of
+the candidate optimum (the penalty iteration alone stalls around 1e-4),
+though on a candidate of many columns it can stall far above it.  A
+candidate counts only if it meets every target within 1e-12.  Joint
+feasibility is certified by a small linear program.
 
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
@@ -87,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import linprog, minimize, minimize_scalar, xlogy
+from ._scipy import linprog, minimize, xlogy
 from .caratheodory import ConvexCombination, caratheodory_support
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
@@ -96,7 +97,6 @@ from .model import (
     JointSource,
     TestChannel,
     check_zero_distortion_assumption,
-    conditional_entropy_x_given_y,
     require_valid_source,
 )
 
@@ -105,7 +105,8 @@ _PRUNE_MARGIN = 1e-7
 _STOP_TOL = 1e-8
 _TIE_EPS = 1e-12
 _EXACT_GAP = 1e-7  # certified gap (bits) below which a full-library point is "exact"
-_UNIVERSE_GAP = 1e-3  # full-library target gap, as a fraction of inner_tolerance
+_FW_GAP = 1e-7  # Frank-Wolfe gap (bits) that ends a penalty stage of a candidate
+_UNIVERSE_GAP = 1e-10  # full-library target gap (bits)
 _BA_MAX_ITERS = 50_000  # Blahut-Arimoto iterations per multiplier value
 _BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
 _BA_PER_CANDIDATE = 300  # per candidate of the scan it may spare
@@ -130,8 +131,7 @@ _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 class SolveConfig:
     """Solver knobs.  z_size = None means the cardinality bound |X| + 3.
 
-    inner_tolerance also sets the full-library solve's target gap (1e-3 of
-    it).  enumeration_cap limits the candidate scan, which runs where the
+    enumeration_cap limits the candidate scan, which runs where the
     certified full-library witness does not fit in z_size, or where that
     solve cannot settle its point (no certificate within its iteration
     budget).  Below the cardinality bound the cap is checked before any
@@ -139,14 +139,11 @@ class SolveConfig:
     """
 
     z_size: int | None = None
-    inner_tolerance: float = 1e-7
     enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
         if self.z_size is not None and self.z_size < 1:
             raise InvalidInstanceError("z_size must be at least 1")
-        if self.inner_tolerance <= 0:
-            raise InvalidInstanceError("inner_tolerance must be positive")
         if self.enumeration_cap < 1:
             raise InvalidInstanceError("enumeration cap must be positive")
 
@@ -180,7 +177,11 @@ class RatePoint:
 
 @dataclass
 class InnerResult:
-    """Outcome of one inner minimization for fixed reconstruction rules."""
+    """Outcome of one inner minimization for fixed reconstruction rules.
+
+    ``lower_bound`` is the penalty iteration's certified bound on the
+    constrained optimum, and ``gap`` the rate above it, never negative.
+    """
 
     status: str  # "optimal" | "infeasible" | "max_iterations" | "pruned"
     channel: np.ndarray | None = None
@@ -309,7 +310,7 @@ def _feasibility_lp(cons, targets, nx, ncols):
     return np.maximum(res.x.reshape(nx, ncols), 0.0)
 
 
-def _fw_single(problem, cons, targets, p0, cfg):
+def _fw_single(problem, cons, targets, p0):
     """Penalized Frank-Wolfe warm-up for one candidate."""
     p = p0.copy()
     lb = -math.inf
@@ -329,66 +330,13 @@ def _fw_single(problem, cons, targets, p0, cfg):
             s[np.arange(p.shape[0]), np.argmin(gpen, axis=1)] = 1.0
             gap = float((gpen * (p - s)).sum())
             lb = max(lb, fpen - gap)
-            if gap <= cfg.inner_tolerance:
+            if gap <= _FW_GAP:
                 break
             p = p + (2.0 / (j + 3.0)) * (s - p)
-    return p, lb, gap, iters
+    return p, lb, iters
 
 
-def _lmo_lp(grad, cons, targets, nx, ncols):
-    """Linear minimization over the exact feasible polytope (a vertex)."""
-    nvar = nx * ncols
-    a_ub = np.stack([c.ravel() for c in cons]) if cons else None
-    b_ub = np.asarray(targets, dtype=float) if cons else None
-    a_eq = np.zeros((nx, nvar))
-    for x in range(nx):
-        a_eq[x, x * ncols : (x + 1) * ncols] = 1.0
-    res = linprog(
-        grad.ravel(),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.ones(nx),
-        bounds=[(0.0, 1.0)] * nvar,
-        method="highs",
-    )
-    if not res.success:
-        return None
-    return np.maximum(res.x.reshape(nx, ncols), 0.0)
-
-
-def _certified_refine(problem, cons, targets, p, tol, max_rounds=60):
-    """Conditional-gradient tail on the exactly constrained problem.
-
-    Starting from a (near-)feasible point, each round takes the linear
-    minimization oracle over the true polytope and an exact line search;
-    the linearization gap certifies the distance to the candidate optimum.
-    Returns (point, certified gap).
-    """
-    gap = math.inf
-    for _ in range(max_rounds):
-        f, grad = problem.value_and_grad(p)
-        vertex = _lmo_lp(grad, cons, targets, *p.shape)
-        if vertex is None:
-            break
-        direction = vertex - p
-        gap = float(-(grad * direction).sum())
-        if gap <= tol:
-            break
-        line = minimize_scalar(
-            lambda t: problem.value(p + t * direction),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        step = float(line.x)
-        if step <= 0.0:
-            break
-        p = p + step * direction
-    return p, gap
-
-
-def _slsqp_polish(problem, cons, targets, p0, cfg):
+def _slsqp_polish(problem, cons, targets, p0):
     """Exactly-constrained refinement of a Frank-Wolfe iterate."""
     nx, ncols = p0.shape
     nvar = nx * ncols
@@ -424,11 +372,14 @@ def _slsqp_polish(problem, cons, targets, p0, cfg):
     return p / sums
 
 
+def _violation(cons, targets, p) -> float:
+    return max((max((c * p).sum() - t, 0.0) for c, t in zip(cons, targets)), default=0.0)
+
+
 def solve_constrained(
     problem: _InnerProblem,
     cons: list[np.ndarray],
     targets: list[float],
-    cfg: SolveConfig,
     best_bound: float | None = None,
     skip_lp: bool = False,
     feasibility_tol: float = 1e-12,
@@ -437,12 +388,13 @@ def solve_constrained(
 
     Feasibility is certified by a linear program (lazily when skip_lp is
     set: only if the penalty loop fails to reach a near-feasible point);
-    the penalized Frank-Wolfe loop provides a warm start and a lower bound
-    used to prune against best_bound; SLSQP then enforces the constraints
-    exactly and drives the objective to the candidate optimum.  A point
-    counts as feasible only if it meets every target within
-    feasibility_tol: by default 1e-12, as on the full-library path, so
-    that no candidate undercuts the certified bound by overshooting a
+    the penalized Frank-Wolfe loop provides a warm start and a certified
+    lower bound on the candidate's optimum, used to prune against
+    best_bound; SLSQP then enforces the constraints exactly and drives the
+    objective to the candidate optimum.  The result's gap is its rate minus
+    that bound.  A point counts as feasible only if it meets every target
+    within feasibility_tol: by default 1e-12, as on the full-library path,
+    so that no candidate undercuts the certified bound by overshooting a
     target.
     """
     nx = problem.pxy.shape[0]
@@ -460,50 +412,31 @@ def solve_constrained(
             return InnerResult(status="infeasible")
         lp_start = 0.98 * feasible + 0.02 * uniform
 
-    p, lb, gap, iters = _fw_single(
-        problem, cons, targets, lp_start if lp_start is not None else uniform, cfg
+    p, lb, iters = _fw_single(
+        problem, cons, targets, lp_start if lp_start is not None else uniform
     )
     if best_bound is not None and lb > best_bound + _PRUNE_MARGIN:
         return InnerResult(status="pruned", lower_bound=lb, iterations=iters)
 
-    viol = max(
-        (max((c * p).sum() - t, 0.0) for c, t in zip(cons, targets)), default=0.0
-    )
+    viol = _violation(cons, targets, p)
     if viol > 1e-6 and lp_start is None:
         feasible = _feasibility_lp(cons, targets, nx, ncols)
         if feasible is None:
             return InnerResult(status="infeasible")
         lp_start = 0.98 * feasible + 0.02 * uniform
 
-    # exact stage: SLSQP from the penalty iterate (and from the LP point,
-    # whose basin sometimes differs), then a conditional-gradient tail on
-    # the true polytope whose linearization gap certifies the result
-    best_p = None
-    best_value = math.inf
-    starts = [p] + ([lp_start] if lp_start is not None else [])
-    for start in starts:
-        candidate = _slsqp_polish(problem, cons, targets, start, cfg)
+    # exact stage: SLSQP from the penalty iterate and from the LP point,
+    # whose basin sometimes differs
+    status, best_value = "max_iterations", math.inf
+    for start in [p] + ([lp_start] if lp_start is not None else []):
+        candidate = _slsqp_polish(problem, cons, targets, start)
         value = problem.value(candidate)
-        overshoot = max(
-            (max((c * candidate).sum() - t, 0.0) for c, t in zip(cons, targets)),
-            default=0.0,
-        )
+        overshoot = _violation(cons, targets, candidate)
         if overshoot <= feasibility_tol and value < best_value:
-            best_p, best_value = candidate, value
-    if best_p is None:
-        return InnerResult(
-            status="max_iterations", channel=p, rate=max(problem.value(p), 0.0),
-            gap=gap, violation=viol, iterations=iters, lower_bound=lb,
-        )
-    refine_tol = min(cfg.inner_tolerance, 1e-8)
-    best_p, gap = _certified_refine(problem, cons, targets, best_p, refine_tol)
-    rate = max(problem.value(best_p), 0.0)
-    viol = max(
-        (max((c * best_p).sum() - t, 0.0) for c, t in zip(cons, targets)), default=0.0
-    )
-    status = "optimal" if viol <= feasibility_tol else "max_iterations"
+            status, p, viol, best_value = "optimal", candidate, overshoot, value
+    rate = max(problem.value(p), 0.0)
     return InnerResult(
-        status=status, channel=best_p, rate=rate, gap=gap,
+        status=status, channel=p, rate=rate, gap=max(rate - lb, 0.0),
         violation=viol, iterations=iters, lower_bound=lb,
     )
 
@@ -515,25 +448,24 @@ def inner_minimize(
     de_target: float,
     phi: np.ndarray,
     psi: np.ndarray,
-    cfg: SolveConfig | None = None,
 ) -> InnerResult:
     """Constrained convex minimization over P_{Z|X} for fixed rules.
 
     Returns the optimal channel and rate for this (phi, psi), an infeasible
     status when no channel meets both targets, or a flagged result carrying
-    the best iterate and gap bound on non-convergence.
+    the best iterate on non-convergence.  Either carries the penalty
+    iteration's certified lower bound and the rate's gap above it.
     """
-    cfg = cfg or SolveConfig()
     phi = np.asarray(phi, dtype=np.int64)
     psi = np.asarray(psi, dtype=np.int64)
     a_cols, e_cols = _cost_tables(src.pxy, spec, phi, psi)
     problem = _InnerProblem(src.pxy, a_cols.shape[1])
     return solve_constrained(
-        problem, [a_cols, e_cols], [float(dd_target), float(de_target)], cfg
+        problem, [a_cols, e_cols], [float(dd_target), float(de_target)]
     )
 
 
-def scan_candidates(problem, cons, cands, targets, cfg, floor=-math.inf, mass=None):
+def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     """Exactly solve rule candidates, stopping as early as possible.
 
     cons: one (X, N) constraint matrix per target over the complete column
@@ -561,7 +493,7 @@ def scan_candidates(problem, cons, cands, targets, cfg, floor=-math.inf, mass=No
         if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cand_cons, targets)):
             continue  # even the per-x cheapest columns miss a target
         res = solve_constrained(
-            problem, cand_cons, targets, cfg,
+            problem, cand_cons, targets,
             best_bound=None if best is None else best.rate,
             skip_lp=True,
         )
@@ -933,7 +865,7 @@ def _dual_search(ba: _LibraryBA, tol: float):
     return bound, _mix(ba, lo, hi)
 
 
-def _universe_solve(pxy, cons, targets, cfg, m):
+def _universe_solve(pxy, cons, targets, m):
     """Certified minimum over the full column library, which the scan over
     its m-column subsets would otherwise enumerate.
 
@@ -944,27 +876,26 @@ def _universe_solve(pxy, cons, targets, cfg, m):
     certified at all multipliers, settles R or at least raises the bound.
     Returns (lower bound, primal iterate or None if it misses a target, BA
     iterations, certificate steps included).  The search aims at a gap of
-    _UNIVERSE_GAP times inner_tolerance.  It stops early after
-    _BA_PER_CANDIDATE BA iterations per candidate of that scan, at most
-    _BA_BUDGET, so that a hard instance with few candidates falls back to
-    the scan quickly; the bound is certified either way.
+    _UNIVERSE_GAP bits.  It stops early after _BA_PER_CANDIDATE BA
+    iterations per candidate of that scan, at most _BA_BUDGET, so that a
+    hard instance with few candidates falls back to the scan quickly; the
+    bound is certified either way.
     """
     count = math.comb(cons[0].shape[1], m)
     ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, _BA_PER_CANDIDATE * count))
-    tol = _UNIVERSE_GAP * cfg.inner_tolerance
-    bound, primal = _dual_search(ba, tol)
+    bound, primal = _dual_search(ba, _UNIVERSE_GAP)
     if np.any(primal.costs > ba.targets + 1e-12):
         # the encoder constraint binds: a support solve with every positive
         # target held, from the Wyner-Ziv solution and the last BA iterate,
         # certified at all multipliers
         active = list(np.flatnonzero(ba.targets > 0.0))
         start = 0.5 * (primal.channel + ba.last.channel)
-        got = _settle(ba, start, ba.last.logp, active, tol)
+        got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
         if got is None:
             # no support there reaches every target: add a vertex that does
             vertex = _feasibility_lp(list(ba.costs), ba.targets, *start.shape)
             if vertex is not None:
-                got = _settle(ba, vertex, ba.last.logp, active, tol)
+                got = _settle(ba, vertex, ba.last.logp, active, _UNIVERSE_GAP)
         if got is not None:
             bound = max(bound, got[0])
             primal = got[1]
@@ -1104,7 +1035,7 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     at_bound = z_size >= min(z_bound, n_sig)
     # the scan's size is checked before the solve below the bound
     cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
-    floor, primal, iters = _universe_solve(src.pxy, cons, targets, cfg, m)
+    floor, primal, iters = _universe_solve(src.pxy, cons, targets, m)
     if primal is not None and primal.value - floor <= _EXACT_GAP:
         cols, channel = _caratheodory_witness(src, cons, primal.channel)
         if at_bound or len(cols) <= z_size:
@@ -1113,7 +1044,7 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     if cands is None:
         cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     best, best_idx, scan_iters = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, targets, cfg, floor, mass
+        _InnerProblem(src.pxy, m), cons, cands, targets, floor, mass
     )
     if best is None:
         return None
@@ -1406,8 +1337,3 @@ def tradeoff_sweep(
                 row.append(SweepCell(dd_t, de_t, error=str(exc)))
         out.append(row)
     return out
-
-
-def h_x_given_y_bits(src: JointSource) -> float:
-    """Convenience re-export of the conditional entropy bound."""
-    return conditional_entropy_x_given_y(src)

@@ -171,11 +171,13 @@ class TestDiscreteSolve:
         assert status == 2
         status, _ = run(["reduce-u", "--input", inst, "--config", "z_size=3"], capsys)
         assert status == 2
-        # the inner solve's iteration stages are fixed: no inner_max_iters key
-        for sub in ("discrete-solve", "ext-solve"):
-            status, out = run([sub, "--input", inst, "--config", "inner_max_iters=5"], capsys)
-            assert status == 2
-            assert "inner_max_iters" in json.loads(out)["error"]["message"]
+        # the inner solve's iteration stages and tolerances are fixed: no
+        # inner_max_iters or inner_tolerance key
+        for key, value in (("inner_max_iters", "5"), ("inner_tolerance", "1e-7")):
+            for sub in ("discrete-solve", "ext-solve"):
+                status, out = run([sub, "--input", inst, "--config", f"{key}={value}"], capsys)
+                assert status == 2
+                assert key in json.loads(out)["error"]["message"]
 
     def test_baselines_accept_z_size(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path)

@@ -161,6 +161,17 @@ class TestInnerMinimize:
         assert oracle >= res.rate - 1e-9
         assert abs(res.rate - oracle) <= 2e-3
 
+    def test_gap_is_the_rate_above_the_penalty_bound(self):
+        # the instance of test_matches_grid_oracle_for_fixed_rules
+        src = bsc_pair(0.25)
+        spec = hamming_spec()
+        phi = np.array([[0, 1], [0, 1]])
+        psi = np.array([[0, 1], [0, 1]])
+        res = inner_minimize(src, spec, 0.1, 0.3, phi, psi)
+        oracle = brute_force_oracle(src, spec, 0.1, 0.3, 2, 20, phi=phi, psi=psi)
+        assert res.lower_bound <= oracle + 1e-9
+        assert res.gap == max(res.rate - res.lower_bound, 0.0)
+
 
 class TestSolveRate:
     def test_guessing_meets_loose_dd(self):
@@ -342,7 +353,7 @@ def encoder_active_enumeration():
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
     cands = solver_module._candidate_array(len(sigs), 5, 10**6)
     full, _, _ = solver_module.scan_candidates(
-        solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t], SolveConfig()
+        solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t]
     )
     return full.rate
 
@@ -377,7 +388,7 @@ class TestUniverseFirst:
         assert bound <= full + 1e-9
         # the full-library solve settles the point, with a bound below R
         bound, primal, _ = solver_module._universe_solve(
-            src.pxy, list(ba.costs), [dd_t, de_t], SolveConfig(), 5
+            src.pxy, list(ba.costs), [dd_t, de_t], 5
         )
         assert primal.value == pytest.approx(full, abs=1e-8)
         assert bound <= full + 1e-9
@@ -494,7 +505,7 @@ def assert_matches_scan(value, cons, cands, target, src):
     """value against the candidate scan over the same columns: never above
     it, and below it by at most the scan's own certified gap."""
     old, _, _ = solver_module.scan_candidates(
-        solver_module._InnerProblem(src.pxy, cands.shape[1]), cons, cands, [target], SolveConfig()
+        solver_module._InnerProblem(src.pxy, cands.shape[1]), cons, cands, [target]
     )
     assert value <= old.rate + 1e-9
     assert old.rate - value <= max(old.gap, 0.0) + 1e-8
@@ -601,10 +612,10 @@ class TestBelowTheBound:
         _, rows = base_library(src, spec)
         cons = [np.ascontiguousarray(r.T) for r in rows]
         targets = [0.1, 0.0]
-        bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets, SolveConfig(), 5)
+        bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets, 5)
         cands = solver_module._candidate_array(len(rows[0]), 5, 10**6)
         full, _, _ = solver_module.scan_candidates(
-            solver_module._InnerProblem(src.pxy, 5), cons, cands, targets, SolveConfig()
+            solver_module._InnerProblem(src.pxy, 5), cons, cands, targets
         )
         assert full.rate >= bound - 1e-9
 
@@ -913,7 +924,6 @@ class TestScipyNames:
         hooked = (
             (solver_module, "linprog"),
             (solver_module, "minimize"),
-            (solver_module, "minimize_scalar"),
             (caratheodory_module, "linprog"),
         )
         for module, name in hooked:
