@@ -186,10 +186,13 @@ class InnerResult:
     status: str  # "optimal" | "infeasible" | "max_iterations" | "pruned"
     channel: np.ndarray | None = None
     rate: float = math.inf
-    gap: float = math.inf
     violation: float = math.inf
     iterations: int = 0
     lower_bound: float = -math.inf
+
+    @property
+    def gap(self) -> float:
+        return max(self.rate - self.lower_bound, 0.0)
 
 
 class _InnerProblem:
@@ -436,8 +439,8 @@ def solve_constrained(
             status, p, viol, best_value = "optimal", candidate, overshoot, value
     rate = max(problem.value(p), 0.0)
     return InnerResult(
-        status=status, channel=p, rate=rate, gap=max(rate - lb, 0.0),
-        violation=viol, iterations=iters, lower_bound=lb,
+        status=status, channel=p, rate=rate, violation=viol,
+        iterations=iters, lower_bound=lb,
     )
 
 
