@@ -22,7 +22,7 @@ import numpy as np
 
 from . import SPEC_VERSION
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, RdsiError
-from .extended import ExtSolveConfig, solve_rate_ext
+from .extended import solve_rate_ext
 from .gaussian import (
     GaussianProblem,
     NoCodingScheme,
@@ -345,14 +345,7 @@ def cmd_sphere_sim(args, cfg: _Config) -> str:
 
 def cmd_ext_solve(args, cfg: _Config) -> str:
     src, ext, _ = load_extended_instance(args.input)
-    point = solve_rate_ext(
-        src, ext,
-        ExtSolveConfig(
-            u_size=cfg.get_int("u_size"),
-            z_size=cfg.get_int("z_size"),
-            enumeration_cap=cfg.get_int("enumeration_cap", 1_000_000),
-        ),
-    )
+    point = solve_rate_ext(src, ext, _solve_config(cfg))
     report = {
         "subcommand": "ext-solve",
         "targets": point.targets.tolist(),
@@ -398,7 +391,7 @@ _COMMANDS = {
         cmd_sphere_sim,
         ("var_x", "var_u", "a", "b", "var_w", "dd", "de", "delta", "epsilon", "trials", "n"),
     ),
-    "ext-solve": (cmd_ext_solve, ("u_size",) + _SOLVE_KEYS),
+    "ext-solve": (cmd_ext_solve, _SOLVE_KEYS),
     "reduce-u": (cmd_reduce_u, ()),
     "wz": (cmd_wz, ("dd_target",) + _SOLVE_KEYS),
     "cr": (cmd_cr, ("dd_target",) + _SOLVE_KEYS),

@@ -25,8 +25,10 @@ subsets of distinct signatures of size min(z_size, #signatures) therefore
 covers every (phi, psi) pair; signatures with identical cost columns are
 further deduplicated, keeping the lexicographically smallest decoder
 column.  The same library serves the extended problem's K three-argument
-tables when at most one of them varies with the encoder letter
-(rdsi.extended).
+tables (rdsi.extended): there an encoder letter is dropped at (f, x) only
+when another matches or beats it on all K coefficients, so f carries one
+encoder column per choice of letters from those fronts, and just one when
+at most one table varies with the encoder letter.
 
 Rate zero.  A Z independent of X has rate 0; its distortions are one mix
 of the library columns' totals, and with two constraints one column or a
@@ -129,7 +131,9 @@ _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs.  z_size = None means the cardinality bound |X| + 3.
+    """Solver knobs, shared by the extended solver.  z_size = None means
+    the cardinality bound: |X| + K + 1 for K distortion tables, so |X| + 3
+    for solve_rate (|X| + 1 for r_wz, whose bound is tighter).
 
     enumeration_cap limits the candidate scan, which runs where the
     certified full-library witness does not fit in z_size, or where that
@@ -196,49 +200,28 @@ class InnerResult:
 
 
 class _InnerProblem:
-    """H(Z|Y) - H(Z|X) (bits) as a function of the conditional table.
+    """H(Z|Y) - H(Z|X) (bits) as a function of the conditional table."""
 
-    ``col_group`` maps optimization columns onto z symbols; the base solver
-    uses the identity, the extended solver folds (u, z) columns onto z.
-    """
-
-    def __init__(self, pxy: np.ndarray, n_cols: int, col_group: np.ndarray | None = None):
+    def __init__(self, pxy: np.ndarray, n_cols: int):
         self.pxy = pxy
         self.px = pxy.sum(axis=1)
         py = pxy.sum(axis=0)
         self._hy = float(xlogy(py, py).sum())
         self.n_cols = n_cols
-        if col_group is None:
-            self.group_matrix = None
-            self.nz = n_cols
-        else:
-            col_group = np.asarray(col_group)
-            self.nz = int(col_group.max()) + 1
-            g = np.zeros((n_cols, self.nz))
-            g[np.arange(n_cols), col_group] = 1.0
-            self.group_matrix = g
-
-    def marginal(self, p: np.ndarray) -> np.ndarray:
-        return p if self.group_matrix is None else p @ self.group_matrix
 
     def value(self, p: np.ndarray) -> float:
-        m = self.marginal(p)
-        myz = self.pxy.T @ m
-        nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(m, m)).sum()
+        myz = self.pxy.T @ p
+        nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(p, p)).sum()
         return float(nat / LN2)
 
     def value_and_grad(self, p: np.ndarray):
-        m = self.marginal(p)
-        myz = self.pxy.T @ m
-        nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(m, m)).sum()
-        grad_m = (
-            self.px[:, None] * np.log(np.maximum(m, _TINY))
+        myz = self.pxy.T @ p
+        nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(p, p)).sum()
+        grad = (
+            self.px[:, None] * np.log(np.maximum(p, _TINY))
             - self.pxy @ np.log(np.maximum(myz, _TINY))
         ) / LN2
-        if self.group_matrix is not None:
-            grad_m = grad_m @ self.group_matrix.T
-        return float(nat / LN2), grad_m
-
+        return float(nat / LN2), grad
 
 
 def rate_objective(src: JointSource, ch: TestChannel) -> float:
@@ -385,7 +368,6 @@ def solve_constrained(
     targets: list[float],
     best_bound: float | None = None,
     skip_lp: bool = False,
-    feasibility_tol: float = 1e-12,
 ) -> InnerResult:
     """Core inner solve: convex rate objective, linear distortion constraints.
 
@@ -396,9 +378,8 @@ def solve_constrained(
     best_bound; SLSQP then enforces the constraints exactly and drives the
     objective to the candidate optimum.  The result's gap is its rate minus
     that bound.  A point counts as feasible only if it meets every target
-    within feasibility_tol: by default 1e-12, as on the full-library path,
-    so that no candidate undercuts the certified bound by overshooting a
-    target.
+    within 1e-12, as on the full-library path, so that no candidate
+    undercuts the certified bound by overshooting a target.
     """
     nx = problem.pxy.shape[0]
     ncols = problem.n_cols
@@ -435,7 +416,7 @@ def solve_constrained(
         candidate = _slsqp_polish(problem, cons, targets, start)
         value = problem.value(candidate)
         overshoot = _violation(cons, targets, candidate)
-        if overshoot <= feasibility_tol and value < best_value:
+        if overshoot <= 1e-12 and value < best_value:
             status, p, viol, best_value = "optimal", candidate, overshoot, value
     rate = max(problem.value(p), 0.0)
     return InnerResult(
@@ -475,9 +456,8 @@ def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     library; cands: (C, m) library column indices, one row per candidate
     in ascending lexicographic order.  A candidate's columns are gathered
     only when the scan reaches it.  ``floor`` is a lower bound on every
-    candidate's optimum, the full library's certified bound for the base
-    solver (solve_rate_ext passes an uncertified one); the scan stops at
-    the first candidate within _STOP_TOL of it.
+    candidate's optimum, the full library's certified bound; the scan stops
+    at the first candidate within _STOP_TOL of it.
     ``mass`` (length N) orders the scan: candidates are visited in
     descending total mass of their columns, equal masses in lexicographic
     order, so the full library's own support comes first.
@@ -872,25 +852,51 @@ def _universe_solve(pxy, cons, targets, m):
     """Certified minimum over the full column library, which the scan over
     its m-column subsets would otherwise enumerate.
 
-    Only the first (decoder) constraint carries a multiplier in the search
+    One constraint at a time carries a multiplier in the search
     (_dual_search), which settles on support solves: its bound, on the
     problem without the others, holds for R as well.  Where its primal
     misses another target, a support solve holding every positive target,
     certified at all multipliers, settles R or at least raises the bound.
-    Returns (lower bound, primal iterate or None if it misses a target, BA
+    The first constraint carries the multiplier first; while that leaves
+    the point uncertified within _EXACT_GAP, each other constraint carries
+    it in turn, keeping the best bound and the lowest-rate primal that
+    meets every target (its costs in that turn's order).  Returns (lower
+    bound, primal iterate or None if none meets every target, BA
     iterations, certificate steps included).  The search aims at a gap of
-    _UNIVERSE_GAP bits.  It stops early after _BA_PER_CANDIDATE BA
+    _UNIVERSE_GAP bits.  Each turn stops early after _BA_PER_CANDIDATE BA
     iterations per candidate of that scan, at most _BA_BUDGET, so that a
     hard instance with few candidates falls back to the scan quickly; the
     bound is certified either way.
     """
-    count = math.comb(cons[0].shape[1], m)
-    ba = _LibraryBA(pxy, cons, targets, min(_BA_BUDGET, _BA_PER_CANDIDATE * count))
+    budget = min(_BA_BUDGET, _BA_PER_CANDIDATE * math.comb(cons[0].shape[1], m))
+    bound, primal, iters, missed = _multiplier_solve(pxy, cons, targets, budget)
+    for r in range(1, len(cons) if missed else 1):
+        if primal is not None and primal.value - bound <= _EXACT_GAP:
+            break
+        turn = [(r + k) % len(cons) for k in range(len(cons))]
+        got, other, more, _ = _multiplier_solve(
+            pxy, [cons[k] for k in turn], [targets[k] for k in turn], budget
+        )
+        bound, iters = max(bound, got), iters + more
+        if other is not None and (primal is None or other.value < primal.value):
+            primal = other
+    return bound, primal, iters
+
+
+def _multiplier_solve(pxy, cons, targets, budget):
+    """The full-library solve with the multiplier on the first constraint.
+
+    Returns (lower bound, primal iterate or None if it misses a target, BA
+    iterations, whether the Wyner-Ziv primal of the first constraint missed
+    another target).
+    """
+    ba = _LibraryBA(pxy, cons, targets, budget)
     bound, primal = _dual_search(ba, _UNIVERSE_GAP)
-    if np.any(primal.costs > ba.targets + 1e-12):
-        # the encoder constraint binds: a support solve with every positive
-        # target held, from the Wyner-Ziv solution and the last BA iterate,
-        # certified at all multipliers
+    missed = bool(np.any(primal.costs > ba.targets + 1e-12))
+    if missed:
+        # a support solve with every positive target held, from the
+        # Wyner-Ziv solution and the last BA iterate, certified at all
+        # multipliers
         active = list(np.flatnonzero(ba.targets > 0.0))
         start = 0.5 * (primal.channel + ba.last.channel)
         got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
@@ -904,7 +910,7 @@ def _universe_solve(pxy, cons, targets, m):
             primal = got[1]
     if np.any(primal.costs > ba.targets + 1e-12):
         primal = None
-    return bound, primal, ba.iterations
+    return bound, primal, ba.iterations, missed
 
 
 def _caratheodory_witness(src, cons, channel):
@@ -933,36 +939,51 @@ def _caratheodory_witness(src, cons, channel):
 
 
 def _signature_library(pxy: np.ndarray, dk: np.ndarray):
-    """One signature per distinct decoder column, with its cost columns.
+    """The column library of K distortion tables, with its cost columns.
 
-    ``dk[k, x, xhat_d, xhat_e]`` are K distortion tables of which at most
-    one varies with the encoder letter.  For a decoder column f (length Y)
-    the E d_k coefficient at x with encoder letter c is
-    sum_y p(x, y) dk[k, x, f(y), c]; the letter with the smallest
-    coefficient in the varying table (the smallest letter on ties, letter 0
-    when no table varies) dominates every other, since no other table
-    depends on it.  Returns (signatures, rows): signatures[i] is (f, g) with
-    g that encoder column (length X), and rows[k, i] the per-x coefficients
-    of E d_k for that column, shape (K, N, X).  Columns come in
-    lexicographic order of f, and columns with identical coefficients keep
-    only the smallest f.
+    ``dk[k, x, xhat_d, xhat_e]`` are K three-argument tables.  For a decoder
+    column f (length Y) the E d_k coefficient at x with encoder letter c is
+    sum_y p(x, y) dk[k, x, f(y), c].  F does not depend on the letters, so a
+    letter whose K coefficients another letter matches or beats at that
+    (f, x) is never needed; of letters with equal coefficients the smallest
+    is kept.  Each f carries every encoder column g (length X) whose letter
+    at each x is on that (f, x) front: f times the product of the fronts.
+    With at most one table varying with the encoder letter every front is
+    that table's argmin (the smallest letter on ties, letter 0 when no table
+    varies), one column per decoder column.  Returns (signatures, rows):
+    signatures[i] is (f, g), and rows[k, i] the per-x coefficients of E d_k
+    for that column, shape (K, N, X).  Columns come in lexicographic order
+    of (f, g), and columns with identical coefficients keep only the first.
     """
     nx, ny = pxy.shape
-    varying = np.flatnonzero((dk.max(axis=3) != dk.min(axis=3)).any(axis=(1, 2)))
-    assert len(varying) <= 1, "no single encoder letter dominates"
+    ne = dk.shape[3]
+    varying = (dk.max(axis=3) != dk.min(axis=3)).any(axis=(1, 2))
     f_cols = np.asarray(list(itertools.product(range(dk.shape[2]), repeat=ny)))
     per = np.einsum("xy,kxfye->kfxe", pxy, dk[:, :, f_cols, :])  # (K, F, X, Xhat_e)
-    letters = (
-        per[varying[0]].argmin(axis=2) if len(varying)
-        else np.zeros((len(f_cols), nx), dtype=np.int64)
-    )
-    cost = np.take_along_axis(per, letters[None, :, :, None], axis=3)[..., 0]  # (K, F, X)
+    # only the varying tables tell letters apart; [f, x, a, b]: a drops b
+    v = per[varying]
+    drops = (v[..., :, None] <= v[..., None, :]).all(axis=0)
+    equal = (v[..., :, None] == v[..., None, :]).all(axis=0)
+    drops &= ~equal | (np.arange(ne)[:, None] < np.arange(ne))
+    keep = ~drops.any(axis=2)  # (F, X, Xhat_e)
+    # mixed-radix count over the fronts, the first x most significant
+    counts = keep.sum(axis=2)
+    sizes = counts.prod(axis=1)
+    f_idx = np.repeat(np.arange(len(f_cols)), sizes)
+    j = np.arange(len(f_idx)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    strides = np.ones_like(counts)
+    strides[:, :-1] = np.cumprod(counts[:, :0:-1], axis=1)[:, ::-1]
+    digits = j[:, None] // strides[f_idx] % counts[f_idx]
+    fronts = np.argsort(~keep, axis=2, kind="stable")  # front letters first, ascending
+    x_idx = np.arange(nx)
+    letters = fronts[f_idx[:, None], x_idx, digits]  # (N, X)
+    cost = per[:, f_idx[:, None], x_idx, letters]  # (K, N, X)
     first = {}
     for i, column in enumerate(cost.transpose(1, 0, 2)):
         first.setdefault(column.tobytes(), i)
-    keep = list(first.values())
-    sigs = [(tuple(f_cols[i].tolist()), tuple(letters[i].tolist())) for i in keep]
-    return sigs, np.ascontiguousarray(cost[:, keep])
+    kept = list(first.values())
+    sigs = list(zip(map(tuple, f_cols[f_idx[kept]].tolist()), map(tuple, letters[kept].tolist())))
+    return sigs, np.ascontiguousarray(cost[:, kept])
 
 
 def _base_tables(spec: DistortionSpec) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rdsi.model import DistortionSpec, JointSource
+from rdsi.model import DistortionSpec, ExtendedInstance, JointSource
 
 
 def binary_entropy(p: float) -> float:
@@ -51,6 +51,21 @@ def ladder_instance(nx: int, ny: int, nhat: int):
     const_dd = float((pxy.sum(axis=1)[:, None] * dd).sum(axis=0).min())
     spec = DistortionSpec(xhat_size=nhat, dd=dd, de=de)
     return JointSource.from_pxy(pxy), spec, 0.5 * const_dd, 0.3 * float(de.mean())
+
+
+def grouped_instance(seed: int, letters: int = 2):
+    """Seeded K = 2 extended instance whose two tables both depend on
+    xhat_e: 2 x 2 x letters x letters, dk[:, x, x, x] = 0, and each target
+    0.5 x its table's cheapest constant (xhat_d, xhat_e) total.
+    (src, ExtendedInstance)."""
+    rng = np.random.default_rng(seed)
+    pxy = rng.random((2, 2)) + 0.1
+    pxy /= pxy.sum()
+    dk = rng.random((2, 2, letters, letters))
+    dk[:, 0, 0, 0] = dk[:, 1, 1, 1] = 0.0
+    src = JointSource.from_pxy(pxy)
+    totals = (src.px[None, :, None, None] * dk).sum(axis=1).min(axis=(1, 2))
+    return src, ExtendedInstance(letters, letters, 2, dk, targets=0.5 * totals)
 
 
 @pytest.fixture

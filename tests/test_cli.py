@@ -171,6 +171,11 @@ class TestDiscreteSolve:
         assert status == 2
         status, _ = run(["reduce-u", "--input", inst, "--config", "z_size=3"], capsys)
         assert status == 2
+        # |U| = 1 always suffices: ext-solve has no u_size key
+        ext = ext_instance_file(tmp_path)
+        status, out = run(["ext-solve", "--input", ext, "--config", "u_size=2"], capsys)
+        assert status == 2
+        assert "u_size" in json.loads(out)["error"]["message"]
         # the inner solve's iteration stages and tolerances are fixed: no
         # inner_max_iters or inner_tolerance key
         for key, value in (("inner_max_iters", "5"), ("inner_tolerance", "1e-7")):
@@ -348,6 +353,16 @@ class TestExtSolveAndReduce:
         report = json.loads(out)
         assert (report["diagnostics"]["path"], report["label"]) == ("library", "exact")
         assert 0.0 <= report["diagnostics"]["gap"] <= 1e-7
+
+    def test_ext_solve_z_size_range(self, tmp_path, capsys):
+        # z_size must lie in [1, |X| + K + 1]; 0 is rejected by the config
+        inst = ext_instance_file(tmp_path)
+        for value, message in (("0", "at least 1"), ("6", "[1, 5]")):
+            status, out = run(["ext-solve", "--input", inst, "--config", f"z_size={value}"], capsys)
+            assert status == 2
+            assert message in json.loads(out)["error"]["message"]
+        status, _ = run(["ext-solve", "--input", inst, "--config", "z_size=5"], capsys)
+        assert status == 0
 
     def test_reduce_u(self, tmp_path, capsys):
         witness = reduce_u_witness_file(tmp_path)

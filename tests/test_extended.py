@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import bsc_pair, hamming, hamming_spec, ladder_instance, random_binary_instance
+from conftest import (
+    bsc_pair,
+    grouped_instance,
+    hamming,
+    hamming_spec,
+    ladder_instance,
+    random_binary_instance,
+)
 import rdsi.extended as extended_module
+import rdsi.solver as solver_module
 from rdsi.errors import AssumptionError, InvalidInstanceError
 from rdsi.extended import (
     ExtSolveConfig,
@@ -15,6 +23,7 @@ from rdsi.extended import (
 )
 from rdsi.model import (
     ExtendedInstance,
+    JointSource,
     TestChannel as Channel,
     conditional_entropy_x_given_y,
 )
@@ -29,6 +38,24 @@ def embed_base_instance(dd, de, targets):
     dk[0] = np.repeat(dd[:, :, np.newaxis], ne, axis=2)
     dk[1] = np.tile(de[np.newaxis, :, :], (nx, 1, 1))
     return ExtendedInstance(xhat_d_size=nd, xhat_e_size=ne, k=2, dk=dk, targets=targets)
+
+
+def k3_instance(seed):
+    """Seeded K = 3 instance, 2 x (2 + seed % 2) x 2: d_1(x, xhat_d),
+    d_2(xhat_d, xhat_e) and d_3(x, xhat_d) with zero diagonals, targets
+    uniform(0.2, 0.9) x each table's cheapest constant total (0 for d_2).
+    (src, ExtendedInstance)."""
+    rng = np.random.default_rng(seed)
+    pxy = rng.random((2, 2 + seed % 2)) + 0.1
+    pxy /= pxy.sum()
+    d1, d2, d3 = (rng.random((2, 2)) for _ in range(3))
+    for d in (d1, d2, d3):
+        np.fill_diagonal(d, 0.0)
+    dk = np.zeros((3, 2, 2, 2))
+    dk[0], dk[1], dk[2] = d1[:, :, None], d2, d3[:, :, None]
+    src = JointSource.from_pxy(pxy)
+    totals = (src.px[None, :, None, None] * dk).sum(axis=1).min(axis=(1, 2))
+    return src, ExtendedInstance(2, 2, 3, dk, targets=rng.uniform(0.2, 0.9, size=3) * totals)
 
 
 def random_ext_witness(rng, src, nz, nu):
@@ -193,15 +220,6 @@ class TestSolveRateExt:
         assert r2 <= r1 + 1e-3
         assert r3 <= r1 + 1e-3
 
-    def test_enlarging_u_beyond_k_changes_nothing(self, rng):
-        src = bsc_pair(0.3)
-        dk = rng.random((2, 2, 2, 2))
-        dk[:, :, 1, 1] = 0.0
-        ext = ExtendedInstance(2, 2, 2, dk, targets=[0.25, 0.25])
-        r_k = solve_rate_ext(src, ext, ExtSolveConfig(u_size=2, z_size=2)).rate
-        r_big = solve_rate_ext(src, ext, ExtSolveConfig(u_size=3, z_size=2)).rate
-        assert r_big >= r_k - 1e-3
-
     def test_achieved_meet_targets(self, rng):
         src, spec = random_binary_instance(rng)
         ext = embed_base_instance(spec.dd, spec.de, [0.2, 0.2])
@@ -245,14 +263,6 @@ class TestLibraryPath:
         assert point.rate == pytest.approx(solve_rate_ext(src, ext).rate, abs=1e-9)
         assert len(point.achieved) == 3
 
-    def test_explicit_u_size_gives_a_single_u_witness(self):
-        src, spec, dd_t, de_t = ladder_instance(2, 3, 3)
-        ext = embed_base_instance(spec.dd, spec.de, [dd_t, de_t])
-        one = solve_rate_ext(src, ext, ExtSolveConfig(u_size=1))
-        two = solve_rate_ext(src, ext, ExtSolveConfig(u_size=2))
-        assert two.rate == pytest.approx(one.rate, abs=1e-9)
-        assert two.p_uz_given_x.shape[1] == 1 and two.psi3.shape[2] == 1
-
     def test_rate_zero_from_two_constant_rules(self):
         # the BSC cell (0.35, 0.2): no single constant rule meets both
         # targets, a mix of two does
@@ -274,20 +284,48 @@ class TestLibraryPath:
         assert point.gap >= 0.0
         assert point.rate >= solve_rate_ext(src, ext).rate - 1e-9
 
-    def test_two_encoder_tables_are_never_exact(self, rng):
-        # the grouped scan has no certificate
+    def test_two_encoder_tables_are_exact(self, rng):
+        # a random encoder column per z replaces U: the (f, g) library with
+        # both tables' costs holds the optimum, with a |U| = 1 witness
         src = bsc_pair(0.3)
         dk = rng.random((2, 2, 2, 2))
         dk[:, 0, 0, 0] = dk[:, 1, 1, 1] = 0.0
         ext = ExtendedInstance(2, 2, 2, dk, targets=[0.15, 0.15])
         assert constraints_depending_on_xhat_e(ext) == 2
-        point = solve_rate_ext(src, ext, ExtSolveConfig(u_size=1, z_size=2))
-        assert (point.path, point.label) == ("scan", "upper_bound")
-        assert point.rate > 0.0 and point.gap >= 0.0
-        # the universe solve floors the scan, which then stops early; a floor
-        # lost to SLSQP ending ~1e-9 outside the polytope sends it through
-        # every candidate (2,520 iterations instead of 240)
-        assert point.iterations <= 1000
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.p_uz_given_x.shape[1] == 1
+        # an enumeration of (z, u) rule candidates at |U| = 2, |Z| = 3
+        assert point.rate == pytest.approx(0.016832371205534196, abs=1e-9)
+        assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+
+    def test_three_letter_grouped_point_is_exact(self):
+        # an enumeration of (z, u) rule candidates at |U| = 2, |Z| = 3 has
+        # 5,616,324 of them here, beyond the default cap
+        src, ext = grouped_instance(1, letters=3)
+        assert constraints_depending_on_xhat_e(ext) == 2
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(0.4210713997, abs=1e-9)
+        assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+
+    def test_slack_first_table_settles_with_another_multiplier(self, monkeypatch):
+        # d_1 is slack at the optimum, so the search with the multiplier on
+        # it alone leaves the point uncertified (gap 0.31 after a scan); with
+        # the multiplier on d_2 or d_3 the support solve certifies it
+        src, ext = k3_instance(4)
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert 0.0 <= point.gap <= 1e-7
+        # a candidate scan of the same library
+        assert point.rate == pytest.approx(0.3429702955539016, abs=1e-9)
+        assert point.achieved[0] < ext.targets[0] - 1e-3
+        assert np.all(point.achieved <= ext.targets + 1e-9)
 
 
 class TestVerifyUReduction:

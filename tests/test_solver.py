@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdsi.caratheodory as caratheodory_module
+import rdsi.extended as extended_module
 import rdsi.solver as solver_module
 from conftest import (
     binary_entropy,
     bsc_pair,
+    grouped_instance,
     hamming,
     hamming_spec,
     ladder_instance,
     random_binary_instance,
 )
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
+from rdsi.extended import ExtSolveConfig, solve_rate_ext
 from rdsi.model import (
     DistortionSpec,
     ExtendedInstance,
@@ -315,6 +318,20 @@ class TestSignatureLibrary:
                 patch.setattr(solver_module, "_signature_library", full_signature_library)
                 full = solve_rate(src, spec, dd_t, de_t, cfg).rate
             assert collapsed == pytest.approx(full, abs=1e-8)
+
+    @pytest.mark.parametrize("z_size", [2, 3])
+    def test_two_encoder_tables_match_full_library(self, monkeypatch, z_size):
+        # both tables vary with the encoder letter: the library keeps each
+        # (f, x) front of letters, and nothing the front drops is needed;
+        # seed 0 settles on the library, seed 3 scans at both z_size
+        cfg = ExtSolveConfig(z_size=z_size)
+        for seed in (0, 3):
+            src, ext = grouped_instance(seed)
+            fronts = solve_rate_ext(src, ext, cfg).rate
+            with monkeypatch.context() as patch:
+                patch.setattr(extended_module, "_signature_library", full_signature_library)
+                full = solve_rate_ext(src, ext, cfg).rate
+            assert fronts == pytest.approx(full, abs=1e-8)
 
     def test_three_letter_ladder_solves_at_default_z(self):
         src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
