@@ -27,7 +27,6 @@ def _lazy(module: str, name: str):
 
 
 linprog = _lazy("scipy.optimize", "linprog")
-minimize = _lazy("scipy.optimize", "minimize")
 nnls = _lazy("scipy.optimize", "nnls")
 xlogy = _lazy("scipy.special", "xlogy")
 betainc = _lazy("scipy.special", "betainc")

@@ -61,8 +61,8 @@ class ExtRatePoint:
     is at most 1e-7 bits, at any z_size (the full-library minimum bounds
     every z_size), or the rate is 0; "upper_bound" otherwise.  ``path``
     says what settled the point: "constant" (rate 0 from constant rules),
-    "library" (the certified full-library solve) or "scan" (the candidate
-    enumeration).
+    "library" (the full-library solve) or "scan" (the candidate
+    enumeration, only below the cardinality bound).
     """
 
     targets: np.ndarray

@@ -57,21 +57,20 @@ theorem on the per-column vectors (posterior, H(X|z) - H(Y|z),
 distortions) cuts the solution to a witness of at most |X| + 3 columns
 with the same rate and distortions.  A gap of at most 1e-7 bits settles
 the point, at any z_size the witness fits in, and nothing is enumerated.
+A point the search leaves uncertified within its iteration budget (near a
+corner of the region, no support from the Wyner-Ziv solution reaches both
+targets) goes to the inner solve below on the whole library, whose
+support settles it; at the cardinality bound that is the answer.
 
-Inner solve (enumeration).  Where the certified witness needs more than
-z_size columns, so that the restricted problem is not convex, or as the
-fallback when the full-library solve misses 1e-7 within its iteration
-budget, candidates are enumerated.  Each is solved by conditional
-gradient (Frank-Wolfe) over the product of row simplices with a staged
-quadratic penalty for the distortion constraints; the linearization
-minimum along the way is a certified lower bound on the candidate's
-constrained optimum, which prunes candidates against the incumbent and
-gives the candidate's gap (its rate minus that bound).  An SLSQP step on
-the exactly constrained problem then usually lands within ~1e-9 bits of
-the candidate optimum (the penalty iteration alone stalls around 1e-4),
-though on a candidate of many columns it can stall far above it.  A
-candidate counts only if it meets every target within 1e-12.  Joint
-feasibility is certified by a small linear program.
+Inner solve.  A log-barrier Newton method on a fixed set of columns,
+started from an LP's most interior point; F's Hessian is block diagonal
+by column, so each step solves X x X blocks and a Schur complement over
+the row sums and targets.  Its certified bound prunes candidates against
+the incumbent, and its point is finished by the support solve above.
+Below the cardinality bound, where the certified witness needs more than
+z_size columns, the restricted problem is not convex: the z_size-column
+candidates are enumerated, each solved this way, and a candidate counts
+only if it meets every target within 1e-12.
 
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
@@ -90,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import linprog, minimize, xlogy
+from ._scipy import linprog, xlogy
 from .caratheodory import ConvexCombination, caratheodory_support
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
@@ -107,7 +106,6 @@ _PRUNE_MARGIN = 1e-7
 _STOP_TOL = 1e-8
 _TIE_EPS = 1e-12
 _EXACT_GAP = 1e-7  # certified gap (bits) below which a full-library point is "exact"
-_FW_GAP = 1e-7  # Frank-Wolfe gap (bits) that ends a penalty stage of a candidate
 _UNIVERSE_GAP = 1e-10  # full-library target gap (bits)
 _BA_MAX_ITERS = 50_000  # Blahut-Arimoto iterations per multiplier value
 _BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
@@ -116,7 +114,7 @@ _BA_RESTART_MIX = 0.1  # largest uniform share of a warm start, so no column sta
 _SUPPORT_EXTRA = 3  # a support solve starts from at most |X| + this many columns ...
 _SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's mass
 _SUPPORT_FLOOR = 1e-9  # smallest starting entry of a support column
-_NEWTON_MAX_ITERS = 50
+_NEWTON_MAX_ITERS = 50  # Newton steps of a support solve or a barrier centring
 _NEWTON_TOL = 1e-10  # largest relative entry change of a converged Newton step
 _CERT_STEPS = 20  # Blahut-Arimoto steps of a support certificate
 _DEAD_NATS = 60.0  # log-mass of a column off the support, below its BA shape
@@ -127,6 +125,10 @@ _DUAL_MAX_STEPS = 100  # bracket-shrinking steps per multiplier
 _DUAL_MAX_LAMBDA = 1e12
 _COARSE_GAP = 1e-2  # inner accuracy while a multiplier is far from its optimum
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
+_BARRIER_TAU = 1.0  # weight of F in the first centring of a barrier solve ...
+_BARRIER_MU = 16.0  # ... its growth between centrings ...
+_BARRIER_GAP = 1e-7  # ... and the certified gap (bits) that ends it
+_CENTRE_TOL = 1e-3  # Newton decrement (squared) per inequality that ends a centring
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,9 @@ class SolveConfig:
     the cardinality bound: |X| + K + 1 for K distortion tables, so |X| + 3
     for solve_rate (|X| + 1 for r_wz, whose bound is tighter).
 
-    enumeration_cap limits the candidate scan, which runs where the
-    certified full-library witness does not fit in z_size, or where that
-    solve cannot settle its point (no certificate within its iteration
-    budget).  Below the cardinality bound the cap is checked before any
-    solve.
+    enumeration_cap limits the candidate scan, which runs only below the
+    cardinality bound (where the full-library witness does not fit in
+    z_size, or is uncertified), and is checked before any solve.
     """
 
     z_size: int | None = None
@@ -162,9 +162,9 @@ class RatePoint:
     of both R and the z_size-restricted minimum.  It is "upper_bound"
     otherwise: the z_size-restricted minimum may lie above R, or no
     certificate closed.  ``path`` says what settled the point: "constant"
-    (a mix of constant rules, rate 0), "library" (the certified
-    full-library solve, whose witness fits in z_size; it may have fewer
-    columns) or "scan" (the candidate enumeration).
+    (a mix of constant rules, rate 0), "library" (the full-library solve,
+    whose witness fits in z_size; it may have fewer columns) or "scan"
+    (the candidate enumeration, only below the cardinality bound).
     """
 
     dd_target: float
@@ -183,14 +183,13 @@ class RatePoint:
 class InnerResult:
     """Outcome of one inner minimization for fixed reconstruction rules.
 
-    ``lower_bound`` is the penalty iteration's certified bound on the
-    constrained optimum, and ``gap`` the rate above it, never negative.
+    ``lower_bound`` is a certified bound on the constrained optimum, and
+    ``gap`` the rate above it, never negative.
     """
 
-    status: str  # "optimal" | "infeasible" | "max_iterations" | "pruned"
+    status: str  # "optimal" | "infeasible" | "pruned"
     channel: np.ndarray | None = None
     rate: float = math.inf
-    violation: float = math.inf
     iterations: int = 0
     lower_bound: float = -math.inf
 
@@ -273,93 +272,101 @@ def _cost_tables(pxy, spec, phi, psi):
     return a_cols, e_cols
 
 
-def _feasibility_lp(cons, targets, nx, ncols):
-    """Find a channel in the product of simplices meeting the linear
-    constraints, or report infeasibility."""
-    nvar = nx * ncols
-    a_ub = np.stack([c.ravel() for c in cons]) if cons else None
-    b_ub = np.asarray(targets, dtype=float) if cons else None
-    a_eq = np.zeros((nx, nvar))
-    for x in range(nx):
-        a_eq[x, x * ncols : (x + 1) * ncols] = 1.0
+def _hessian_blocks(pxy, q, scale):
+    """F's Hessian (nats) in coordinates dp = scale * v, one X x X block per
+    column, without its diagonal part diag(p(x) scale^2 / p(z|x))."""
+    w = scale.T[:, :, None] * pxy  # (Z, X, Y)
+    return -np.einsum("zxy,yz,zwy->zxw", w, 1.0 / np.maximum(q, _TINY), w)
+
+
+def _barrier_start(cons, targets, free):
+    """A strictly feasible channel, or None: the HiGHS LP that maximises
+    the smallest slack s over the free entries (each s + u, u >= 0) and the
+    targets, rows summing to one; None unless the best s is positive."""
+    nx, n = free.shape
+    idx = np.flatnonzero(free)
+    a_eq = np.zeros((nx, len(idx) + 1))
+    a_eq[idx // n, np.arange(len(idx))] = 1.0
+    a_eq[:, -1] = free.sum(axis=1)
+    flat = cons.reshape(len(cons), -1)[:, idx]
     res = linprog(
-        np.zeros(nvar),
-        A_ub=a_ub,
-        b_ub=b_ub,
+        np.r_[np.zeros(len(idx)), -1.0],
+        A_ub=np.column_stack([flat, flat.sum(axis=1) + 1.0]) if len(cons) else None,
+        b_ub=targets if len(cons) else None,
         A_eq=a_eq,
         b_eq=np.ones(nx),
-        bounds=[(0.0, 1.0)] * nvar,
+        bounds=[(0.0, None)] * len(idx) + [(None, None)],
         method="highs",
     )
-    if not res.success:
+    if not res.success or not res.x[-1] > 0.0:
         return None
-    return np.maximum(res.x.reshape(nx, ncols), 0.0)
+    p = np.zeros(nx * n)
+    p[idx] = np.maximum(res.x[:-1], 0.0) + res.x[-1]
+    p = p.reshape(nx, n) / p.reshape(nx, n).sum(axis=1, keepdims=True)
+    return p if np.all(np.einsum("kxn,xn->k", cons, p) < targets) else None
 
 
-def _fw_single(problem, cons, targets, p0):
-    """Penalized Frank-Wolfe warm-up for one candidate."""
-    p = p0.copy()
-    lb = -math.inf
-    iters = 0
-    for rho, n_iters in ((16.0, 60), (4096.0, 60)):
-        for j in range(n_iters):
-            iters += 1
-            f, grad = problem.value_and_grad(p)
-            fpen = f
-            gpen = grad
-            for a, t in zip(cons, targets):
-                viol = max((a * p).sum() - t, 0.0)
-                if viol > 0.0:
-                    fpen += rho * viol * viol
-                    gpen = gpen + (2.0 * rho * viol) * a
-            s = np.zeros_like(p)
-            s[np.arange(p.shape[0]), np.argmin(gpen, axis=1)] = 1.0
-            gap = float((gpen * (p - s)).sum())
-            lb = max(lb, fpen - gap)
-            if gap <= _FW_GAP:
+def _barrier_value(problem, cons, targets, free, p, tau):
+    """tau F minus the log barrier at p; inf outside the interior."""
+    slack = targets - np.einsum("kxn,xn->k", cons, p)
+    if (slack <= 0.0).any() or (p[free] <= 0.0).any():
+        return math.inf
+    return tau * problem.value(p) - float(np.log(p[free]).sum() + np.log(slack).sum())
+
+
+def _centre(problem, cons, targets, free, p, tau):
+    """Newton's method on tau F - sum log p - sum_k log(t_k - c_k . p) over
+    the free entries, rows summing to one, in coordinates dp = p v: X x X
+    blocks per column, then a Schur complement over the X row sums and the
+    K rank-one target terms.  Stops at a Newton decrement of _CENTRE_TOL
+    per inequality, a fixed share of the duality gap at any tau.  Returns
+    (channel, target multipliers 1 / (tau s) at the slacks s the last
+    Newton step predicts, far more accurate than the current ones near
+    zero, Newton steps)."""
+    pxy, px = problem.pxy, problem.px
+    nx, k = len(px), len(targets)
+    ineqs = int(free.sum()) + k
+    diag, eye = np.arange(nx), np.eye(nx)
+    value = _barrier_value(problem, cons, targets, free, p, tau)
+    for it in range(1, _NEWTON_MAX_ITERS + 1):
+        slack = targets - np.einsum("kxn,xn->k", cons, p)
+        u = cons * p / slack[:, None, None]  # (K, X, N): the target rows
+        g = tau * p * problem.value_and_grad(p)[1] - free + u.sum(axis=0)
+        # take out g's least-squares fit by the row sums, of order tau, so
+        # that the block solves see only the rest
+        g -= ((g * p).sum(axis=1) / (p * p).sum(axis=1))[:, None] * p
+        blocks = _hessian_blocks(pxy, pxy.T @ p, math.sqrt(tau / LN2) * p)
+        blocks[:, diag, diag] += (tau / LN2) * (px[:, None] * p).T + 1.0
+        e = np.concatenate([u.transpose(2, 1, 0), p.T[:, :, None] * eye], axis=2)
+        sol = np.linalg.solve(blocks, np.concatenate([e, g.T[:, :, None]], axis=2))
+        y, yg = sol[..., :-1], sol[..., -1]
+        schur = np.einsum("nxa,nxb->ab", e, y)
+        schur[diag[:k], diag[:k]] += 1.0
+        rhs = -np.einsum("nxa,nx->a", e, yg)
+        rhs[k:] -= 1.0 - p.sum(axis=1)
+        z = np.linalg.solve(schur, rhs)
+        v = -(yg + y @ z).T
+        lam = np.maximum(1.0 + z[:k], 0.0) / (tau * slack)
+        decrement = float((v * np.einsum("nxw,wn->xn", blocks, v)).sum() + z[:k] @ z[:k])
+        if not decrement > _CENTRE_TOL * ineqs:
+            break
+        # the longest step that keeps every entry and slack positive
+        shrink = np.concatenate([v[v < 0.0], -z[:k]])
+        alpha = min(1.0, 0.99 / -shrink.min()) if (shrink < 0.0).any() else 1.0
+        while True:
+            new = p * (1.0 + alpha * v)
+            new /= new.sum(axis=1, keepdims=True)
+            got = _barrier_value(problem, cons, targets, free, new, tau)
+            # Armijo, unless the predicted decrease is below rounding
+            if got <= value - 0.25 * alpha * decrement or (
+                alpha * decrement <= 1e-12 * abs(value) and got < math.inf
+            ):
                 break
-            p = p + (2.0 / (j + 3.0)) * (s - p)
-    return p, lb, iters
-
-
-def _slsqp_polish(problem, cons, targets, p0):
-    """Exactly-constrained refinement of a Frank-Wolfe iterate."""
-    nx, ncols = p0.shape
-    nvar = nx * ncols
-    a_eq = np.zeros((nx, nvar))
-    for x in range(nx):
-        a_eq[x, x * ncols : (x + 1) * ncols] = 1.0
-    constraints = [
-        {"type": "eq", "fun": lambda v: a_eq @ v - 1.0, "jac": lambda v: a_eq},
-    ]
-    if cons:
-        a_ub = np.stack([c.ravel() for c in cons])
-        b_ub = np.asarray(targets, dtype=float)
-        constraints.append(
-            {"type": "ineq", "fun": lambda v: b_ub - a_ub @ v, "jac": lambda v: -a_ub}
-        )
-
-    def fun(v):
-        f, g = problem.value_and_grad(v.reshape(nx, ncols))
-        return f, g.ravel()
-
-    res = minimize(
-        fun,
-        p0.ravel(),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * nvar,
-        constraints=constraints,
-        options={"ftol": 1e-12, "maxiter": 250},
-    )
-    p = np.maximum(res.x.reshape(nx, ncols), 0.0)
-    sums = p.sum(axis=1, keepdims=True)
-    sums[sums == 0.0] = 1.0
-    return p / sums
-
-
-def _violation(cons, targets, p) -> float:
-    return max((max((c * p).sum() - t, 0.0) for c, t in zip(cons, targets)), default=0.0)
+            alpha *= 0.5
+            if alpha < 1e-12:
+                return p, lam, it
+        p, value = new, got
+    return p, lam, it
 
 
 def solve_constrained(
@@ -367,61 +374,56 @@ def solve_constrained(
     cons: list[np.ndarray],
     targets: list[float],
     best_bound: float | None = None,
-    skip_lp: bool = False,
 ) -> InnerResult:
     """Core inner solve: convex rate objective, linear distortion constraints.
 
-    Feasibility is certified by a linear program (lazily when skip_lp is
-    set: only if the penalty loop fails to reach a near-feasible point);
-    the penalized Frank-Wolfe loop provides a warm start and a certified
-    lower bound on the candidate's optimum, used to prune against
-    best_bound; SLSQP then enforces the constraints exactly and drives the
-    objective to the candidate optimum.  The result's gap is its rate minus
-    that bound.  A point counts as feasible only if it meets every target
-    within 1e-12, as on the full-library path, so that no candidate
-    undercuts the certified bound by overshooting a target.
+    A log-barrier method (Boyd and Vandenberghe, Convex Optimization, ch.
+    11): a zero target fixes the entries it forbids at zero and is dropped,
+    an LP finds a strictly feasible start (none: "infeasible"), and tau
+    grows by _BARRIER_MU between centrings, each followed by a certified
+    bound (L(p, lam) - lam . t minus the Frank-Wolfe gap) that prunes
+    against best_bound, until the rate is within _BARRIER_GAP of it.
+    _settle then solves the support found exactly; its point counts if it
+    is lower and meets every target within 1e-12 (the barrier's is
+    strictly feasible), so no candidate undercuts the certified bound.
     """
-    nx = problem.pxy.shape[0]
-    ncols = problem.n_cols
-    # cheap necessary condition before any LP
+    nx, n = problem.pxy.shape[0], problem.n_cols
     for c, t in zip(cons, targets):
         if c.min(axis=1).sum() > t + 1e-12:
-            return InnerResult(status="infeasible")
-
-    uniform = np.full((nx, ncols), 1.0 / ncols)
-    lp_start = None
-    if not skip_lp:
-        feasible = _feasibility_lp(cons, targets, nx, ncols)
-        if feasible is None:
-            return InnerResult(status="infeasible")
-        lp_start = 0.98 * feasible + 0.02 * uniform
-
-    p, lb, iters = _fw_single(
-        problem, cons, targets, lp_start if lp_start is not None else uniform
-    )
-    if best_bound is not None and lb > best_bound + _PRUNE_MARGIN:
-        return InnerResult(status="pruned", lower_bound=lb, iterations=iters)
-
-    viol = _violation(cons, targets, p)
-    if viol > 1e-6 and lp_start is None:
-        feasible = _feasibility_lp(cons, targets, nx, ncols)
-        if feasible is None:
-            return InnerResult(status="infeasible")
-        lp_start = 0.98 * feasible + 0.02 * uniform
-
-    # exact stage: SLSQP from the penalty iterate and from the LP point,
-    # whose basin sometimes differs
-    status, best_value = "max_iterations", math.inf
-    for start in [p] + ([lp_start] if lp_start is not None else []):
-        candidate = _slsqp_polish(problem, cons, targets, start)
-        value = problem.value(candidate)
-        overshoot = _violation(cons, targets, candidate)
-        if overshoot <= 1e-12 and value < best_value:
-            status, p, viol, best_value = "optimal", candidate, overshoot, value
-    rate = max(problem.value(p), 0.0)
+            return InnerResult(status="infeasible")  # even the cheapest columns miss t
+    ba = _LibraryBA(problem.pxy, np.reshape(cons, (-1, nx, n)), targets, 0)
+    zero, free = ba.targets <= 0.0, ba.forbidden == 0.0
+    cons, targets = ba.costs[~zero], ba.targets[~zero]
+    p = _barrier_start(cons, targets, free) if free.any(axis=1).all() else None
+    if p is None:
+        return InnerResult(status="infeasible")
+    tau, iters, bound, last = _BARRIER_TAU, 0, -math.inf, math.inf
+    while True:
+        p, lam, steps = _centre(problem, cons, targets, free, p, tau)
+        iters += steps
+        value, grad = problem.value_and_grad(p)
+        grad += np.tensordot(lam, cons, 1)
+        fw = (p * grad).sum(axis=1) - np.where(free, grad, np.inf).min(axis=1)
+        slack = targets - np.einsum("kxn,xn->k", cons, p)
+        bound = max(bound, value - float(lam @ slack + fw.sum()))
+        if best_bound is not None and bound > best_bound + _PRUNE_MARGIN:
+            return InnerResult(status="pruned", lower_bound=bound, iterations=iters)
+        # stop at the gap, or once rounding stops the centrings closing it
+        if value - bound <= _BARRIER_GAP or value - bound > 0.5 * last:
+            break
+        tau, last = tau * _BARRIER_MU, value - bound
+    with np.errstate(divide="ignore"):
+        best = ba.iterate(np.log(p))
+    # a target binds where its slack is below its multiplier (tau s^2 < 1)
+    active = list(np.flatnonzero(~zero)[slack < lam])
+    got = _settle(ba, p, np.log(np.maximum(p, _TINY)), active, _UNIVERSE_GAP)
+    if got is not None:
+        bound = max(bound, got[0])
+        if got[1].value < best.value and np.all(got[1].costs <= ba.targets + 1e-12):
+            best = got[1]
     return InnerResult(
-        status=status, channel=p, rate=rate, violation=viol,
-        iterations=iters, lower_bound=lb,
+        status="optimal", channel=best.channel, rate=best.value,
+        iterations=iters + ba.iterations, lower_bound=bound,
     )
 
 
@@ -435,18 +437,13 @@ def inner_minimize(
 ) -> InnerResult:
     """Constrained convex minimization over P_{Z|X} for fixed rules.
 
-    Returns the optimal channel and rate for this (phi, psi), an infeasible
-    status when no channel meets both targets, or a flagged result carrying
-    the best iterate on non-convergence.  Either carries the penalty
-    iteration's certified lower bound and the rate's gap above it.
+    Returns the optimal channel and rate for this (phi, psi), with a
+    certified lower bound and the rate's gap above it, or an infeasible
+    status when no channel meets both targets strictly.
     """
-    phi = np.asarray(phi, dtype=np.int64)
-    psi = np.asarray(psi, dtype=np.int64)
-    a_cols, e_cols = _cost_tables(src.pxy, spec, phi, psi)
-    problem = _InnerProblem(src.pxy, a_cols.shape[1])
-    return solve_constrained(
-        problem, [a_cols, e_cols], [float(dd_target), float(de_target)]
-    )
+    cons = _cost_tables(src.pxy, spec, np.asarray(phi, np.int64), np.asarray(psi, np.int64))
+    problem = _InnerProblem(src.pxy, cons[0].shape[1])
+    return solve_constrained(problem, list(cons), [float(dd_target), float(de_target)])
 
 
 def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
@@ -473,15 +470,11 @@ def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     for ci in order:
         ci = int(ci)
         cand_cons = [c[:, cands[ci]] for c in cons]
-        if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cand_cons, targets)):
-            continue  # even the per-x cheapest columns miss a target
         res = solve_constrained(
-            problem, cand_cons, targets,
-            best_bound=None if best is None else best.rate,
-            skip_lp=True,
+            problem, cand_cons, targets, best_bound=None if best is None else best.rate
         )
         total_iters += res.iterations
-        if res.status in ("infeasible", "pruned", "max_iterations"):
+        if res.status != "optimal":
             continue
         if best is None or res.rate < best.rate - _TIE_EPS:
             best = res
@@ -658,8 +651,7 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         # the step in Jacobi-scaled coordinates dp = scale * v, which give
         # the Hessian a unit diagonal however small an entry is
         scale = np.sqrt(p / np.maximum(px, _TINY)[:, None])
-        w = scale.T[:, :, None] * pxy  # (Z, X, Y)
-        blocks = -np.einsum("zxy,yz,zwy->zxw", w, 1.0 / np.maximum(q, _TINY), w)
+        blocks = _hessian_blocks(pxy, q, scale)
         blocks[:, diag, diag] += 1.0
         var = ok.T.ravel()
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
@@ -860,13 +852,14 @@ def _universe_solve(pxy, cons, targets, m):
     The first constraint carries the multiplier first; while that leaves
     the point uncertified within _EXACT_GAP, each other constraint carries
     it in turn, keeping the best bound and the lowest-rate primal that
-    meets every target (its costs in that turn's order).  Returns (lower
-    bound, primal iterate or None if none meets every target, BA
-    iterations, certificate steps included).  The search aims at a gap of
-    _UNIVERSE_GAP bits.  Each turn stops early after _BA_PER_CANDIDATE BA
-    iterations per candidate of that scan, at most _BA_BUDGET, so that a
-    hard instance with few candidates falls back to the scan quickly; the
-    bound is certified either way.
+    meets every target (its costs in that turn's order), and so does the
+    barrier solve on the whole library (solve_constrained) where that
+    leaves the point uncertified.  Returns (lower bound, primal iterate or
+    None if none meets every target, iterations, certificate and Newton
+    steps included).  The search aims at a gap of _UNIVERSE_GAP bits.
+    Each turn stops early after _BA_PER_CANDIDATE BA iterations per
+    candidate of that scan, at most _BA_BUDGET, so that a hard instance
+    with few candidates goes on to the barrier solve quickly.
     """
     budget = min(_BA_BUDGET, _BA_PER_CANDIDATE * math.comb(cons[0].shape[1], m))
     bound, primal, iters, missed = _multiplier_solve(pxy, cons, targets, budget)
@@ -880,6 +873,13 @@ def _universe_solve(pxy, cons, targets, m):
         bound, iters = max(bound, got), iters + more
         if other is not None and (primal is None or other.value < primal.value):
             primal = other
+    if primal is None or primal.value - bound > _EXACT_GAP:
+        res = solve_constrained(_InnerProblem(pxy, cons[0].shape[1]), cons, targets)
+        bound, iters = max(bound, res.lower_bound), iters + res.iterations
+        if res.status == "optimal" and (primal is None or res.rate < primal.value):
+            costs = np.einsum("kxn,xn->k", cons, res.channel)
+            with np.errstate(divide="ignore"):
+                primal = _Iterate(np.log(res.channel), res.rate, costs)
     return bound, primal, iters
 
 
@@ -900,11 +900,6 @@ def _multiplier_solve(pxy, cons, targets, budget):
         active = list(np.flatnonzero(ba.targets > 0.0))
         start = 0.5 * (primal.channel + ba.last.channel)
         got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
-        if got is None:
-            # no support there reaches every target: add a vertex that does
-            vertex = _feasibility_lp(list(ba.costs), ba.targets, *start.shape)
-            if vertex is not None:
-                got = _settle(ba, vertex, ba.last.logp, active, _UNIVERSE_GAP)
         if got is not None:
             bound = max(bound, got[0])
             primal = got[1]
@@ -1047,10 +1042,11 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     or whatever the cut keeps once z_size meets the cardinality bound
     z_bound or the library's size (r_wz's bound |X| + 1 is tighter than
     Caratheodory's |X| + 2); its rate is the full-library value, which the
-    reduction keeps.  Otherwise the z_size-column candidates are scanned
-    (path "scan"), floored by that solve's certified bound and ordered by
-    its primal.  Returns a _Solution, or None when no candidate meets the
-    targets.
+    reduction keeps.  At the bound an uncertified solve is returned as
+    well, labelled by its gap.  Below the bound the z_size-column
+    candidates are otherwise scanned (path "scan"), floored by that
+    solve's certified bound and ordered by its primal.  Returns a
+    _Solution, or None when no candidate meets the targets.
     """
     n_sig = cons[0].shape[1]
     if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
@@ -1060,13 +1056,13 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     # the scan's size is checked before the solve below the bound
     cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
     floor, primal, iters = _universe_solve(src.pxy, cons, targets, m)
-    if primal is not None and primal.value - floor <= _EXACT_GAP:
+    if primal is not None and (at_bound or primal.value - floor <= _EXACT_GAP):
         cols, channel = _caratheodory_witness(src, cons, primal.channel)
         if at_bound or len(cols) <= z_size:
             return _Solution(cols, channel, primal.value, floor, iters, "library")
+    if at_bound:
+        return None
     mass = None if primal is None else src.px @ primal.channel
-    if cands is None:
-        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
     best, best_idx, scan_iters = scan_candidates(
         _InnerProblem(src.pxy, m), cons, cands, targets, floor, mass
     )
@@ -1087,10 +1083,11 @@ def solve_rate(
     A mix of constant rules meeting both targets gives rate 0 ("constant").
     Otherwise one certified full-library solve settles the point
     ("library") when its witness fits in z_size, which it always does at
-    the cardinality bound |X| + 3; when it does not, or when that solve
-    reaches no certificate, reconstruction-rule candidates are enumerated
-    ("scan"; deduplicated as described in the module docstring) and the
-    best inner minimum kept.  Requires the zero-distortion assumption; the
+    the cardinality bound |X| + 3, where an uncertified point is returned
+    too; below the bound, when it does not fit or reaches no certificate,
+    reconstruction-rule candidates are enumerated ("scan"; deduplicated
+    as described in the module docstring) and the best inner minimum
+    kept.  Requires the zero-distortion assumption; the
     rate is bounded by H(X|Y) because the identity channel with
     zero-distortion rules is always a candidate.
     """
@@ -1194,9 +1191,10 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     ``spec_dd`` may be a DistortionSpec (whose d_e is ignored) or a plain
     d_d table.  The auxiliary alphabet defaults to |X| + 1 columns, its
     cardinality bound; there, once z_size covers the decoder-column
-    library, or once the solution's witness fits in z_size, a certified
-    full-library solve gives the rate (a feasible value within 1e-7 bits
-    of the lower bound), and otherwise the candidate scan runs.
+    library, or once the solution's witness fits in z_size, the
+    full-library solve gives the rate (a feasible value, within 1e-7 bits
+    of the lower bound once certified), and otherwise the candidate scan
+    runs.
     """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
@@ -1223,8 +1221,7 @@ def r_cr(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     itself (Z ranges over Xhat and phi(y, z) = z).
 
     That is the full-library problem on the |Xhat| constant decoder
-    columns, so the certified library solve settles it, with the scan over
-    the same columns as its fallback; z_size plays no part.
+    columns, so the library solve settles it; z_size plays no part.
     """
     cfg = cfg or SolveConfig()
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)

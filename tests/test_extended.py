@@ -313,6 +313,27 @@ class TestLibraryPath:
         assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
+    @pytest.mark.parametrize(
+        "seed, rate",
+        [
+            # a scan of the (f, g) library gives the same rates, after about
+            # 4 minutes and 20 s, as upper bounds with gaps 0.067 and 2.6e-3
+            (7, 0.2958559010304275),
+            (2, 0.2531382907712534),
+        ],
+    )
+    def test_uncertified_search_settles_on_the_barrier_point(self, monkeypatch, seed, rate):
+        # every multiplier turn leaves these uncertified; the barrier solve
+        # on the whole library finds the support that _settle certifies
+        src, ext = grouped_instance(seed, letters=3)
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(rate, abs=1e-9)
+        assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+
     def test_slack_first_table_settles_with_another_multiplier(self, monkeypatch):
         # d_1 is slack at the optimum, so the search with the multiplier on
         # it alone leaves the point uncertified (gap 0.31 after a scan); with
