@@ -40,27 +40,28 @@ smaller z_size only restricting it, and it equals the rate once z_size >=
 |X| + 3 (|X| + 1 for the Wyner-Ziv baseline), the cardinality bound, or
 once z_size covers the library; the common-reconstruction baseline is the
 same problem on its |Xhat| constant decoder columns.  It is one convex
-problem.  A Lagrangian Blahut-Arimoto iteration over all columns with a
-bracketing search on the decoder multiplier solves its Wyner-Ziv
-relaxation (the decoder constraint only); every iterate carries a
-certified lower bound (its Lagrangian minus a Frank-Wolfe gap that needs
-no LP), which holds for the rate too.  The iteration finds the support of
-the optimum quickly but converges on it only geometrically, so each new
-bracket is settled on its support instead: Newton's method on the KKT
-system of at most |X| + 3 heaviest columns gives the exact optimum there
-and its multipliers, the Frank-Wolfe gap at those multipliers, with the
-other columns at their Blahut-Arimoto shapes, certifies it, and a column
-whose mass would grow enters the support (column generation).  Where the
-Wyner-Ziv solution misses the encoder target, the same support solve
-holds both targets and is certified at both multipliers.  Caratheodory's
-theorem on the per-column vectors (posterior, H(X|z) - H(Y|z),
-distortions) cuts the solution to a witness of at most |X| + 3 columns
-with the same rate and distortions.  A gap of at most 1e-7 bits settles
-the point, at any z_size the witness fits in, and nothing is enumerated.
-A point the search leaves uncertified within its iteration budget (near a
-corner of the region, no support from the Wyner-Ziv solution reaches both
-targets) goes to the inner solve below on the whole library, whose
-support settles it; at the cardinality bound that is the answer.
+problem.  A Lagrangian Blahut-Arimoto iteration over all columns solves
+its Wyner-Ziv relaxation (the decoder constraint only) at the decoder
+multipliers 0, 1, 4, 16, ... until an iterate meets the decoder target;
+every iterate carries a certified lower bound (its Lagrangian minus a
+Frank-Wolfe gap that needs no LP), which holds for the rate too.  The
+iteration finds the support of the optimum quickly but converges on it
+only geometrically, so the mix of the last two iterates is settled on its
+support instead: Newton's method on the KKT system of at most |X| + 3
+heaviest columns gives the exact optimum there and its multipliers, the
+Frank-Wolfe gap at those multipliers, with the other columns at their
+Blahut-Arimoto shapes, certifies it, and a column whose mass would grow
+enters the support (column generation).  Where the Wyner-Ziv solution
+misses the encoder target, the same support solve holds both targets and
+is certified at both multipliers.  Caratheodory's theorem on the
+per-column vectors (posterior, H(X|z) - H(Y|z), distortions) cuts the
+solution to a witness of at most |X| + 3 columns with the same rate and
+distortions.  A gap of at most 1e-7 bits settles the point, at any z_size
+the witness fits in, and nothing is enumerated.  A point these support
+solves leave uncertified (near a corner of the region, where no support
+from the Wyner-Ziv solution reaches both targets) goes straight to the
+inner solve below on the whole library, whose support settles it; at the
+cardinality bound that is the answer.
 
 Inner solve.  A log-barrier Newton method on a fixed set of columns,
 started from an LP's most interior point; F's Hessian is block diagonal
@@ -108,9 +109,7 @@ _TIE_EPS = 1e-12
 _EXACT_GAP = 1e-7  # certified gap (bits) below which a full-library point is "exact"
 _UNIVERSE_GAP = 1e-10  # full-library target gap (bits)
 _BA_MAX_ITERS = 50_000  # Blahut-Arimoto iterations per multiplier value
-_BA_BUDGET = 150_000  # iterations per full-library solve, and at most this many
-_BA_PER_CANDIDATE = 300  # per candidate of the scan it may spare
-_BA_RESTART_MIX = 0.1  # largest uniform share of a warm start, so no column stays dead
+_BA_RESTART_MIX = 0.1  # uniform share of a warm start, so no column stays dead
 _SUPPORT_EXTRA = 3  # a support solve starts from at most |X| + this many columns ...
 _SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's mass
 _SUPPORT_FLOOR = 1e-9  # smallest starting entry of a support column
@@ -121,9 +120,8 @@ _DEAD_NATS = 60.0  # log-mass of a column off the support, below its BA shape
 _PRICING_ROUNDS = 10  # support solves per settle attempt, one entering column each
 _ENTER_MASS = 1e-3  # starting mass of an entering column
 _SLACK_MULTIPLIER = 1e-9  # a held target whose multiplier is below minus this may be slack
-_DUAL_MAX_STEPS = 100  # bracket-shrinking steps per multiplier
 _DUAL_MAX_LAMBDA = 1e12
-_COARSE_GAP = 1e-2  # inner accuracy while a multiplier is far from its optimum
+_COARSE_GAP = 1e-2  # inner accuracy of the bracketing solves at lam = 1, 4, 16, ...
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 _BARRIER_TAU = 1.0  # weight of F in the first centring of a barrier solve ...
 _BARRIER_MU = 16.0  # ... its growth between centrings ...
@@ -383,15 +381,17 @@ def solve_constrained(
     grows by _BARRIER_MU between centrings, each followed by a certified
     bound (L(p, lam) - lam . t minus the Frank-Wolfe gap) that prunes
     against best_bound, until the rate is within _BARRIER_GAP of it.
-    _settle then solves the support found exactly; its point counts if it
-    is lower and meets every target within 1e-12 (the barrier's is
-    strictly feasible), so no candidate undercuts the certified bound.
+    _settle then solves the support found exactly, holding the targets
+    that bind there (while that leaves the gap open with more than one
+    held, once more with each released in turn); its point counts if it is
+    lower and meets every target within 1e-12 (the barrier's is strictly
+    feasible), so no candidate undercuts the certified bound.
     """
     nx, n = problem.pxy.shape[0], problem.n_cols
     for c, t in zip(cons, targets):
         if c.min(axis=1).sum() > t + 1e-12:
             return InnerResult(status="infeasible")  # even the cheapest columns miss t
-    ba = _LibraryBA(problem.pxy, np.reshape(cons, (-1, nx, n)), targets, 0)
+    ba = _LibraryBA(problem.pxy, np.reshape(cons, (-1, nx, n)), targets)
     zero, free = ba.targets <= 0.0, ba.forbidden == 0.0
     cons, targets = ba.costs[~zero], ba.targets[~zero]
     p = _barrier_start(cons, targets, free) if free.any(axis=1).all() else None
@@ -414,13 +414,19 @@ def solve_constrained(
         tau, last = tau * _BARRIER_MU, value - bound
     with np.errstate(divide="ignore"):
         best = ba.iterate(np.log(p))
-    # a target binds where its slack is below its multiplier (tau s^2 < 1)
+    # a target binds where its slack is below its multiplier (tau s^2 < 1);
+    # a slack one held because the barrier stalled short of that can leave
+    # the support unable to hold all of them, so each is released in turn
     active = list(np.flatnonzero(~zero)[slack < lam])
-    got = _settle(ba, p, np.log(np.maximum(p, _TINY)), active, _UNIVERSE_GAP)
-    if got is not None:
-        bound = max(bound, got[0])
-        if got[1].value < best.value and np.all(got[1].costs <= ba.targets + 1e-12):
-            best = got[1]
+    retries = [[k for k in active if k != j] for j in active] if len(active) > 1 else []
+    for held in [active] + retries:
+        if held is not active and best.value - bound <= _UNIVERSE_GAP:
+            break
+        got = _settle(ba, p, np.log(np.maximum(p, _TINY)), held, _UNIVERSE_GAP)
+        if got is not None:
+            bound = max(bound, got[0])
+            if got[1].value < best.value and np.all(got[1].costs <= ba.targets + 1e-12):
+                best = got[1]
     return InnerResult(
         status="optimal", channel=best.channel, rate=best.value,
         iterations=iters + ba.iterations, lower_bound=bound,
@@ -519,8 +525,8 @@ class _LibraryBA:
     Iterates are kept as log p, shifted per column, so the gradient stays
     exact on columns whose mass underflows.  The Frank-Wolfe gap over the
     product of row simplices is a row-wise gradient minimum, so every
-    channel certifies L(p, lam) - lam t - gap <= R without an LP.  After
-    ``budget`` iterations in all, every solve stops after one.
+    channel certifies L(p, lam) - lam t - gap <= R without an LP.  Each
+    solve stops after _BA_MAX_ITERS iterations.
 
     Further constraints carry no multiplier; they are only evaluated, except
     that a zero target, like a zero first target, allows no mass on an entry
@@ -529,7 +535,7 @@ class _LibraryBA:
     left out of the Lagrangian, which only lowers the certified bound.
     """
 
-    def __init__(self, pxy: np.ndarray, costs, targets, budget: int):
+    def __init__(self, pxy: np.ndarray, costs, targets):
         px = pxy.sum(axis=1)
         self.px = px
         self.p_y_given_x = pxy / np.maximum(px, _TINY)[:, None]
@@ -542,11 +548,8 @@ class _LibraryBA:
         self.forbidden = _ZERO_TARGET_NATS * (zero > 0.0).any(axis=0)
         n = self.costs.shape[2]
         self.problem = _InnerProblem(pxy, n)
-        self.warm = np.full((pxy.shape[0], n), 1.0 / n)  # the next solve's start ...
-        self.restart = _BA_RESTART_MIX  # ... and its uniform share
+        self.warm = np.full((pxy.shape[0], n), 1.0 / n)  # the next solve's start
         self.iterations = 0
-        self.budget = budget
-        self.exhausted = False
 
     def iterate(self, logp: np.ndarray) -> _Iterate:
         p = np.exp(logp)
@@ -579,14 +582,13 @@ class _LibraryBA:
         multipliers = np.zeros(len(self.targets))
         multipliers[0] = lam
         penalty = self.penalty(multipliers)
-        logp = np.log((1.0 - self.restart) * self.warm + self.restart / self.warm.shape[1])
-        for it in range(1, max(1, min(_BA_MAX_ITERS, self.budget - self.iterations)) + 1):
+        logp = np.log((1.0 - _BA_RESTART_MIX) * self.warm + _BA_RESTART_MIX / self.warm.shape[1])
+        for it in range(1, _BA_MAX_ITERS + 1):
             new, gap = self._step(logp, penalty)
             if gap <= tol:
                 break
             logp = new
         self.iterations += it
-        self.exhausted = self.iterations >= self.budget
         res = self.last = self.iterate(logp)
         self.warm = res.channel
         return res.value + lam * (res.costs[0] - self.target) - gap, res
@@ -614,10 +616,12 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
     columns than equations it is linear along a rescaling of the columns
     that keeps every equation: the solve moves along it, downhill, until a
     column empties, as Caratheodory's reduction does.  A column whose mass
-    a Newton step would take below zero is dropped as well.  Entries a zero
-    target forbids stay zero.  Returns (channel over the library, zero off
-    its support; multipliers of the active constraints in bits per unit),
-    or None if Newton does not converge.
+    a Newton step would take below zero is dropped as well, and an entry
+    at _SUPPORT_FLOOR that a full step would empty is fixed at zero (an
+    optimum may have a zero entry inside a support column).  Entries a
+    zero target forbids stay zero.  Returns (channel over the library,
+    zero off its support; multipliers of the active constraints in bits
+    per unit), or None if Newton does not converge.
     """
     pxy, px = ba.problem.pxy, ba.px
     live = px > 0.0
@@ -678,6 +682,14 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
             share = np.where(after <= 0.0, before / (before - after), np.inf)
             j = int(np.argmin(share))
             cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
+            continue
+        # an entry at the floor that a full step would empty is zero at the
+        # optimum: fix it there, and drop a column left with no entry
+        pin = ok & (p <= _SUPPORT_FLOOR) & (step <= -1.0)
+        if pin.any():
+            ok, p = ok & ~pin, np.where(pin, 0.0, p)
+            used = ok.any(axis=0)
+            cols, p, ok, costs = cols[used], p[:, used], ok[:, used], costs[..., used]
             continue
         low = step.min()
         alpha = min(1.0, 0.995 / -low) if low < 0.0 else 1.0
@@ -773,106 +785,66 @@ def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
 
 
 def _dual_search(ba: _LibraryBA, tol: float):
-    """Maximize the certified bound over the multiplier of the first target.
+    """Bracket the multiplier of the first target, then settle on the bracket.
 
-    The dual is concave but can be nonsmooth, so lam is bracketed by the
-    sign of its supergradient c . p - t and the bracket shrunk by cutting
-    planes: each iterate's Lagrangian is a line in lam above the dual, and
-    the next lam is where the lines of the two bracketing iterates meet
-    (exact at a kink, secant-like where the dual is smooth), or the
-    midpoint after the same end moved twice.  Each lam is solved by BA,
-    coarsely (_COARSE_GAP) while the gap is wide.  The primal is the mix
-    of the two bracketing iterates that meets the target; its value minus
-    the best bound met is the certified gap, and the search stops once
-    that is <= tol.  BA finds the support of the optimum long before it
-    converges on it, so every new bracket first tries _settle on the mix's
-    heaviest columns: an exact solve there, certified at its own
-    multiplier, ends the search when its gap is <= tol, and the bracketing
-    goes on otherwise.  Returns (best
-    certified lower bound on R, primal iterate); the primal meets the
-    first target unless no multiplier up to _DUAL_MAX_LAMBDA reaches it.
+    BA solves lam = 0 (to 0.1 tol; an iterate meeting the target there is
+    the answer), then lam = 1, 4, 16, ... coarsely (_COARSE_GAP) until an
+    iterate meets the target; every solve's certified bound holds for R.
+    BA finds the support of the optimum long before it converges on it, so
+    the mix of the last two iterates that meets the target exactly starts
+    one _settle on its heaviest columns: an exact solve there, certified at
+    its own multiplier.  Returns (best certified lower bound on R, the
+    settled solution if its gap is <= tol, else the mix); the primal meets
+    the first target unless no multiplier up to _DUAL_MAX_LAMBDA reaches
+    it.
     """
     bound, lo = ba.solve(0.0, 0.1 * tol)
     if lo.costs[0] <= ba.target:
         return bound, lo
     coarse = max(tol, _COARSE_GAP)
-    lam_lo, lam_hi = 0.0, 1.0
+    lam = 1.0
     while True:
-        got, res = ba.solve(lam_hi, 0.1 * coarse)
+        got, hi = ba.solve(lam, 0.1 * coarse)
         bound = max(bound, got)
-        if res.costs[0] <= ba.target:
-            hi = res
+        if hi.costs[0] <= ba.target:
             break
-        lo, lam_lo, lam_hi = res, lam_hi, 4.0 * lam_hi
-        if lam_hi > _DUAL_MAX_LAMBDA or ba.exhausted:
+        lo, lam = hi, 4.0 * lam
+        if lam > _DUAL_MAX_LAMBDA:
             return bound, lo
-    repeats, last_side = 0, None
-    for _ in range(_DUAL_MAX_STEPS):
-        primal = _mix(ba, lo, hi)
-        got = _settle(ba, primal.channel, primal.logp, [0], tol)
-        if got is not None:
-            bound = max(bound, got[0])
-            if got[1].value - bound <= tol:
-                return bound, got[1]
-        value = (hi.value - lo.value) / (lo.costs[0] - hi.costs[0])
-        gap = primal.value - bound
-        if gap <= tol or ba.exhausted:
-            break
-        if repeats >= 2 or not lam_lo < value < lam_hi:
-            value = 0.5 * (lam_lo + lam_hi)
-            if value in (lam_lo, lam_hi):
-                break
-        # start from the nearer end, whose structure the update keeps (near
-        # a kink it crosses to the other end's only very slowly), with less
-        # uniform mass as the bracket narrows
-        ba.warm = (lo if value - lam_lo < lam_hi - value else hi).channel
-        ba.restart = min(_BA_RESTART_MIX, (lam_hi - lam_lo) / lam_hi)
-        got, res = ba.solve(value, 0.1 * max(tol, min(coarse, 0.01 * gap)))
-        ba.restart = _BA_RESTART_MIX
-        bound = max(bound, got)
-        side = res.costs[0] > ba.target
-        repeats = repeats + 1 if side == last_side else 1
-        last_side = side
-        if side:
-            lo, lam_lo = res, value
-        else:
-            hi, lam_hi = res, value
-    return bound, _mix(ba, lo, hi)
+    primal = _mix(ba, lo, hi)
+    got = _settle(ba, primal.channel, primal.logp, [0], tol)
+    if got is not None:
+        bound = max(bound, got[0])
+        if got[1].value - bound <= tol:
+            return bound, got[1]
+    return bound, primal
 
 
-def _universe_solve(pxy, cons, targets, m):
-    """Certified minimum over the full column library, which the scan over
-    its m-column subsets would otherwise enumerate.
+def _universe_solve(pxy, cons, targets):
+    """Certified minimum over the full column library.
 
-    One constraint at a time carries a multiplier in the search
-    (_dual_search), which settles on support solves: its bound, on the
-    problem without the others, holds for R as well.  Where its primal
-    misses another target, a support solve holding every positive target,
-    certified at all multipliers, settles R or at least raises the bound.
-    The first constraint carries the multiplier first; while that leaves
-    the point uncertified within _EXACT_GAP, each other constraint carries
-    it in turn, keeping the best bound and the lowest-rate primal that
-    meets every target (its costs in that turn's order), and so does the
-    barrier solve on the whole library (solve_constrained) where that
-    leaves the point uncertified.  Returns (lower bound, primal iterate or
+    The first constraint carries the multiplier of the search
+    (_dual_search): its bound, on the problem without the others, holds
+    for R as well.  Where its primal misses another target, a support
+    solve holding every positive target, started from that primal and the
+    last BA iterate and certified at all multipliers, settles R or at least
+    raises the bound.  A point still uncertified within _EXACT_GAP goes to
+    the barrier solve on the whole library (solve_constrained), whose
+    support _settle certifies.  Returns (lower bound, primal iterate or
     None if none meets every target, iterations, certificate and Newton
     steps included).  The search aims at a gap of _UNIVERSE_GAP bits.
-    Each turn stops early after _BA_PER_CANDIDATE BA iterations per
-    candidate of that scan, at most _BA_BUDGET, so that a hard instance
-    with few candidates goes on to the barrier solve quickly.
     """
-    budget = min(_BA_BUDGET, _BA_PER_CANDIDATE * math.comb(cons[0].shape[1], m))
-    bound, primal, iters, missed = _multiplier_solve(pxy, cons, targets, budget)
-    for r in range(1, len(cons) if missed else 1):
-        if primal is not None and primal.value - bound <= _EXACT_GAP:
-            break
-        turn = [(r + k) % len(cons) for k in range(len(cons))]
-        got, other, more, _ = _multiplier_solve(
-            pxy, [cons[k] for k in turn], [targets[k] for k in turn], budget
-        )
-        bound, iters = max(bound, got), iters + more
-        if other is not None and (primal is None or other.value < primal.value):
-            primal = other
+    ba = _LibraryBA(pxy, cons, targets)
+    bound, primal = _dual_search(ba, _UNIVERSE_GAP)
+    if np.any(primal.costs > ba.targets + 1e-12):
+        active = list(np.flatnonzero(ba.targets > 0.0))
+        start = 0.5 * (primal.channel + ba.last.channel)
+        got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
+        if got is not None:
+            bound, primal = max(bound, got[0]), got[1]
+    if np.any(primal.costs > ba.targets + 1e-12):
+        primal = None
+    iters = ba.iterations
     if primal is None or primal.value - bound > _EXACT_GAP:
         res = solve_constrained(_InnerProblem(pxy, cons[0].shape[1]), cons, targets)
         bound, iters = max(bound, res.lower_bound), iters + res.iterations
@@ -881,31 +853,6 @@ def _universe_solve(pxy, cons, targets, m):
             with np.errstate(divide="ignore"):
                 primal = _Iterate(np.log(res.channel), res.rate, costs)
     return bound, primal, iters
-
-
-def _multiplier_solve(pxy, cons, targets, budget):
-    """The full-library solve with the multiplier on the first constraint.
-
-    Returns (lower bound, primal iterate or None if it misses a target, BA
-    iterations, whether the Wyner-Ziv primal of the first constraint missed
-    another target).
-    """
-    ba = _LibraryBA(pxy, cons, targets, budget)
-    bound, primal = _dual_search(ba, _UNIVERSE_GAP)
-    missed = bool(np.any(primal.costs > ba.targets + 1e-12))
-    if missed:
-        # a support solve with every positive target held, from the
-        # Wyner-Ziv solution and the last BA iterate, certified at all
-        # multipliers
-        active = list(np.flatnonzero(ba.targets > 0.0))
-        start = 0.5 * (primal.channel + ba.last.channel)
-        got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
-        if got is not None:
-            bound = max(bound, got[0])
-            primal = got[1]
-    if np.any(primal.costs > ba.targets + 1e-12):
-        primal = None
-    return bound, primal, ba.iterations, missed
 
 
 def _caratheodory_witness(src, cons, channel):
@@ -1055,7 +1002,7 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     at_bound = z_size >= min(z_bound, n_sig)
     # the scan's size is checked before the solve below the bound
     cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
-    floor, primal, iters = _universe_solve(src.pxy, cons, targets, m)
+    floor, primal, iters = _universe_solve(src.pxy, cons, targets)
     if primal is not None and (at_bound or primal.value - floor <= _EXACT_GAP):
         cols, channel = _caratheodory_witness(src, cons, primal.channel)
         if at_bound or len(cols) <= z_size:

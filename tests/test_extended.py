@@ -110,6 +110,13 @@ class TestExtRateObjective:
         with pytest.raises(InvalidInstanceError):
             ext_rate_objective(src, np.full((2, 2, 2), 0.3))
 
+    def test_bad_shape_rejected(self):
+        src = bsc_pair(0.2)
+        with pytest.raises(InvalidInstanceError, match="shape"):
+            ext_rate_objective(src, np.full((2, 2), 0.5))  # no U axis
+        with pytest.raises(InvalidInstanceError, match="shape"):
+            ext_rate_objective(src, np.full((3, 1, 2), 0.5))  # three source rows
+
 
 class TestExtExpectedDistortion:
     def test_zero_table(self, rng):
@@ -135,6 +142,24 @@ class TestExtExpectedDistortion:
         assert ext_expected_distortion_k(src, ext, p, phi, psi3, 1) == pytest.approx(
             ede, abs=1e-12
         )
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_index_out_of_range_rejected(self, rng, k):
+        src = bsc_pair(0.2)
+        ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1.0, 1.0])
+        pz, pu, phi, psi3 = random_ext_witness(rng, src, 2, 2)
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            ext_expected_distortion_k(src, ext, joint_from(pz, pu), phi, psi3, k)
+
+    def test_mismatched_shapes_rejected(self, rng):
+        src = bsc_pair(0.2)
+        ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1.0, 1.0])
+        pz, pu, phi, psi3 = random_ext_witness(rng, src, 2, 2)
+        p = joint_from(pz, pu)
+        with pytest.raises(InvalidInstanceError, match="shapes"):
+            ext_expected_distortion_k(src, ext, p, phi[:, :1], psi3, 0)
+        with pytest.raises(InvalidInstanceError, match="shapes"):
+            ext_expected_distortion_k(src, ext, p, phi, psi3[:, :, :1], 0)
 
     def test_matches_direct_atom_sum(self, rng):
         src, _ = random_binary_instance(rng)
@@ -314,18 +339,30 @@ class TestLibraryPath:
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
     @pytest.mark.parametrize(
-        "seed, rate",
+        "seed, rate, letters",
         [
             # a scan of the (f, g) library gives the same rates, after about
             # 4 minutes and 20 s, as upper bounds with gaps 0.067 and 2.6e-3
-            (7, 0.2958559010304275),
-            (2, 0.2531382907712534),
+            (7, 0.2958559010304275, 3),
+            (2, 0.2531382907712534, 3),
+            # rates certified by a search with a multiplier on each table in
+            # turn; the barrier's point stalls just above them, so the
+            # hand-off to _settle must reach them: 43 has a zero entry in a
+            # support column, and 46 a first target slack by 2.7e-5 that the
+            # barrier's point holds
+            (9, 0.2852593865636405, 2),
+            (16, 0.301593864089264, 2),
+            (43, 0.17685092316776876, 2),
+            (44, 0.2997630716399393, 2),
+            (46, 0.24890563400057067, 2),
         ],
     )
-    def test_uncertified_search_settles_on_the_barrier_point(self, monkeypatch, seed, rate):
-        # every multiplier turn leaves these uncertified; the barrier solve
-        # on the whole library finds the support that _settle certifies
-        src, ext = grouped_instance(seed, letters=3)
+    def test_uncertified_search_settles_on_the_barrier_point(
+        self, monkeypatch, seed, rate, letters
+    ):
+        # the search leaves these uncertified; the barrier solve on the
+        # whole library finds the support that _settle certifies
+        src, ext = grouped_instance(seed, letters)
         monkeypatch.setattr(solver_module, "scan_candidates", None)
         point = solve_rate_ext(src, ext)
         assert (point.path, point.label) == ("library", "exact")
@@ -334,10 +371,21 @@ class TestLibraryPath:
         assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
-    def test_slack_first_table_settles_with_another_multiplier(self, monkeypatch):
+    def test_k3_point_settles_on_the_barrier_point(self, monkeypatch):
+        # a rate certified by a search with a multiplier on each table in
+        # turn, which the barrier solve's hand-off to _settle must reach
+        src, ext = k3_instance(29)
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert 0.0 <= point.gap <= 1e-7
+        assert point.rate == pytest.approx(0.47849541758100117, abs=1e-9)
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+
+    def test_slack_first_table_settles(self, monkeypatch):
         # d_1 is slack at the optimum, so the search with the multiplier on
-        # it alone leaves the point uncertified (gap 0.31 after a scan); with
-        # the multiplier on d_2 or d_3 the support solve certifies it
+        # it alone leaves the point uncertified (gap 0.31 after a scan); the
+        # support solves after it certify the point
         src, ext = k3_instance(4)
         monkeypatch.setattr(solver_module, "scan_candidates", None)
         point = solve_rate_ext(src, ext)

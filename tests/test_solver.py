@@ -135,6 +135,19 @@ class TestExpectedDistortions:
         edd, _ = expected_distortions(src, hamming_spec(), constant_channel(2, 2))
         assert edd == pytest.approx(0.5, abs=1e-12)
 
+    def test_dd_rows_must_match_the_source(self):
+        spec = DistortionSpec(xhat_size=2, dd=hamming(3)[:, :2], de=hamming(2))
+        with pytest.raises(InvalidInstanceError, match="dd rows"):
+            expected_distortions(bsc_pair(0.25), spec, constant_channel(2, 2))
+
+    def test_channel_dimensions_must_match_the_source(self):
+        with pytest.raises(InvalidInstanceError, match="channel dimensions"):
+            expected_distortions(bsc_pair(0.25), hamming_spec(), constant_channel(3, 2))
+
+    def test_reconstruction_indices_must_fit_xhat(self):
+        with pytest.raises(InvalidInstanceError, match="exceed xhat_size"):
+            expected_distortions(bsc_pair(0.25), hamming_spec(), constant_channel(2, 2, xhat=2))
+
 
 class TestInnerMinimize:
     def test_slack_targets_give_zero_rate(self):
@@ -214,6 +227,10 @@ class TestSolveRate:
         cfg = SolveConfig(z_size=4, enumeration_cap=10)
         with pytest.raises(ResourceCapError):
             solve_rate(src, spec, 0.01, 0.001, cfg)
+
+    def test_nonpositive_enumeration_cap_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="enumeration cap"):
+            SolveConfig(enumeration_cap=0)
 
     def test_witness_is_consistent(self):
         src = bsc_pair(0.25)
@@ -380,7 +397,7 @@ def encoder_active_library():
     de_t = 0.02
     src, spec, dd_t = encoder_active_instance()
     _, (a_rows, e_rows) = base_library(src, spec)
-    return solver_module._LibraryBA(src.pxy, [a_rows.T, e_rows.T], [dd_t, de_t], 10**5)
+    return solver_module._LibraryBA(src.pxy, [a_rows.T, e_rows.T], [dd_t, de_t])
 
 
 class TestUniverseFirst:
@@ -403,9 +420,7 @@ class TestUniverseFirst:
         assert primal.costs[1] > de_t + 1e-3
         assert bound <= full + 1e-9
         # the full-library solve settles the point, with a bound below R
-        bound, primal, _ = solver_module._universe_solve(
-            src.pxy, list(ba.costs), [dd_t, de_t], 5
-        )
+        bound, primal, _ = solver_module._universe_solve(src.pxy, list(ba.costs), [dd_t, de_t])
         assert primal.value == pytest.approx(full, abs=1e-8)
         assert bound <= full + 1e-9
 
@@ -439,6 +454,7 @@ class TestUniverseFirst:
             # the full enumerations' rates, which took 2 s and 756 s
             (2, 2, 0.95, 0.001, 0.0105834349),
             (4, 3, 0.99, 0.01, 8.960760122e-05),
+            (0, 3, 0.95, 0.005, 0.006654824512493179),
         ],
     )
     def test_corner_points_settle_without_a_scan(
@@ -446,7 +462,8 @@ class TestUniverseFirst:
     ):
         # D_d near the cheapest constant rule's E d_d and a small D_e: no
         # support from the Wyner-Ziv primal reaches both targets, so the
-        # barrier solve on the whole library finds the one _settle certifies
+        # barrier solve on the whole library finds the one _settle
+        # certifies, and the search before it must stay short
         src, spec, dd_t = encoder_active_instance(seed, y_size)
         dd_t *= dd_scale / 0.6  # encoder_active_instance gives 0.6 x the constant rule
         monkeypatch.setattr(solver_module, "scan_candidates", None)
@@ -454,9 +471,22 @@ class TestUniverseFirst:
         assert (point.path, point.label) == ("library", "exact")
         assert 0.0 <= point.gap <= 1e-7
         assert point.rate == pytest.approx(rate, abs=1e-9)
+        assert point.iterations < 5000
         assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
         edd, ede = expected_distortions(src, spec, point.witness)
         assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+
+    def test_sweep_cell_settles_in_few_iterations(self, monkeypatch):
+        # a cell of a 20 x 20 sweep of the 3x3x3 ladder instance that the
+        # dual search leaves to the barrier solve, as at the corner points
+        src, spec, dd_t, _ = ladder_instance(3, 3, 3)
+        dd_t *= 0.9 / 0.5  # ladder_instance gives 0.5 x the constant rule
+        de_t = 0.6 / 19 * float(spec.de.mean())
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert (point.path, point.label) == ("library", "exact")
+        assert point.rate == pytest.approx(0.0053953588010342375, abs=1e-9)
+        assert point.iterations < 5000
 
     def test_four_letter_encoder_active_point(self, monkeypatch):
         # D_e at half the E d_e of the Wyner-Ziv solution: C(256, 7)
@@ -655,7 +685,7 @@ class TestBelowTheBound:
         _, rows = base_library(src, spec)
         cons = [np.ascontiguousarray(r.T) for r in rows]
         targets = [0.1, 0.0]
-        bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets, 5)
+        bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets)
         cands = solver_module._candidate_array(len(rows[0]), 5, 10**6)
         full, _, _ = solver_module.scan_candidates(
             solver_module._InnerProblem(src.pxy, 5), cons, cands, targets
@@ -775,6 +805,14 @@ class TestStructuralProperties:
 
 
 class TestWynerZivBaseline:
+    def test_negative_target_raises(self):
+        with pytest.raises(AssumptionError, match="nonnegative"):
+            r_wz(bsc_pair(0.25), hamming(2), -0.1)
+
+    def test_source_letter_without_a_zero_distortion_letter_raises(self):
+        with pytest.raises(AssumptionError, match="zero-distortion letter"):
+            r_wz(bsc_pair(0.25), np.array([[0.5, 1.0], [1.0, 0.0]]), 0.1)
+
     def test_zero_target_with_perfect_side_info(self):
         src = JointSource.from_pxy([[0.5, 0.0], [0.0, 0.5]])
         assert r_wz(src, hamming(2), 0.0) == 0.0
@@ -824,6 +862,10 @@ class TestWynerZivBaseline:
 
 
 class TestCommonReconstructionBaseline:
+    def test_negative_target_raises(self):
+        with pytest.raises(AssumptionError, match="nonnegative"):
+            r_cr(bsc_pair(0.25), hamming(2), -0.1)
+
     def test_zero_target_forces_lossless(self):
         src = bsc_pair(0.25)
         expect = conditional_entropy_x_given_y(src)
