@@ -14,6 +14,7 @@ JSON reports carry a spec_version field, and the seed is always echoed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,6 +197,13 @@ def _tabular(rows, columns, fmt, seed):
     return _csv(rows, columns)
 
 
+def _diagnostics(point) -> dict:
+    return {
+        "iterations": point.iterations, "gap": point.gap, "path": point.path,
+        "multipliers": list(point.multipliers),
+    }
+
+
 def cmd_discrete_solve(args, cfg: _Config) -> str:
     src, spec = load_instance(args.input)
     point = solve_rate(
@@ -218,7 +226,7 @@ def cmd_discrete_solve(args, cfg: _Config) -> str:
             "phi": point.witness.phi.tolist(),
             "psi": point.witness.psi.tolist(),
         },
-        "diagnostics": {"iterations": point.iterations, "gap": point.gap, "path": point.path},
+        "diagnostics": _diagnostics(point),
     }
     return _json_report(report, args.seed)
 
@@ -357,7 +365,7 @@ def cmd_ext_solve(args, cfg: _Config) -> str:
             "psi3": point.psi3.tolist(),
             "p_uz_given_x": point.p_uz_given_x.tolist(),
         },
-        "diagnostics": {"iterations": point.iterations, "gap": point.gap, "path": point.path},
+        "diagnostics": _diagnostics(point),
     }
     return _json_report(report, args.seed)
 
@@ -398,6 +406,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdsi",

@@ -39,6 +39,7 @@ from .errors import AssumptionError, InfeasibleError, InvalidInstanceError
 from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_valid_source
 from .solver import (
     SolveConfig,
+    _Bound,
     _constant_mix,
     _InnerProblem,
     _signature_library,
@@ -62,7 +63,9 @@ class ExtRatePoint:
     every z_size), or the rate is 0; "upper_bound" otherwise.  ``path``
     says what settled the point: "constant" (rate 0 from constant rules),
     "library" (the full-library solve) or "scan" (the candidate
-    enumeration, only below the cardinality bound).
+    enumeration, only below the cardinality bound).  ``multipliers`` (one
+    per target, nonnegative) make the certified bound a plane, as for
+    RatePoint.
     """
 
     targets: np.ndarray
@@ -75,6 +78,7 @@ class ExtRatePoint:
     gap: float = 0.0
     label: str = "exact"
     path: str = "scan"
+    multipliers: tuple = ()
 
 
 def check_zero_distortion_assumption_ext(ext: ExtendedInstance) -> bool:
@@ -158,7 +162,8 @@ def solve_rate_ext(
     mix = _constant_mix(rows.sum(axis=2), targets)
     if mix is not None:
         cols, weights = mix
-        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, 0.0, 0, "constant")
+        bound = _Bound(0.0, np.zeros(ext.k))
+        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, bound, 0, "constant")
     else:
         cons = [np.ascontiguousarray(r.T) for r in rows]
         sol = _solve_library(src, cons, list(targets), cfg, z_size, z_bound)
@@ -172,7 +177,7 @@ def solve_rate_ext(
     return ExtRatePoint(
         targets=targets, rate=sol.rate, phi=phi, psi3=psi3, p_uz_given_x=p_uz,
         achieved=achieved, iterations=sol.iterations, gap=sol.gap, label=sol.label,
-        path=sol.path,
+        path=sol.path, multipliers=sol.multipliers,
     )
 
 

@@ -73,6 +73,12 @@ z_size columns, the restricted problem is not convex: the z_size-column
 candidates are enumerated, each solved this way, and a candidate counts
 only if it meets every target within 1e-12.
 
+Sweeps.  Every certified bound is L(p, lam) - lam . t - gap for some
+multipliers lam >= 0, a plane under R at every target pair with the same
+zero targets, and a witness stays feasible at larger targets, so a sweep
+settles a cell from earlier cells' planes and witnesses where they meet
+within 1e-10 bits (tradeoff_sweep).
+
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
 order, so its support comes first; the scan stops at the first candidate
@@ -163,6 +169,11 @@ class RatePoint:
     (a mix of constant rules, rate 0), "library" (the full-library solve,
     whose witness fits in z_size; it may have fewer columns) or "scan"
     (the candidate enumeration, only below the cardinality bound).
+    ``multipliers`` (bits per unit of (D_d, D_e), nonnegative) make the
+    certified bound a plane: rate - gap + multipliers . (t - t') lower-bounds
+    R at every t' whose zero targets include those of t = (dd_target,
+    de_target); a rate-0 point has zeros.  In a sweep, a cell settled from
+    earlier cells reports iterations 0 (see tradeoff_sweep).
     """
 
     dd_target: float
@@ -175,14 +186,16 @@ class RatePoint:
     gap: float = 0.0
     label: str = "exact"
     path: str = "scan"
+    multipliers: tuple = ()
 
 
 @dataclass
 class InnerResult:
     """Outcome of one inner minimization for fixed reconstruction rules.
 
-    ``lower_bound`` is a certified bound on the constrained optimum, and
-    ``gap`` the rate above it, never negative.
+    ``lower_bound`` is a certified bound on the constrained optimum (a
+    _Bound, with its multipliers, once a centring has run), and ``gap`` the
+    rate above it, never negative.
     """
 
     status: str  # "optimal" | "infeasible" | "pruned"
@@ -194,6 +207,19 @@ class InnerResult:
     @property
     def gap(self) -> float:
         return max(self.rate - self.lower_bound, 0.0)
+
+
+class _Bound(float):
+    """A certified lower bound on R at the targets t it was made at, with
+    its multipliers lam >= 0 (K,): bound + lam . (t - t') bounds R(t') as
+    well, wherever every target that is zero in t is zero in t' (a zero
+    target forbids entries, and the bound holds only with them at zero).
+    ``max`` of two bounds keeps the higher one's multipliers."""
+
+    def __new__(cls, value, lam):
+        self = super().__new__(cls, value)
+        self.lam = np.asarray(lam, dtype=float)
+        return self
 
 
 class _InnerProblem:
@@ -405,7 +431,9 @@ def solve_constrained(
         grad += np.tensordot(lam, cons, 1)
         fw = (p * grad).sum(axis=1) - np.where(free, grad, np.inf).min(axis=1)
         slack = targets - np.einsum("kxn,xn->k", cons, p)
-        bound = max(bound, value - float(lam @ slack + fw.sum()))
+        full = np.zeros(len(zero))
+        full[~zero] = lam
+        bound = max(bound, _Bound(value - float(lam @ slack + fw.sum()), full))
         if best_bound is not None and bound > best_bound + _PRUNE_MARGIN:
             return InnerResult(status="pruned", lower_bound=bound, iterations=iters)
         # stop at the gap, or once rounding stops the centrings closing it
@@ -577,7 +605,8 @@ class _LibraryBA:
     def solve(self, lam: float, tol: float):
         """Minimize L(., lam) from ``warm`` until the gap is <= tol.
 
-        Returns (certified lower bound on R, iterate).
+        Returns (certified lower bound on R, a _Bound at the multipliers
+        (lam, 0, ...); iterate).
         """
         multipliers = np.zeros(len(self.targets))
         multipliers[0] = lam
@@ -591,7 +620,7 @@ class _LibraryBA:
         self.iterations += it
         res = self.last = self.iterate(logp)
         self.warm = res.channel
-        return res.value + lam * (res.costs[0] - self.target) - gap, res
+        return _Bound(res.value + lam * (res.costs[0] - self.target) - gap, multipliers), res
 
 
 def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> _Iterate:
@@ -717,8 +746,9 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
     from the log-shapes in ``shapes`` (a BA iterate) and take up to
     _CERT_STEPS Blahut-Arimoto steps at lam towards their best response,
     with the support held at p, stopping once value minus the bound is <=
-    tol.  Returns (best bound, the last iterate, the log-mass growth of each
-    column in its last step: positive where a column would enter).
+    tol.  Returns (best bound, a _Bound at lam; the last iterate; the
+    log-mass growth of each column in its last step: positive where a column
+    would enter).
     """
     penalty = ba.penalty(lam)
     off = p == 0.0
@@ -728,7 +758,7 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
     for it in range(1, _CERT_STEPS + 1):
         point = _log_normalize(np.where(off, shapes - _log_mass(shapes, ba.px) - _DEAD_NATS, logp))
         shapes, gap = ba._step(point, penalty)
-        bound = max(bound, ba.lagrangian(np.exp(point), lam) - gap)
+        bound = max(bound, _Bound(ba.lagrangian(np.exp(point), lam) - gap, lam))
         if value - bound <= tol:
             break
     ba.iterations += it
@@ -830,9 +860,10 @@ def _universe_solve(pxy, cons, targets):
     last BA iterate and certified at all multipliers, settles R or at least
     raises the bound.  A point still uncertified within _EXACT_GAP goes to
     the barrier solve on the whole library (solve_constrained), whose
-    support _settle certifies.  Returns (lower bound, primal iterate or
-    None if none meets every target, iterations, certificate and Newton
-    steps included).  The search aims at a gap of _UNIVERSE_GAP bits.
+    support _settle certifies.  Returns (lower bound, a _Bound with the
+    multipliers it was made at; primal iterate or None if none meets every
+    target; iterations, certificate and Newton steps included).  The search
+    aims at a gap of _UNIVERSE_GAP bits.
     """
     ba = _LibraryBA(pxy, cons, targets)
     bound, primal = _dual_search(ba, _UNIVERSE_GAP)
@@ -941,13 +972,18 @@ def _check_instance(src: JointSource, spec: DistortionSpec):
         raise InvalidInstanceError("dd rows do not match the source alphabet")
 
 
-def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
+def _check_cap(n_sig: int, m: int, cap: int) -> int:
     count = math.comb(n_sig, m)
     if count > cap:
         raise ResourceCapError(
             f"{count} reconstruction-rule candidates exceed the cap {cap}; "
             "reduce z_size or raise enumeration_cap"
         )
+    return count
+
+
+def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
+    count = _check_cap(n_sig, m, cap)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n_sig), m))
     return np.fromiter(flat, dtype=np.int64, count=count * m).reshape(count, m)
 
@@ -956,15 +992,19 @@ def _candidate_array(n_sig: int, m: int, cap: int) -> np.ndarray:
 class _Solution:
     """A point solved over a column library: library indices and the
     channel on them, its rate, a certified lower bound on the full
-    library's minimum, BA and scan iterations, and the path that settled
-    it."""
+    library's minimum (a _Bound, with its multipliers), BA and scan
+    iterations, and the path that settled it."""
 
     cols: np.ndarray
     channel: np.ndarray
     rate: float
-    bound: float
+    bound: _Bound
     iterations: int
     path: str
+
+    @property
+    def multipliers(self) -> tuple:
+        return tuple(float(v) for v in self.bound.lam)
 
     @property
     def gap(self) -> float:
@@ -979,7 +1019,7 @@ class _Solution:
         return "exact" if self.gap <= _EXACT_GAP else "upper_bound"
 
 
-def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
+def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=None):
     """Minimum of the rate over the column library with cost matrices
     ``cons`` (one (X, N) matrix per target), on at most z_size columns.
 
@@ -994,28 +1034,80 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int):
     candidates are otherwise scanned (path "scan"), floored by that
     solve's certified bound and ordered by its primal.  Returns a
     _Solution, or None when no candidate meets the targets.
+
+    With a _Store, after the checks that raise or return None, a point the
+    store settles is returned from it, and a solved one is added to it.
     """
     n_sig = cons[0].shape[1]
     if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
         return None  # even the per-x cheapest columns miss a target
     m = min(z_size, n_sig)
     at_bound = z_size >= min(z_bound, n_sig)
-    # the scan's size is checked before the solve below the bound
-    cands = None if at_bound else _candidate_array(n_sig, m, cfg.enumeration_cap)
+    if not at_bound:
+        _check_cap(n_sig, m, cfg.enumeration_cap)  # before any solve
+    sol = None if store is None else store.settle(targets)
+    if sol is not None:
+        return sol
     floor, primal, iters = _universe_solve(src.pxy, cons, targets)
     if primal is not None and (at_bound or primal.value - floor <= _EXACT_GAP):
         cols, channel = _caratheodory_witness(src, cons, primal.channel)
         if at_bound or len(cols) <= z_size:
-            return _Solution(cols, channel, primal.value, floor, iters, "library")
-    if at_bound:
-        return None
-    mass = None if primal is None else src.px @ primal.channel
-    best, best_idx, scan_iters = scan_candidates(
-        _InnerProblem(src.pxy, m), cons, cands, targets, floor, mass
-    )
-    if best is None:
-        return None
-    return _Solution(cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan")
+            sol = _Solution(cols, channel, primal.value, floor, iters, "library")
+    if sol is None and not at_bound:
+        cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
+        mass = None if primal is None else src.px @ primal.channel
+        best, best_idx, scan_iters = scan_candidates(
+            _InnerProblem(src.pxy, m), cons, cands, targets, floor, mass
+        )
+        if best is not None:
+            sol = _Solution(
+                cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan"
+            )
+    if sol is not None and store is not None:
+        store.add(sol, targets)
+    return sol
+
+
+class _Store:
+    """A discrete instance's column library, built once for a sweep, with
+    the plane (a _Bound and the targets it was made at) and the witness
+    (with its cost vector) of every cell solved on it so far."""
+
+    def __init__(self, src: JointSource, spec: DistortionSpec, cfg: SolveConfig | None):
+        self.cfg = cfg or SolveConfig()
+        _check_instance(src, spec)
+        self.zero_distortion = check_zero_distortion_assumption(spec)
+        self.z_size = self.cfg.z_size if self.cfg.z_size is not None else src.x_size + 3
+        self.sigs, rows = _signature_library(src.pxy, _base_tables(spec))
+        self.totals = rows.sum(axis=2)
+        self.cons = [np.ascontiguousarray(r.T) for r in rows]
+        self.planes = []  # (targets, multipliers, value at the targets)
+        self.solutions = []  # (_Solution, cost vector)
+
+    def settle(self, targets) -> _Solution | None:
+        """The stored witness that settles the cell at targets, or None.
+
+        Its bound is the highest plane holding there; the gap is the rate
+        minus that plane, at most _UNIVERSE_GAP, and the iterations are 0.
+        """
+        t = np.asarray(targets, dtype=float)
+        feasible = [sol for sol, costs in self.solutions if np.all(costs <= t + 1e-12)]
+        if not feasible:
+            return None
+        sol = min(feasible, key=lambda s: s.rate)
+        at, lam, value = (np.asarray(a) for a in zip(*self.planes))
+        holds = ((at > 0.0) | (t <= 0.0)).all(axis=1)
+        below = np.where(holds, value + ((at - t) * lam).sum(axis=1), -np.inf)
+        best = int(np.argmax(below))
+        if not sol.rate - below[best] <= _UNIVERSE_GAP:
+            return None
+        bound = _Bound(below[best], lam[best])
+        return _Solution(sol.cols, sol.channel, sol.rate, bound, 0, sol.path)
+
+    def add(self, sol: _Solution, targets):
+        costs = np.asarray([(c[:, sol.cols] * sol.channel).sum() for c in self.cons])
+        self.planes.append((np.asarray(targets, dtype=float), sol.bound.lam, float(sol.bound)))
+        self.solutions.append((sol, costs))
 
 
 def solve_rate(
@@ -1024,6 +1116,8 @@ def solve_rate(
     dd_target: float,
     de_target: float,
     cfg: SolveConfig | None = None,
+    *,
+    store: _Store | None = None,
 ) -> RatePoint:
     """The rate-distortions function at one target pair, with witness.
 
@@ -1037,47 +1131,50 @@ def solve_rate(
     kept.  Requires the zero-distortion assumption; the
     rate is bounded by H(X|Y) because the identity channel with
     zero-distortion rules is always a candidate.
+
+    ``store`` is tradeoff_sweep's _Store for this (src, spec, cfg), which
+    holds the library and may settle the point from earlier cells; None
+    solves the point on its own (an empty store).
     """
-    cfg = cfg or SolveConfig()
-    _check_instance(src, spec)
+    store = _Store(src, spec, cfg) if store is None else store
     dd_target = float(dd_target)
     de_target = float(de_target)
     if dd_target < 0 or de_target < 0:
         raise AssumptionError("distortion targets must be nonnegative")
-    if not check_zero_distortion_assumption(spec):
+    if not store.zero_distortion:
         raise AssumptionError(
             "distortion tables violate the zero-distortion assumption"
         )
-    z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 3
     targets = [dd_target, de_target]
-    sigs, rows = _signature_library(src.pxy, _base_tables(spec))
-    totals = rows.sum(axis=2)
-    mix = _constant_mix(totals, targets)
+    mix = _constant_mix(store.totals, targets)
     if mix is not None:
         cols, weights = mix
         phi, psi, channel = _witness_tables(
-            sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
+            store.sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
         )
         ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
-        add, ade = (float(weights @ t[cols]) for t in totals)
+        add, ade = (float(weights @ t[cols]) for t in store.totals)
         return RatePoint(
             dd_target=dd_target, de_target=de_target, rate=0.0, witness=ch,
-            achieved_dd=add, achieved_de=ade, path="constant",
+            achieved_dd=add, achieved_de=ade, path="constant", multipliers=(0.0, 0.0),
         )
 
-    cons = [np.ascontiguousarray(r.T) for r in rows]
-    sol = _solve_library(src, cons, targets, cfg, z_size, src.x_size + 3)
+    sol = _solve_library(
+        src, store.cons, targets, store.cfg, store.z_size, src.x_size + 3, store
+    )
     if sol is None:
         raise InfeasibleError(
             "no reconstruction rule meets the targets at this z_size"
         )
-    phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, src.x_size)
+    phi, psi, channel = _witness_tables(
+        store.sigs, sol.cols, sol.channel, src.y_size, src.x_size
+    )
     ch = TestChannel(z_size=len(sol.cols), pz_given_x=channel, phi=phi, psi=psi)
     add, ade = expected_distortions(src, spec, ch)
     return RatePoint(
         dd_target=dd_target, de_target=de_target, rate=sol.rate, witness=ch,
         achieved_dd=add, achieved_de=ade, iterations=sol.iterations, gap=sol.gap,
-        label=sol.label, path=sol.path,
+        label=sol.label, path=sol.path, multipliers=sol.multipliers,
     )
 
 
@@ -1287,7 +1384,19 @@ def tradeoff_sweep(
     de_grid,
     cfg: SolveConfig | None = None,
 ) -> list[list[SweepCell]]:
-    """solve_rate over the target grid; per-cell errors are recorded in-cell.
+    """solve_rate over the target grid, as one solve; per-cell errors are
+    recorded in-cell.
+
+    The library is built once, and the cells, visited in grid order, share
+    one _Store.  R is convex, so every certified bound is a plane under it
+    at every target pair sharing its zero targets, and a witness stays
+    feasible at larger targets.  A cell passes solve_rate's checks first,
+    so it errors exactly when its own solve does; a cell that the stored
+    witnesses and planes settle within 1e-10 bits (where the encoder target
+    is slack, R does not change along the row) reports that witness, the
+    plane's multipliers, gap = rate minus the plane, iterations 0 and the
+    path of the cell it came from.  Other cells are solved as by
+    solve_rate and join the store.
 
     Grids must be sorted ascending.  The result is row-major in dd.
     """
@@ -1295,12 +1404,14 @@ def tradeoff_sweep(
     de_grid = [float(v) for v in de_grid]
     if dd_grid != sorted(dd_grid) or de_grid != sorted(de_grid):
         raise InvalidInstanceError("sweep grids must be sorted ascending")
+    store = _Store(src, spec, cfg)
     out = []
     for dd_t in dd_grid:
         row = []
         for de_t in de_grid:
             try:
-                row.append(SweepCell(dd_t, de_t, point=solve_rate(src, spec, dd_t, de_t, cfg)))
+                point = solve_rate(src, spec, dd_t, de_t, cfg, store=store)
+                row.append(SweepCell(dd_t, de_t, point=point))
             except (AssumptionError, InfeasibleError, ResourceCapError) as exc:
                 row.append(SweepCell(dd_t, de_t, error=str(exc)))
         out.append(row)

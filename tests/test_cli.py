@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rdsi
+import rdsi.cli
 from conftest import ladder_instance
 from rdsi.cli import main
 from rdsi.sphere import cap_ratio
@@ -111,6 +112,32 @@ class TestDiscreteSolve:
         assert status == 0
         report = json.loads(out)
         assert (report["diagnostics"]["path"], report["label"]) == ("scan", "upper_bound")
+
+    @pytest.mark.parametrize(
+        "dd, de, z_size, path",
+        [
+            ("0.1", "0.05", "3", "library"),
+            ("0.1", "0.05", "2", "scan"),
+            ("0.5", "0.5", "3", "constant"),
+        ],
+    )
+    def test_multipliers_one_per_target(self, tmp_path, capsys, dd, de, z_size, path):
+        # the certified bound's plane: rate - gap + multipliers . (t - t')
+        inst = binary_instance_file(tmp_path)
+        status, out = run(
+            ["discrete-solve", "--input", inst, "--config", f"dd_target={dd}",
+             "--config", f"de_target={de}", "--config", f"z_size={z_size}"],
+            capsys,
+        )
+        assert status == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["path"] == path
+        multipliers = diagnostics["multipliers"]
+        assert len(multipliers) == 2 and min(multipliers) >= 0.0
+        if path == "constant":
+            assert multipliers == [0.0, 0.0]
+        else:
+            assert multipliers[0] > 0.0
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -353,6 +380,8 @@ class TestExtSolveAndReduce:
         report = json.loads(out)
         assert (report["diagnostics"]["path"], report["label"]) == ("library", "exact")
         assert 0.0 <= report["diagnostics"]["gap"] <= 1e-7
+        multipliers = report["diagnostics"]["multipliers"]
+        assert len(multipliers) == 2 and min(multipliers) >= 0.0
 
     def test_ext_solve_z_size_range(self, tmp_path, capsys):
         # z_size must lie in [1, |X| + K + 1]; 0 is rejected by the config
@@ -437,6 +466,19 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert result["status"] == 0
         assert result["report"]["diagnostics"]["path"] == "library"
         assert "scipy.optimize" not in loaded["discrete-solve"]
+
+    def test_parser_is_built_on_first_use_only(self, tmp_path, capsys):
+        # importing builds no parser; main builds one and reuses it, and a
+        # --config list from one call does not leak into the next
+        probe = "import rdsi.cli; print(rdsi.cli._build_parser.cache_info().currsize)"
+        assert fresh_python("-c", probe) == "0\n"
+        assert rdsi.cli._build_parser() is rdsi.cli._build_parser()
+        inst = binary_instance_file(tmp_path)
+        status, _ = run(["wz", "--input", inst, "--config", "dd_target=0.1"], capsys)
+        assert status == 0
+        status, out = run(["wz", "--input", inst], capsys)
+        assert status == 2
+        assert "dd_target" in json.loads(out)["error"]["message"]
 
     def test_cold_import_loads_no_thread_pool(self):
         # the codebook's thread pool is imported on the first multi-chunk scan

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from conftest import (
     ladder_instance,
     random_binary_instance,
 )
+from rdsi.cli import main
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from rdsi.extended import ExtSolveConfig, solve_rate_ext
 from rdsi.model import (
@@ -999,6 +1001,130 @@ class TestTradeoffSweep:
         statuses = {c.status for row in cells for c in row}
         assert "error" in statuses  # dd=0.01 unreachable with a single column
         assert cells[1][1].status == "ok"
+        assert_cells_match_own_errors(cells, src, spec, cfg)
+
+    def test_cell_errors_match_their_own_solves(self):
+        # the library is built once per sweep, but a cell still errors
+        # exactly when, and as, its own solve does: a negative target, the
+        # zero-distortion assumption, an infeasible target, the scan's cap
+        src = bsc_pair(0.25)
+        cases = [
+            (hamming_spec(), [-0.1, 0.15], [0.0, 0.1], CFG3),
+            (DistortionSpec(xhat_size=2, dd=hamming(2), de=np.ones((2, 2))), [0.1], [0.5], CFG3),
+            (hamming_spec(), [0.15], [0.1], SolveConfig(z_size=2, enumeration_cap=1)),
+        ]
+        for spec, dd_grid, de_grid, cfg in cases:
+            cells = tradeoff_sweep(src, spec, dd_grid, de_grid, cfg)
+            assert any(c.status == "error" for row in cells for c in row)
+            assert_cells_match_own_errors(cells, src, spec, cfg)
+
+    def test_zero_target_plane_is_not_reused(self):
+        # the (0.15, 0) witness (E d_e 0, rate 0.2999) meets D_e = 0.1 as
+        # well, and its plane would "certify" it there, but a plane made at
+        # a zero target holds only where that target stays zero
+        cells = tradeoff_sweep(bsc_pair(0.25), hamming_spec(), [0.15], [0.0, 0.1], CFG3)
+        assert cells[0][0].point.rate == pytest.approx(0.299895817815, abs=1e-9)
+        assert cells[0][1].point.rate == pytest.approx(0.274119626524, abs=1e-9)
+        assert cells[0][1].point.iterations > 0
+
+    def test_slack_cells_settle_from_the_store(self):
+        # where the encoder target is slack the row neighbour's plane
+        # (multiplier 0 on D_e) and the lowest-rate witness solved earlier
+        # in the row settle the cell without a solve
+        cells = tradeoff_sweep(
+            bsc_pair(0.25), hamming_spec(), BSC_SWEEP_DD, BSC_SWEEP_DE, SolveConfig(z_size=5)
+        )
+        reused = {
+            (c.dd_target, c.de_target): c.point
+            for row in cells for c in row
+            if c.point.iterations == 0 and c.point.path != "constant"
+        }
+        assert set(reused) == {(0.05, 0.2), (0.05, 0.3), (0.15, 0.2), (0.15, 0.3)}
+        for (dd_t, _), point in reused.items():
+            row = cells[BSC_SWEEP_DD.index(dd_t)]
+            source = min((c.point for c in row[:2]), key=lambda p: p.rate)
+            assert point.rate == source.rate
+            assert np.array_equal(point.witness.pz_given_x, source.witness.pz_given_x)
+            assert point.path == "library" and point.label == "exact"
+            assert 0.0 <= point.gap <= 1e-10
+            assert point.multipliers[1] == 0.0
+
+    @pytest.mark.parametrize("case", ["bsc", "ladder"])
+    def test_cells_match_their_own_solves(self, case):
+        if case == "bsc":
+            src, spec, cfg = bsc_pair(0.25), hamming_spec(), SolveConfig(z_size=5)
+            dd_grid, de_grid = BSC_SWEEP_DD, BSC_SWEEP_DE
+        else:
+            # a 5 x 5 subgrid of the 20 x 20 sweep of the 3x3x3 ladder
+            # instance: D_d = i/20 x the constant rule, D_e = j x 0.6/19 x
+            # the mean d_e
+            src, spec, dd_t, _ = ladder_instance(3, 3, 3)
+            cfg = SolveConfig()
+            dd_grid = [i / 20 * dd_t / 0.5 for i in (4, 8, 12, 16, 19)]
+            de_grid = [j * 0.6 / 19 * float(spec.de.mean()) for j in (0, 4, 9, 14, 19)]
+        cells = tradeoff_sweep(src, spec, dd_grid, de_grid, cfg)
+        reused = 0
+        for row in cells:
+            for cell in row:
+                own = solve_rate(src, spec, cell.dd_target, cell.de_target, cfg)
+                point = cell.point
+                assert point.rate == pytest.approx(own.rate, abs=1e-9)
+                assert point.label == own.label
+                assert (point.achieved_dd, point.achieved_de) == pytest.approx(
+                    (own.achieved_dd, own.achieved_de), abs=1e-9
+                )
+                reused += point.iterations == 0 and point.path != "constant"
+        assert reused >= 4
+
+    @pytest.mark.parametrize(
+        "case",
+        ["bsc slack", "bsc zero D_e", "ladder", "encoder binds", "encoder binds zero D_e"],
+    )
+    def test_printed_plane_stays_below_the_rate(self, case, tmp_path, capsys):
+        # (rate - gap) + multipliers . (t - t') from discrete-solve's JSON is
+        # a lower bound on R at neighbouring targets t' with the same zeros
+        cfg = SolveConfig()
+        if case.startswith("bsc"):
+            src, spec = bsc_pair(0.25), hamming_spec()
+            t = (0.15, 0.0 if "zero" in case else 0.1)
+        elif case == "ladder":
+            src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
+            t = (dd_t, de_t)
+        else:
+            src, spec, dd_t = encoder_active_instance()
+            t = (dd_t, 0.0 if "zero" in case else 0.02)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "x_size": src.x_size, "y_size": src.y_size, "xhat_size": spec.xhat_size,
+            "pxy": src.pxy.ravel().tolist(), "dd": spec.dd.ravel().tolist(),
+            "de": spec.de.ravel().tolist(),
+        }))
+        argv = ["discrete-solve", "--input", str(path),
+                "--config", f"dd_target={t[0]!r}", "--config", f"de_target={t[1]!r}"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        lam = np.asarray(report["diagnostics"]["multipliers"])
+        assert lam.shape == (2,) and (lam >= 0.0).all()
+        base = report["rate"] - report["diagnostics"]["gap"]
+        checked = 0
+        for sd, se in itertools.product((0.8, 0.9, 1.1, 1.25), repeat=2):
+            there = (t[0] * sd, t[1] * se)
+            try:
+                rate = solve_rate(src, spec, *there, cfg).rate
+            except InfeasibleError:
+                continue
+            assert base + lam @ (np.asarray(t) - there) <= rate + 1e-9
+            checked += 1
+        assert checked >= 8
+
+
+def assert_cells_match_own_errors(cells, src, spec, cfg):
+    for row in cells:
+        for cell in row:
+            if cell.status == "error":
+                with pytest.raises((AssumptionError, InfeasibleError, ResourceCapError)) as exc:
+                    solve_rate(src, spec, cell.dd_target, cell.de_target, cfg)
+                assert str(exc.value) == cell.error
 
 
 class TestScipyNames:
