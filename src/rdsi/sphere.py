@@ -16,13 +16,16 @@ over the whole codebook; decoding matches the side-information angle to
 sqrt(1 - 2^(-2 (R' - R))) within the sent bin.  Ties (measure zero in
 theory, possible in floats) go to the lowest codeword index.
 
-The codebook streams through a thread pool in row chunks of a few
-thousand codewords: the calling thread draws each chunk while workers
-normalise and score earlier ones, with one matrix product per chunk for
-a whole block of trials, so the codebook is read once per block (the
-first block while it is drawn).  Scores merge in chunk order, so no
-result depends on the number of workers.  Everything after the encoder's
-choice runs trial by trial in trial order, exactly as for a single trial.
+The codebook streams through a thread pool in chunks of a few hundred
+codewords: the calling thread draws each chunk while workers normalise
+and score earlier ones, with one matrix product per chunk for a block of
+trials.  The simulation draws into a fixed ring of reused chunk buffers,
+scores every trial in that one pass and keeps only the generator state
+saved at each chunk's start; afterwards it redraws just the bin each
+trial's codeword falls in, so memory stays a few chunks whatever the
+codebook size.  Scores merge in chunk order, so no result depends on the
+number of workers.  Everything after the encoder's choice runs trial by
+trial in trial order, exactly as for a single trial.
 
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -46,11 +50,13 @@ from .model import _freeze
 
 DEFAULT_CODEBOOK_CAP = 2**22
 
-# Codebook rows scored per matrix product and trials encoded per pass over
-# the codebook: together they bound the score block (_TRIAL_BLOCK x
-# _ROW_CHUNK floats, 4 MB) whatever the codebook size.
-_ROW_CHUNK = 2048
+# Codebook rows per chunk and trials per matrix product: together they
+# bound the score block (_TRIAL_BLOCK x _ROW_CHUNK floats, 1 MB) whatever
+# the codebook and trial counts.  At most _RING chunks are in flight, which
+# bounds the drawn-but-unscored rows (and the simulation's reused buffers).
+_ROW_CHUNK = 512
 _TRIAL_BLOCK = 256
+_RING = 16
 
 
 def _rng(*key) -> np.random.Generator:
@@ -89,79 +95,118 @@ class _Search:
     """For each row p of points, the index (best) of the codebook row z whose
     cosine z.p / (radius |p|) is closest to target, filled in by _scan.
 
-    A single point gets numpy's matrix-vector product; for several, the
-    matrix product may round a cosine differently in the last bit, which
-    can only move a near-tie within one rounding error.
+    The points are divided by radius |p| once, here, so a chunk's cosines
+    are one matrix product per block of _TRIAL_BLOCK points.  A single
+    point gets numpy's matrix-vector product; for several, the matrix
+    product may round a cosine differently in the last bit, which can only
+    move a near-tie within one rounding error.
     """
 
     def __init__(self, points: np.ndarray, target: float, radius: float):
         # per-point norm, rounded exactly as for a single point (an axis=1
         # norm sums in another order)
-        self.scale = np.array([[radius * np.linalg.norm(p)] for p in points])
-        if not np.all(self.scale):
+        scale = np.array([[radius * np.linalg.norm(p)] for p in points])
+        if not np.all(scale):
             raise AssumptionError("cannot take angles with the zero vector")
-        self.points, self.target = points, target
+        self.points, self.target = points / scale, target
         self.best, self.best_err = np.zeros(len(points), np.intp), np.full(len(points), np.inf)
 
     def score(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        err = self.points @ block.T
-        err /= self.scale
-        err -= self.target
-        np.abs(err, out=err)
-        idx = np.argmin(err, axis=1)
-        return idx, err[np.arange(len(idx)), idx]
+        idx = np.empty(len(self.points), np.intp)
+        best_err = np.empty(len(self.points))
+        for lo in range(0, len(self.points), _TRIAL_BLOCK):
+            err = self.points[lo : lo + _TRIAL_BLOCK] @ block.T
+            err -= self.target
+            np.abs(err, out=err)
+            i = np.argmin(err, axis=1)
+            idx[lo : lo + len(i)] = i
+            best_err[lo : lo + len(i)] = err[np.arange(len(i)), i]
+        return idx, best_err
 
 
-def _scan(v: np.ndarray, search: _Search | None, rng: np.random.Generator | None = None,
-          radius: float = 1.0) -> None:
-    """Stream the rows of v through a thread pool in _ROW_CHUNK-row chunks.
+def _normalise(block: np.ndarray, radius: float) -> np.ndarray:
+    block *= radius / np.linalg.norm(block, axis=1, keepdims=True)
+    return block
 
-    With rng, the calling thread fills the chunks in row order, continuing
-    one stream exactly as a single draw of v would, while workers scale
-    earlier chunks' rows to norm radius.  With search, workers score each
-    chunk, and the chunks merge in row order: a later chunk replaces a
-    point's best only when strictly closer, so ties go to the lowest index.
-    On any exception, queued chunks are cancelled and only running ones
-    awaited.
+
+def _scan(rows: np.ndarray | tuple[int, int], search: _Search | None = None,
+          rng: np.random.Generator | None = None, radius: float = 1.0) -> list[dict]:
+    """Stream codebook rows through a thread pool in _ROW_CHUNK-row chunks.
+
+    rows is the array to read, or to draw into when rng is given; or only
+    its (count, n) shape, to draw through a ring of _RING reused chunk
+    buffers that keeps no row.  With rng, the calling thread fills the
+    chunks in row order, continuing one stream exactly as a single draw of
+    every row would, and saves the generator state at each chunk's start
+    (returned, for _redraw), while workers scale earlier chunks' rows to
+    norm radius.  With search, workers score each chunk, and the chunks
+    merge in row order: a later chunk replaces a point's best only when
+    strictly closer, so ties go to the lowest index.  On any exception,
+    queued chunks are cancelled and only running ones awaited.
     """
+    stored = isinstance(rows, np.ndarray)
+    count, n = rows.shape if stored else rows
+    starts = range(0, count, _ROW_CHUNK)
+    ring = None if stored else np.empty((min(_RING, len(starts)), _ROW_CHUNK, n))
+    states = []
 
-    def drawn(chunks):
-        for lo in chunks:
-            if rng is not None:
-                rng.standard_normal(out=v[lo : lo + _ROW_CHUNK])
-            yield lo
-
-    def work(lo):
-        block = v[lo : lo + _ROW_CHUNK]
+    def chunk(i, lo):
+        block = rows[lo : lo + _ROW_CHUNK] if stored else ring[i % _RING][: count - lo]
         if rng is not None:
-            block *= radius / np.linalg.norm(block, axis=1, keepdims=True)
+            states.append(rng.bit_generator.state)
+            rng.standard_normal(out=block)
+        return block
+
+    def work(block):
+        if rng is not None:
+            _normalise(block, radius)
         return search.score(block) if search else None
 
-    chunks = range(0, len(v), _ROW_CHUNK)
-    if len(chunks) <= 1:  # nothing to overlap: a worker would only add its start-up
-        scored = [work(lo) for lo in drawn(chunks)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(_workers())
-        try:
-            futures = [pool.submit(work, lo) for lo in drawn(chunks)]
-            scored = [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        pool.shutdown()
-    if search:
-        for lo, (idx, err) in zip(chunks, scored):
+    def merge(lo, scored):
+        if search:
+            idx, err = scored
             closer = err < search.best_err
             search.best_err[closer] = err[closer]
             search.best[closer] = lo + idx[closer]
 
+    if len(starts) <= 1:  # nothing to overlap: a worker would only add its start-up
+        for i, lo in enumerate(starts):
+            merge(lo, work(chunk(i, lo)))
+        return states
+    from concurrent.futures import ThreadPoolExecutor
 
-def _sample_sphere_batch(count: int, n: int, radius: float, rng: np.random.Generator,
-                         search: _Search | None = None) -> np.ndarray:
+    pool = ThreadPoolExecutor(_workers())
+    pending = deque()  # (lo, future) of the chunks in flight, in row order
+    try:
+        for i, lo in enumerate(starts):
+            if len(pending) == _RING:  # frees the ring buffer chunk i reuses
+                done, future = pending.popleft()
+                merge(done, future.result())
+            pending.append((lo, pool.submit(work, chunk(i, lo))))
+        while pending:
+            done, future = pending.popleft()
+            merge(done, future.result())
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+    return states
+
+
+def _redraw(rng: np.random.Generator, states: list[dict], lo: int, hi: int,
+            n: int, radius: float) -> np.ndarray:
+    """Rows [lo, hi) of a codebook that _scan drew from rng, redrawn from the
+    state it saved at the start of row lo's chunk (hi may lie in a later
+    chunk: the draw continues the stream across the boundary)."""
+    start = lo - lo % _ROW_CHUNK
+    rng.bit_generator.state = states[lo // _ROW_CHUNK]
+    return _normalise(rng.standard_normal((hi - start, n))[lo - start :], radius)
+
+
+def _sample_sphere_batch(count: int, n: int, radius: float,
+                         rng: np.random.Generator) -> np.ndarray:
     v = np.empty((count, n))
-    _scan(v, search, rng, radius)
+    _scan(v, rng=rng, radius=radius)
     return v
 
 
@@ -261,8 +306,32 @@ class SimConfig:
         return math.sqrt(1.0 - 2.0 ** (-2.0 * (self.rate_fine - self.rate_nominal)))
 
 
+class _Bins:
+    """The contiguous-bin layout of size codewords in n_bins bins."""
+
+    def bin_of(self, index: int) -> int:
+        return min(index // self.bin_size, self.n_bins - 1)
+
+    def bin_bounds(self, m: int) -> tuple[int, int]:
+        """Index range [lo, hi) of bin m; the last bin absorbs the remainder."""
+        if not 0 <= m < self.n_bins:
+            raise AssumptionError(f"bin index {m} out of range")
+        lo = m * self.bin_size
+        hi = self.size if m == self.n_bins - 1 else min((m + 1) * self.bin_size, self.size)
+        return lo, hi
+
+
 @dataclass(frozen=True)
-class Codebook:
+class _Layout(_Bins):
+    """The bin layout of a codebook that is streamed rather than held."""
+
+    size: int
+    n_bins: int
+    bin_size: int
+
+
+@dataclass(frozen=True)
+class Codebook(_Bins):
     """Immutable codebook: point matrix plus the contiguous-bin layout.
 
     The vectors are copied, so the caller's array stays theirs; _owned=True
@@ -287,27 +356,9 @@ class Codebook:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def bin_of(self, index: int) -> int:
-        return min(index // self.bin_size, self.n_bins - 1)
 
-    def bin_bounds(self, m: int) -> tuple[int, int]:
-        """Index range [lo, hi) of bin m; the last bin absorbs the remainder."""
-        if not 0 <= m < self.n_bins:
-            raise AssumptionError(f"bin index {m} out of range")
-        lo = m * self.bin_size
-        hi = self.size if m == self.n_bins - 1 else min((m + 1) * self.bin_size, self.size)
-        return lo, hi
-
-
-def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None,
-                   _search: _Search | None = None) -> Codebook:
-    """Draw the codebook and bin layout for a configuration.
-
-    Deterministic given cfg.seed when rng is omitted.  Raises when the
-    codebook size would exceed cfg.codebook_cap, reporting the largest
-    feasible blocklength instead of silently truncating.  _search (for
-    run_simulation) is scored over the codebook while it is drawn.
-    """
+def _layout(cfg: SimConfig) -> _Layout:
+    """Codebook size and bins for a configuration, within cfg.codebook_cap."""
     size_log = cfg.n * cfg.rate_fine
     if size_log > math.log2(cfg.codebook_cap):
         n_max = max_feasible_blocklength(cfg.var_x, cfg.var_u, cfg.params, cfg.codebook_cap)
@@ -315,15 +366,33 @@ def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None,
             f"codebook 2^{size_log:.2f} exceeds cap {cfg.codebook_cap}; "
             f"largest feasible n for these parameters is {n_max}"
         )
-    total = int(math.ceil(2.0**size_log))
-    n_bins = max(int(math.floor(2.0 ** (cfg.n * (cfg.rate_nominal + cfg.delta)))), 1)
-    bin_size = max(
-        int(math.ceil(2.0 ** (cfg.n * (cfg.rate_fine - cfg.rate_nominal - cfg.delta)))), 1
+    return _Layout(
+        size=int(math.ceil(2.0**size_log)),
+        n_bins=max(int(math.floor(2.0 ** (cfg.n * (cfg.rate_nominal + cfg.delta)))), 1),
+        bin_size=max(
+            int(math.ceil(2.0 ** (cfg.n * (cfg.rate_fine - cfg.rate_nominal - cfg.delta)))), 1
+        ),
     )
+
+
+def _radius(cfg: SimConfig) -> float:
+    return math.sqrt(cfg.n * cfg.var_z)
+
+
+def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None) -> Codebook:
+    """Draw the codebook and bin layout for a configuration, chunk by chunk
+    as run_simulation streams it, but keeping every row.
+
+    Deterministic given cfg.seed when rng is omitted.  Raises when the
+    codebook size would exceed cfg.codebook_cap, reporting the largest
+    feasible blocklength instead of silently truncating.
+    """
+    layout = _layout(cfg)
     if rng is None:
         rng = _rng(cfg.seed, 0)
-    vectors = _sample_sphere_batch(total, cfg.n, math.sqrt(cfg.n * cfg.var_z), rng, _search)
-    return Codebook(vectors=vectors, n_bins=n_bins, bin_size=bin_size, _owned=True)
+    vectors = _sample_sphere_batch(layout.size, cfg.n, _radius(cfg), rng)
+    return Codebook(vectors=vectors, n_bins=layout.n_bins, bin_size=layout.bin_size,
+                    _owned=True)
 
 
 @dataclass(frozen=True)
@@ -341,15 +410,6 @@ class DecodeResult:
     recon_decoder: np.ndarray
 
 
-def _encoded(best: np.ndarray, xs: np.ndarray, cb: Codebook,
-             cfg: SimConfig) -> list[EncodeResult]:
-    return [
-        EncodeResult(bin_index=cb.bin_of(i), codeword_index=i, codeword=cb.vectors[i],
-                     recon_encoder=cb.vectors[i] + cfg.params.b * x)
-        for i, x in zip(map(int, best), xs)
-    ]
-
-
 def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[EncodeResult]:
     """Pick the codeword whose angle with x is closest to the encoding target;
     send its bin, reconstruct as z* + b x.
@@ -359,10 +419,22 @@ def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[E
     pass over the codebook.
     """
     xs = np.atleast_2d(x)
-    search = _Search(xs, cfg.enc_target, math.sqrt(cfg.n * cfg.var_z))
+    search = _Search(xs, cfg.enc_target, _radius(cfg))
     _scan(cb.vectors, search)
-    results = _encoded(search.best, xs, cb, cfg)
+    results = [
+        EncodeResult(bin_index=cb.bin_of(i), codeword_index=i, codeword=cb.vectors[i],
+                     recon_encoder=cb.vectors[i] + cfg.params.b * x)
+        for i, x in zip(map(int, search.best), xs)
+    ]
     return results if np.ndim(x) == 2 else results[0]
+
+
+def _decode_rows(rows: np.ndarray, y: np.ndarray, cfg: SimConfig) -> int:
+    """Position within rows (one bin's codewords) of the row whose angle with
+    y is closest to the decoding target."""
+    search = _Search(y[np.newaxis], cfg.dec_target, _radius(cfg))
+    _scan(rows, search)
+    return int(search.best[0])
 
 
 def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
@@ -370,9 +442,7 @@ def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
     decoding target; reconstruct as zhat + b y."""
     lo, hi = cb.bin_bounds(m)
     assert hi > lo, "selected bin is empty (cannot occur for an encoder-chosen bin)"
-    search = _Search(y[np.newaxis], cfg.dec_target, math.sqrt(cfg.n * cfg.var_z))
-    _scan(cb.vectors[lo:hi], search)
-    idx = lo + int(search.best[0])
+    idx = lo + _decode_rows(cb.vectors[lo:hi], y, cfg)
     z_hat = cb.vectors[idx]
     return DecodeResult(
         codeword_index=idx,
@@ -424,11 +494,19 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     * dec1: chosen codeword angle with y off the decoding target (band 4 eps);
     * dec2: decoder picked a different codeword than the encoder.
 
-    Trials are encoded _TRIAL_BLOCK at a time in one pass over the codebook,
-    the first block while the codebook is drawn; the rest of each trial, and
-    every sum, runs in trial order.
+    The encoder scores every trial in one pass over the codebook while it
+    is drawn through a ring of reused chunk buffers, so the codebook is
+    never held; each trial's bin is then redrawn from the generator state
+    saved at its chunk's start, and the decoder search and the rest of the
+    trial run on those rows, trial by trial, with every sum in trial order.
     """
     n = cfg.n
+    radius = _radius(cfg)
+    layout = _layout(cfg)
+    pairs = [_draw_trial(cfg, t) for t in range(cfg.trials)]
+    search = _Search(np.stack([x for x, _ in pairs]), cfg.enc_target, radius)
+    rng = _rng(cfg.seed, 0)
+    states = _scan((layout.size, n), search, rng, radius)
     var_y = cfg.var_x + cfg.var_u
     rho_xy = math.sqrt(cfg.var_x / var_y)
     sums = np.zeros(2)
@@ -437,21 +515,16 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     counts = np.zeros(5)  # src, enc, dec1, dec2, any
     n_clean = 0
     n_decoded = 0
-    for t in range(cfg.trials):
-        if t % _TRIAL_BLOCK == 0:
-            pairs = [_draw_trial(cfg, s) for s in range(t, min(t + _TRIAL_BLOCK, cfg.trials))]
-            xs = np.stack([x for x, _ in pairs])
-            if t == 0:
-                first = _Search(xs, cfg.enc_target, math.sqrt(n * cfg.var_z))
-                cb = build_codebook(cfg, _search=first)
-                encs = _encoded(first.best, xs, cb, cfg)
-            else:
-                encs = encode(xs, cb, cfg)
-        (x, u), enc = pairs[t % _TRIAL_BLOCK], encs[t % _TRIAL_BLOCK]
+    for (x, u), best in zip(pairs, map(int, search.best)):
+        lo, hi = layout.bin_bounds(layout.bin_of(best))
+        rows = _redraw(rng, states, lo, hi, n, radius)
+        z = rows[best - lo]
         y = x + u
-        dec = decode(enc.bin_index, y, cb, cfg)
-        dd = float(np.sum((x - dec.recon_decoder) ** 2)) / n
-        de = float(np.sum((dec.recon_decoder - enc.recon_encoder) ** 2)) / n
+        picked = _decode_rows(rows, y, cfg)
+        recon_d = rows[picked] + cfg.params.b * y
+        recon_e = z + cfg.params.b * x
+        dd = float(np.sum((x - recon_d) ** 2)) / n
+        de = float(np.sum((recon_d - recon_e) ** 2)) / n
 
         xx = float(x @ x)
         yy = float(y @ y)
@@ -461,11 +534,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             or abs(yy / n - var_y) > cfg.epsilon * var_y
             or abs(cos_xy - rho_xy) > cfg.epsilon * rho_xy
         )
-        cos_xz = float(x @ enc.codeword) / math.sqrt(xx * float(enc.codeword @ enc.codeword))
+        cos_xz = float(x @ z) / math.sqrt(xx * float(z @ z))
         e_enc = abs(cos_xz - cfg.enc_target) > cfg.epsilon * cfg.enc_target
-        cos_yz = float(y @ enc.codeword) / math.sqrt(yy * float(enc.codeword @ enc.codeword))
+        cos_yz = float(y @ z) / math.sqrt(yy * float(z @ z))
         e_dec1 = abs(cos_yz - cfg.dec_target) > 4.0 * cfg.epsilon * cfg.dec_target
-        e_dec2 = dec.codeword_index != enc.codeword_index
+        e_dec2 = lo + picked != best
         any_e = e_src or e_enc or e_dec1 or e_dec2
 
         sums += (dd, de)

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,7 +363,7 @@ class Interrupt(BaseException):
 
 class TestStreamedCodebook:
     def test_chunked_draw_matches_one_shot(self):
-        # 2^12.5 -> 5793 codewords: two full row chunks and a ragged one
+        # 2^12.5 -> 5793 codewords: eleven full row chunks and a ragged one
         cfg = small_cfg(n=25)
         cb = build_codebook(cfg)
         assert cb.size > sphere._ROW_CHUNK and cb.size % sphere._ROW_CHUNK
@@ -369,34 +371,73 @@ class TestStreamedCodebook:
         v *= math.sqrt(cfg.n * cfg.var_z) / np.linalg.norm(v, axis=1, keepdims=True)
         assert cb.vectors.tobytes() == v.tobytes()
 
+    def test_redrawn_rows_match_built_codebook(self):
+        # 5793 codewords: eleven full row chunks and a ragged one of 161 rows
+        cfg = small_cfg(n=25)
+        cb = build_codebook(cfg)
+        chunk, radius = sphere._ROW_CHUNK, math.sqrt(cfg.n * cfg.var_z)
+        rng = _rng(cfg.seed, 0)
+        states = sphere._scan((cb.size, cfg.n), rng=rng, radius=radius)
+        assert len(states) == -(-cb.size // chunk) and cb.size % chunk
+        bins = [cb.bin_bounds(m) for m in range(cb.n_bins)]
+        straddling = [(lo, hi) for lo, hi in bins if lo // chunk != (hi - 1) // chunk]
+        assert straddling
+        ragged = (cb.size - cb.size % chunk, cb.size)
+        others = [(0, 1), ragged, (cb.size - 1, cb.size), (chunk - 1, 3 * chunk + 1), (0, chunk)]
+        for lo, hi in bins[::-1] + others:
+            rows = sphere._redraw(rng, states, lo, hi, cfg.n, radius)
+            assert rows.tobytes() == cb.vectors[lo:hi].tobytes(), (lo, hi)
+
+    def test_simulation_never_holds_the_codebook(self):
+        # 2^16 codewords of 32 coordinates: 16.8 MB if held
+        cfg = small_cfg(n=32, trials=4)
+        book_bytes = build_codebook(cfg).vectors.nbytes
+        assert book_bytes > 16e6
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < book_bytes / 4
+
+    def test_codebook_stream_constructed_once(self, monkeypatch):
+        # 2^13 codewords in 16 row chunks; three blocks of trials
+        cfg = small_cfg(n=26, trials=2 * sphere._TRIAL_BLOCK + 13, seed=4)
+        real_rng, keys = sphere._rng, []
+
+        def rng(*key):
+            keys.append(key)
+            return real_rng(*key)
+
+        monkeypatch.setattr(sphere, "_rng", rng)
+        run_simulation(cfg)
+        assert keys.count((cfg.seed, 0)) == 1
+        assert len(keys) == cfg.trials + 1
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = small_cfg(n=25, trials=sphere._TRIAL_BLOCK + 13, seed=6)
-        real_build = sphere.build_codebook
         ys = _rng(7).standard_normal((3, cfg.n))
 
-        def run(workers):
-            books = []
-
-            def build(*args, **kwargs):
-                books.append(real_build(*args, **kwargs))
-                return books[-1]
-
+        def run(workers, ring=sphere._RING):
             with monkeypatch.context() as m:
                 m.setattr(sphere, "_workers", lambda: workers)
-                m.setattr(sphere, "build_codebook", build)
+                m.setattr(sphere, "_RING", ring)
                 result = run_simulation(cfg)
+                book = build_codebook(cfg)
                 # a single bin spanning every chunk sends decode through the pool
-                one_bin = Codebook(books[0].vectors, n_bins=1, bin_size=books[0].size)
+                one_bin = Codebook(book.vectors, n_bins=1, bin_size=book.size)
                 decoded = [decode(0, y, one_bin, cfg).codeword_index for y in ys]
-            return result, books[0].vectors.tobytes(), decoded
+            return result, book.vectors.tobytes(), decoded
 
         result, book, decoded = run(1)
         assert len(book) == 5793 * cfg.n * 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            for workers in (3, 2):
-                other, other_book, other_decoded = run(workers)
+            # a ring of 2 buffers reuses each one five times over the 12 chunks
+            for workers, ring in itertools.product((3, 2), (sphere._RING, 2)):
+                other, other_book, other_decoded = run(workers, ring)
                 same_result(other, result)
                 assert other_book == book
                 assert other_decoded == decoded
@@ -405,20 +446,22 @@ class TestStreamedCodebook:
 
     @pytest.mark.parametrize("where", ["draw", "score"])
     def test_interrupt_cancels_queued_chunks_and_joins_workers(self, monkeypatch, where):
-        # 2^16 codewords: 32 row chunks
+        # 2^16 codewords: 128 row chunks; the release at the 12th draw must
+        # come before the ring fills, or the draw waits out the 60 s
+        assert sphere._RING >= 12
         cfg = small_cfg(n=32, trials=4)
         baseline = threading.active_count()
         real_rng, real_score = sphere._rng, sphere._Search.score
         draws, scores = [], []  # list.append is atomic across threads
         release = threading.Event()
 
-        class Stream:  # the codebook's stream, interrupted at its 20th chunk
+        class Stream:  # the codebook's stream, interrupted at its 12th chunk
             def __init__(self, rng):
-                self.rng = rng
+                self.rng, self.bit_generator = rng, rng.bit_generator
 
             def standard_normal(self, *args, **kwargs):
                 draws.append(1)
-                if len(draws) == 20:
+                if len(draws) == 12:
                     release.set()
                     if where == "draw":
                         raise Interrupt
