@@ -87,17 +87,34 @@ class _Config:
 
     def get_float(self, key, default=None, required=False):
         v = self.get(key, default, required)
-        return None if v is None else float(v)
+        return None if v is None else _number(key, v)
 
     def get_int(self, key, default=None, required=False):
         v = self.get(key, default, required)
-        return None if v is None else int(v)
+        return None if v is None else _integer(key, v)
 
-    def get_list(self, key, required=False):
+    def get_list(self, key, required=False, integral=False):
         v = self.get(key, required=required)
         if v is None:
             return None
-        return [float(x) for x in (v if isinstance(v, list) else [v])]
+        cast = _integer if integral else _number
+        return [cast(key, x) for x in (v if isinstance(v, list) else [v])]
+
+
+def _number(key, value) -> float:
+    """A parsed config value as a float; a string or a list is rejected."""
+    if not isinstance(value, (int, float)):
+        raise InvalidInstanceError(f"config key {key!r} needs a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key, value) -> int:
+    """A parsed config value as an int; integral floats such as 1e3 pass."""
+    if isinstance(value, int):
+        return value
+    if not _number(key, value).is_integer():
+        raise InvalidInstanceError(f"config key {key!r} needs an integer, got {value!r}")
+    return int(value)
 
 
 def _load_json(path):
@@ -322,17 +339,17 @@ def cmd_sphere_sim(args, cfg: _Config) -> str:
     if epsilon is None:
         epsilon = 0.5 * max_epsilon(var_x, var_u, params, delta)
     trials = cfg.get_int("trials", 100)
-    n_list = cfg.get_list("n", required=True)
+    n_list = cfg.get_list("n", required=True, integral=True)
     rows = []
     for n in n_list:
         sim_cfg = SimConfig(
-            n=int(n), var_x=var_x, var_u=var_u, params=params,
+            n=n, var_x=var_x, var_u=var_u, params=params,
             delta=delta, epsilon=epsilon, trials=trials, seed=args.seed,
         )
         result = run_simulation(sim_cfg)
         rows.append(
             {
-                "n": int(n), "trials": trials, "seed": args.seed,
+                "n": n, "trials": trials, "seed": args.seed,
                 "a": params.a, "b": params.b, "var_w": params.var_w,
                 "delta": delta, "epsilon": epsilon,
                 "rate_nominal": sim_cfg.rate_nominal,

@@ -37,16 +37,7 @@ import numpy as np
 from .caratheodory import reduce_aux_u
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError
 from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_valid_source
-from .solver import (
-    SolveConfig,
-    _Bound,
-    _constant_mix,
-    _InnerProblem,
-    _signature_library,
-    _Solution,
-    _solve_library,
-    _witness_tables,
-)
+from .solver import SolveConfig, _InnerProblem, _signature_library, _solve_library, _witness_tables
 
 
 # z_size = None means the cardinality bound |X| + K + 1
@@ -159,16 +150,10 @@ def solve_rate_ext(
     if z_size > z_bound:
         raise InvalidInstanceError(f"z_size must lie in [1, {z_bound}]")
     sigs, rows = _signature_library(src.pxy, ext.dk)
-    mix = _constant_mix(rows.sum(axis=2), targets)
-    if mix is not None:
-        cols, weights = mix
-        bound = _Bound(0.0, np.zeros(ext.k))
-        sol = _Solution(np.asarray(cols), np.tile(weights, (nx, 1)), 0.0, bound, 0, "constant")
-    else:
-        cons = [np.ascontiguousarray(r.T) for r in rows]
-        sol = _solve_library(src, cons, list(targets), cfg, z_size, z_bound)
-        if sol is None:
-            raise InfeasibleError("no rule pair meets the targets at this z_size")
+    cons = [np.ascontiguousarray(r.T) for r in rows]
+    sol = _solve_library(src, cons, list(targets), cfg, z_size, z_bound)
+    if sol is None:
+        raise InfeasibleError("no rule pair meets the targets at this z_size")
     phi, psi, channel = _witness_tables(sigs, sol.cols, sol.channel, src.y_size, nx)
     psi3, p_uz = psi[:, :, None], channel[:, None, :]
     achieved = np.asarray(

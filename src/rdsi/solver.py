@@ -32,7 +32,8 @@ at most one table varies with the encoder letter.
 
 Rate zero.  A Z independent of X has rate 0; its distortions are one mix
 of the library columns' totals, and with two constraints one column or a
-pair of them decides whether such a mix meets both targets.
+pair of them decides whether such a mix meets both targets.  Every library
+solve (base, baselines and extended) checks this first.
 
 Full-library solve.  The same minimization over the complete column
 library (no subset restriction) lower-bounds the rate at every z_size, a
@@ -47,20 +48,22 @@ every iterate carries a certified lower bound (its Lagrangian minus a
 Frank-Wolfe gap that needs no LP), which holds for the rate too.  The
 iteration finds the support of the optimum quickly but converges on it
 only geometrically, so the mix of the last two iterates is settled on its
-support instead: Newton's method on the KKT system of at most |X| + 3
-heaviest columns gives the exact optimum there and its multipliers, the
-Frank-Wolfe gap at those multipliers, with the other columns at their
-Blahut-Arimoto shapes, certifies it, and a column whose mass would grow
-enters the support (column generation).  Where the Wyner-Ziv solution
-misses the encoder target, the same support solve holds both targets and
-is certified at both multipliers.  Caratheodory's theorem on the
-per-column vectors (posterior, H(X|z) - H(Y|z), distortions) cuts the
-solution to a witness of at most |X| + 3 columns with the same rate and
-distortions.  A gap of at most 1e-7 bits settles the point, at any z_size
-the witness fits in, and nothing is enumerated.  A point these support
-solves leave uncertified (near a corner of the region, where no support
-from the Wyner-Ziv solution reaches both targets) goes straight to the
-inner solve below on the whole library, whose support settles it; at the
+support instead, in one support solve that holds the decoder target and
+every other target the mix misses: Newton's method on the KKT system of
+at most |X| + 3 heaviest columns gives the exact optimum there and its
+multipliers, the Frank-Wolfe gap at those multipliers, with the other
+columns at their Blahut-Arimoto shapes, certifies it, and a column whose
+mass would grow enters the support (column generation).  One policy
+decides which targets stay held: one whose multiplier comes out negative
+is released at once, and while holding several leaves the gap open, each
+is released in turn.  Caratheodory's theorem on the per-column vectors
+(posterior, H(X|z) - H(Y|z), distortions) cuts the solution to a witness
+of at most |X| + 3 columns with the same rate and distortions.  A gap of
+at most 1e-7 bits settles the point, at any z_size the witness fits in,
+and nothing is enumerated.  A point the support solve leaves uncertified
+(near a corner of the region, where no support from the Wyner-Ziv
+solution reaches both targets) goes straight to the inner solve below on
+the whole library, whose support the same support solve settles; at the
 cardinality bound that is the answer.
 
 Inner solve.  A log-barrier Newton method on a fixed set of columns,
@@ -407,11 +410,10 @@ def solve_constrained(
     grows by _BARRIER_MU between centrings, each followed by a certified
     bound (L(p, lam) - lam . t minus the Frank-Wolfe gap) that prunes
     against best_bound, until the rate is within _BARRIER_GAP of it.
-    _settle then solves the support found exactly, holding the targets
-    that bind there (while that leaves the gap open with more than one
-    held, once more with each released in turn); its point counts if it is
-    lower and meets every target within 1e-12 (the barrier's is strictly
-    feasible), so no candidate undercuts the certified bound.
+    One _settle call then solves the support found exactly, holding the
+    targets that bind there; its point counts if it is lower (the
+    barrier's is strictly feasible, and _settle's meets every target within
+    1e-12), so no candidate undercuts the certified bound.
     """
     nx, n = problem.pxy.shape[0], problem.n_cols
     for c, t in zip(cons, targets):
@@ -442,19 +444,12 @@ def solve_constrained(
         tau, last = tau * _BARRIER_MU, value - bound
     with np.errstate(divide="ignore"):
         best = ba.iterate(np.log(p))
-    # a target binds where its slack is below its multiplier (tau s^2 < 1);
-    # a slack one held because the barrier stalled short of that can leave
-    # the support unable to hold all of them, so each is released in turn
+    # a target binds where its slack is below its multiplier (tau s^2 < 1)
     active = list(np.flatnonzero(~zero)[slack < lam])
-    retries = [[k for k in active if k != j] for j in active] if len(active) > 1 else []
-    for held in [active] + retries:
-        if held is not active and best.value - bound <= _UNIVERSE_GAP:
-            break
-        got = _settle(ba, p, np.log(np.maximum(p, _TINY)), held, _UNIVERSE_GAP)
-        if got is not None:
-            bound = max(bound, got[0])
-            if got[1].value < best.value and np.all(got[1].costs <= ba.targets + 1e-12):
-                best = got[1]
+    got, point = _settle(ba, p, np.log(np.maximum(p, _TINY)), active, _UNIVERSE_GAP)
+    bound = max(bound, got)
+    if point is not None and point.value < best.value:
+        best = point
     return InnerResult(
         status="optimal", channel=best.channel, rate=best.value,
         iterations=iters + ba.iterations, lower_bound=bound,
@@ -618,7 +613,7 @@ class _LibraryBA:
                 break
             logp = new
         self.iterations += it
-        res = self.last = self.iterate(logp)
+        res = self.iterate(logp)
         self.warm = res.channel
         return _Bound(res.value + lam * (res.costs[0] - self.target) - gap, multipliers), res
 
@@ -766,67 +761,75 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
 
 
 def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
-    """Certified support solve, started on the heaviest columns of channel.
+    """Certified support solve holding the ``active`` targets, started on
+    the heaviest columns of channel.
 
     Each round solves the support exactly (_support_solve) and certifies
     the solution at its KKT multipliers, with the other columns at their
     log-shapes in ``shapes``; while the gap exceeds tol, the column whose
     mass grew most in the certificate's last step enters the support (a
     column-generation step: its reduced cost is negative), for at most
-    _PRICING_ROUNDS rounds.  A held target whose multiplier comes out
-    negative may be slack at the optimum: the support is solved once more
-    without it, and that solution replaces the first when it still meets
-    the target.  Returns (best certified lower bound on R, the lowest-rate
-    solution as an iterate over the library) or None.
+    _PRICING_ROUNDS rounds.  Which targets are held follows one policy.  A
+    held target whose multiplier comes out negative may be slack at the
+    optimum: the support is solved once more without it, and that solution
+    replaces the first when it still meets the target (the cheap first
+    trigger).  While the rounds leave the gap above tol with more than one
+    target held, they run again from the start with each released in turn,
+    since a target held only because the start sat near it can keep the
+    support from settling.  Returns (best certified lower bound on R, or
+    -inf; the lowest-rate solution that meets every target within 1e-12,
+    as an iterate over the library, or None).
     """
     bound, best = -math.inf, None
-    for _ in range(_PRICING_ROUNDS):
-        got = _support_solve(ba, channel, active)
-        if got is None:
+    for held in [active] + [[k for k in active if k != j] for j in active if len(active) > 1]:
+        if held is not active and best is not None and best.value - bound <= tol:
             break
-        p, lam = got
-        full = np.zeros(len(ba.targets))
-        full[active] = lam
-        if (full < -_SLACK_MULTIPLIER).any():
-            # a held target whose multiplier is negative may be slack at the
-            # optimum: solve without it, and keep that if it meets the target
-            keep = [k for k in active if full[k] >= -_SLACK_MULTIPLIER]
-            slack = _support_solve(ba, channel, keep)
-            if slack is not None and np.all(
-                np.einsum("kxn,xn->k", ba.costs[active], slack[0]) <= ba.targets[active] + 1e-12
-            ):
-                p, full = slack[0], np.zeros_like(full)
-                full[keep] = slack[1]
-        full = np.maximum(full, 0.0)  # the bound needs lam >= 0
-        with np.errstate(divide="ignore"):
-            point = ba.iterate(np.log(p))
-        if best is None or point.value < best.value:
-            best = point
-        got, shapes, growth = _certificate(ba, shapes, p, full, point.value, tol)
-        bound = max(bound, got)
-        growth[ba.px @ p > 0.0] = -math.inf
-        enter = int(np.argmax(growth))
-        if best.value - bound <= tol or not growth[enter] > 0.0:
-            break
-        channel = p.copy()
-        shape = shapes[:, enter] - _log_mass(shapes, ba.px)[enter]
-        channel[:, enter] += _ENTER_MASS * np.exp(shape)
-    return None if best is None else (bound, best)
+        start, logs, low = channel, shapes, None  # low: the pass's lowest-rate solution
+        for _ in range(_PRICING_ROUNDS):
+            got = _support_solve(ba, start, held)
+            if got is None:
+                break
+            p, lam = got
+            full = np.zeros(len(ba.targets))
+            full[held] = lam
+            if (full < -_SLACK_MULTIPLIER).any():
+                keep = [k for k in held if full[k] >= -_SLACK_MULTIPLIER]
+                slack = _support_solve(ba, start, keep)
+                if slack is not None and np.all(
+                    np.einsum("kxn,xn->k", ba.costs[held], slack[0]) <= ba.targets[held] + 1e-12
+                ):
+                    p, full = slack[0], np.zeros_like(full)
+                    full[keep] = slack[1]
+            full = np.maximum(full, 0.0)  # the bound needs lam >= 0
+            with np.errstate(divide="ignore"):
+                point = ba.iterate(np.log(p))
+            low = point if low is None or point.value < low.value else low
+            meets = np.all(point.costs <= ba.targets + 1e-12)
+            if meets and (best is None or point.value < best.value):
+                best = point
+            got, logs, growth = _certificate(ba, logs, p, full, point.value, tol)
+            bound = max(bound, got)
+            growth[ba.px @ p > 0.0] = -math.inf
+            enter = int(np.argmax(growth))
+            if low.value - bound <= tol or not growth[enter] > 0.0:
+                break
+            start = p.copy()
+            shape = logs[:, enter] - _log_mass(logs, ba.px)[enter]
+            start[:, enter] += _ENTER_MASS * np.exp(shape)
+    return bound, best
 
 
 def _dual_search(ba: _LibraryBA, tol: float):
-    """Bracket the multiplier of the first target, then settle on the bracket.
+    """Bracket the multiplier of the first target.
 
     BA solves lam = 0 (to 0.1 tol; an iterate meeting the target there is
-    the answer), then lam = 1, 4, 16, ... coarsely (_COARSE_GAP) until an
-    iterate meets the target; every solve's certified bound holds for R.
-    BA finds the support of the optimum long before it converges on it, so
-    the mix of the last two iterates that meets the target exactly starts
-    one _settle on its heaviest columns: an exact solve there, certified at
-    its own multiplier.  Returns (best certified lower bound on R, the
-    settled solution if its gap is <= tol, else the mix); the primal meets
-    the first target unless no multiplier up to _DUAL_MAX_LAMBDA reaches
-    it.
+    returned as it is), then lam = 1, 4, 16, ... coarsely (_COARSE_GAP)
+    until an iterate meets the target; every solve's certified bound holds
+    for R.  BA finds the support of the optimum long before it converges on
+    it, so the bracket's primal is the mix of its last two iterates that
+    meets the target exactly.  Returns (best certified lower bound on R,
+    that primal); it misses the first target only when no multiplier up to
+    _DUAL_MAX_LAMBDA reaches it.
     """
     bound, lo = ba.solve(0.0, 0.1 * tol)
     if lo.costs[0] <= ba.target:
@@ -837,17 +840,10 @@ def _dual_search(ba: _LibraryBA, tol: float):
         got, hi = ba.solve(lam, 0.1 * coarse)
         bound = max(bound, got)
         if hi.costs[0] <= ba.target:
-            break
+            return bound, _mix(ba, lo, hi)
         lo, lam = hi, 4.0 * lam
         if lam > _DUAL_MAX_LAMBDA:
             return bound, lo
-    primal = _mix(ba, lo, hi)
-    got = _settle(ba, primal.channel, primal.logp, [0], tol)
-    if got is not None:
-        bound = max(bound, got[0])
-        if got[1].value - bound <= tol:
-            return bound, got[1]
-    return bound, primal
 
 
 def _universe_solve(pxy, cons, targets):
@@ -855,26 +851,26 @@ def _universe_solve(pxy, cons, targets):
 
     The first constraint carries the multiplier of the search
     (_dual_search): its bound, on the problem without the others, holds
-    for R as well.  Where its primal misses another target, a support
-    solve holding every positive target, started from that primal and the
-    last BA iterate and certified at all multipliers, settles R or at least
-    raises the bound.  A point still uncertified within _EXACT_GAP goes to
-    the barrier solve on the whole library (solve_constrained), whose
-    support _settle certifies.  Returns (lower bound, a _Bound with the
-    multipliers it was made at; primal iterate or None if none meets every
-    target; iterations, certificate and Newton steps included).  The search
-    aims at a gap of _UNIVERSE_GAP bits.
+    for R as well.  Unless the search's primal meets every target and is
+    certified within _UNIVERSE_GAP, one _settle from it holds the first
+    target (when positive) and every positive target the primal misses,
+    certifies its support at all multipliers, and replaces the primal.  A
+    point still uncertified within _EXACT_GAP goes to the barrier solve on
+    the whole library (solve_constrained), whose support _settle certifies.
+    Returns (lower bound, a _Bound with the multipliers it was made at;
+    primal iterate or None if none meets every target; iterations,
+    certificate and Newton steps included).  The search aims at a gap of
+    _UNIVERSE_GAP bits.
     """
     ba = _LibraryBA(pxy, cons, targets)
     bound, primal = _dual_search(ba, _UNIVERSE_GAP)
-    if np.any(primal.costs > ba.targets + 1e-12):
-        active = list(np.flatnonzero(ba.targets > 0.0))
-        start = 0.5 * (primal.channel + ba.last.channel)
-        got = _settle(ba, start, ba.last.logp, active, _UNIVERSE_GAP)
-        if got is not None:
-            bound, primal = max(bound, got[0]), got[1]
-    if np.any(primal.costs > ba.targets + 1e-12):
-        primal = None
+    missed = primal.costs > ba.targets + 1e-12
+    if missed.any() or primal.value - bound > _UNIVERSE_GAP:
+        held = [k for k in np.flatnonzero(ba.targets > 0.0) if k == 0 or missed[k]]
+        got, point = _settle(ba, primal.channel, primal.logp, held, _UNIVERSE_GAP)
+        bound = max(bound, got)
+        if point is not None or missed.any():
+            primal = point
     iters = ba.iterations
     if primal is None or primal.value - bound > _EXACT_GAP:
         res = solve_constrained(_InnerProblem(pxy, cons[0].shape[1]), cons, targets)
@@ -1035,9 +1031,16 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=Non
     solve's certified bound and ordered by its primal.  Returns a
     _Solution, or None when no candidate meets the targets.
 
-    With a _Store, after the checks that raise or return None, a point the
-    store settles is returned from it, and a solved one is added to it.
+    First of all, a mix of constant rules meeting every target
+    (_constant_mix) gives rate 0: path "constant", zero multipliers and no
+    iterations, before the cap check and the store.  With a _Store, after
+    the checks that raise or return None, a point the store settles is
+    returned from it, and a solved one is added to it.
     """
+    mix = _constant_mix(np.asarray([c.sum(axis=0) for c in cons]), targets)
+    if mix is not None:
+        cols, channel = np.asarray(mix[0]), np.tile(mix[1], (src.x_size, 1))
+        return _Solution(cols, channel, 0.0, _Bound(0.0, np.zeros(len(cons))), 0, "constant")
     n_sig = cons[0].shape[1]
     if any(c.min(axis=1).sum() > t + 1e-12 for c, t in zip(cons, targets)):
         return None  # even the per-x cheapest columns miss a target
@@ -1079,7 +1082,6 @@ class _Store:
         self.zero_distortion = check_zero_distortion_assumption(spec)
         self.z_size = self.cfg.z_size if self.cfg.z_size is not None else src.x_size + 3
         self.sigs, rows = _signature_library(src.pxy, _base_tables(spec))
-        self.totals = rows.sum(axis=2)
         self.cons = [np.ascontiguousarray(r.T) for r in rows]
         self.planes = []  # (targets, multipliers, value at the targets)
         self.solutions = []  # (_Solution, cost vector)
@@ -1145,22 +1147,8 @@ def solve_rate(
         raise AssumptionError(
             "distortion tables violate the zero-distortion assumption"
         )
-    targets = [dd_target, de_target]
-    mix = _constant_mix(store.totals, targets)
-    if mix is not None:
-        cols, weights = mix
-        phi, psi, channel = _witness_tables(
-            store.sigs, cols, np.tile(weights, (src.x_size, 1)), src.y_size, src.x_size
-        )
-        ch = TestChannel(z_size=len(cols), pz_given_x=channel, phi=phi, psi=psi)
-        add, ade = (float(weights @ t[cols]) for t in store.totals)
-        return RatePoint(
-            dd_target=dd_target, de_target=de_target, rate=0.0, witness=ch,
-            achieved_dd=add, achieved_de=ade, path="constant", multipliers=(0.0, 0.0),
-        )
-
     sol = _solve_library(
-        src, store.cons, targets, store.cfg, store.z_size, src.x_size + 3, store
+        src, store.cons, [dd_target, de_target], store.cfg, store.z_size, src.x_size + 3, store
     )
     if sol is None:
         raise InfeasibleError(
@@ -1251,8 +1239,6 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
         raise AssumptionError("every source symbol needs a zero-distortion letter")
     z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 1
     _, (a_rows,) = _signature_library(src.pxy, dd[None, :, :, None])
-    if a_rows.sum(axis=1).min() <= dd_target + 1e-15:
-        return 0.0
     cons = [np.ascontiguousarray(a_rows.T)]
     sol = _solve_library(src, cons, [dd_target], cfg, z_size, src.x_size + 1)
     if sol is None:
@@ -1275,8 +1261,6 @@ def r_cr(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     if dd_target < 0:
         raise AssumptionError("distortion target must be nonnegative")
     a_cols = src.px[:, None] * dd  # E d_d coefficient of column z = xhat
-    if a_cols.sum(axis=0).min() <= dd_target + 1e-15:
-        return 0.0  # a constant reconstruction already meets the target
     n = spec.xhat_size
     sol = _solve_library(src, [a_cols], [dd_target], cfg, n, n)
     if sol is None:

@@ -413,6 +413,58 @@ class TestExtSolveAndReduce:
         assert report["rows"][0]["status"] == "ok"
 
 
+class TestConfigValues:
+    """A --config value of the wrong kind is a parse error (exit 2), never a
+    traceback or a silently truncated number."""
+
+    # a later --config entry for the same key replaces an earlier one
+    SIM = ["sphere-sim", "--config", "var_x=1", "--config", "var_u=0.5",
+           "--config", "a=0.5", "--config", "b=0.1", "--config", "var_w=1.0",
+           "--config", "delta=0.04", "--config", "n=8", "--config", "trials=2"]
+
+    def assert_parse_error(self, args, capsys, key):
+        status, out = run(args, capsys)
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse" and key in error["message"]
+
+    def test_non_numeric_value(self, tmp_path, capsys):
+        inst = binary_instance_file(tmp_path)
+        args = ["discrete-solve", "--input", inst, "--config", "dd_target=abc",
+                "--config", "de_target=0.1"]
+        self.assert_parse_error(args, capsys, "dd_target")
+
+    def test_list_for_a_scalar(self, tmp_path, capsys):
+        inst = binary_instance_file(tmp_path)
+        args = ["wz", "--input", inst, "--config", "dd_target=0.1,0.2"]
+        self.assert_parse_error(args, capsys, "dd_target")
+
+    @pytest.mark.parametrize(
+        "sub, pair",
+        [
+            ("discrete-solve", "z_size=2.7"),
+            ("discrete-solve", "enumeration_cap=10.5"),
+            ("sphere-sim", "trials=2.5"),
+            ("sphere-sim", "n=8,4.9"),
+        ],
+    )
+    def test_non_integral_count(self, tmp_path, capsys, sub, pair):
+        if sub == "sphere-sim":
+            args = self.SIM + ["--config", pair]
+        else:
+            inst = binary_instance_file(tmp_path)
+            args = [sub, "--input", inst, "--config", "dd_target=0.1",
+                    "--config", "de_target=0.05", "--config", pair]
+        self.assert_parse_error(args, capsys, pair.split("=")[0])
+
+    def test_integral_float_counts_pass(self, capsys):
+        args = self.SIM + ["--config", "n=8,1e1", "--config", "trials=2.0"]
+        status, out = run(args, capsys)
+        assert status == 0
+        rows = [line.split(",")[:2] for line in out.strip().split("\n")[1:]]
+        assert rows == [["8", "2"], ["10", "2"]]
+
+
 class TestOutputFile:
     def test_writes_file(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path)

@@ -382,6 +382,18 @@ class TestLibraryPath:
         assert point.rate == pytest.approx(0.47849541758100117, abs=1e-9)
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
+    def test_every_k3_point_settles(self, monkeypatch):
+        # the whole K = 3 corpus: the support solve after the search holds
+        # the first table and every table the search's primal misses, and
+        # the barrier solve takes the points it leaves uncertified
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        for seed in range(40):
+            src, ext = k3_instance(seed)
+            point = solve_rate_ext(src, ext)
+            assert point.label == "exact", seed
+            assert 0.0 <= point.gap <= 1e-7
+            assert np.all(point.achieved <= ext.targets + 1e-9)
+
     def test_slack_first_table_settles(self, monkeypatch):
         # d_1 is slack at the optimum, so the search with the multiplier on
         # it alone leaves the point uncertified (gap 0.31 after a scan); the

@@ -611,7 +611,37 @@ class TestLibraryPath:
         edd, ede = expected_distortions(src, spec, w)
         assert edd <= 0.35 + 1e-12 and ede <= 0.2 + 1e-12
         assert (edd, ede) == pytest.approx((point.achieved_dd, point.achieved_de), abs=1e-12)
+        # 0.7 of the identity rule's (0.25, 0.25) and 0.3 of a constant
+        # rule's (0.5, 0)
+        assert (point.achieved_dd, point.achieved_de) == pytest.approx((0.325, 0.175), abs=1e-12)
         assert rate_objective(src, w) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rate_zero_comes_before_the_cap(self):
+        # a constant rule meets (0.5, 0.1); z_size 1 sits below every
+        # cardinality bound, and one candidate is beyond the cap
+        src, spec = bsc_pair(0.25), hamming_spec()
+        cfg = SolveConfig(z_size=1, enumeration_cap=1)
+        ext = ExtendedInstance(2, 2, 2, solver_module._base_tables(spec), targets=[0.5, 0.1])
+        for point in (solve_rate(src, spec, 0.5, 0.1, cfg), solve_rate_ext(src, ext, cfg)):
+            assert (point.rate, point.path, point.multipliers) == (0.0, "constant", (0.0, 0.0))
+        assert r_wz(src, spec, 0.5, cfg) == 0.0
+        assert r_cr(src, spec, 0.5, cfg) == 0.0
+
+    def test_encoder_target_held_from_the_search(self, monkeypatch):
+        # the Wyner-Ziv solution misses D_e here, so the one support solve
+        # after the search holds both targets; holding D_d alone runs Newton
+        # to its iteration cap and returns None
+        solve, calls = solver_module._support_solve, []
+
+        def support_solve(*args):
+            calls.append(solve(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(solver_module, "_support_solve", support_solve)
+        point = solve_rate(bsc_pair(0.25), hamming_spec(), 0.35, 0.1, SolveConfig(z_size=5))
+        assert calls and all(got is not None for got in calls)
+        assert point.label == "exact"
+        assert point.rate == pytest.approx(0.00906964292089, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_baselines_match_the_scan(self, seed):

@@ -488,8 +488,8 @@ class TestStreamedCodebook:
 
 class TestRunSimulation:
     def test_blocked_run_matches_trial_by_trial_reference(self):
-        # 2^13 codewords span four row chunks; the trial count leaves a
-        # partial second block
+        # 2^13 codewords span 16 row chunks of 512 rows, a full ring; the
+        # trial count leaves a partial second block
         cfg = small_cfg(n=26, trials=sphere._TRIAL_BLOCK + 13, seed=4)
         assert build_codebook(cfg).size > 3 * sphere._ROW_CHUNK
         got, want = run_simulation(cfg), reference_simulation(cfg)
