@@ -18,7 +18,6 @@ from .errors import (
 )
 from .extended import (
     ExtRatePoint,
-    ExtSolveConfig,
     check_zero_distortion_assumption_ext,
     ext_expected_distortion_k,
     ext_rate_objective,
@@ -49,12 +48,10 @@ from .model import (
     validate_source,
 )
 from .solver import (
-    InnerResult,
     RatePoint,
     SolveConfig,
     brute_force_oracle,
     expected_distortions,
-    inner_minimize,
     r_cr,
     r_wz,
     rate_objective,
@@ -62,18 +59,13 @@ from .solver import (
     tradeoff_sweep,
 )
 from .sphere import (
-    Codebook,
     SimConfig,
     SimResult,
-    build_codebook,
     cap_exponent,
     cap_ratio,
-    decode,
-    encode,
     max_epsilon,
     max_feasible_blocklength,
     run_simulation,
-    sample_sphere,
 )
 
 __version__ = "0.1.0"

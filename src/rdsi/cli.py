@@ -102,9 +102,10 @@ class _Config:
 
 
 def _number(key, value) -> float:
-    """A parsed config value as a float; a string or a list is rejected."""
-    if not isinstance(value, (int, float)):
-        raise InvalidInstanceError(f"config key {key!r} needs a number, got {value!r}")
+    """A parsed config value as a finite float; a string, a list, nan, inf
+    or an integer beyond the float range is rejected."""
+    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise InvalidInstanceError(f"config key {key!r} needs a finite number, got {value!r}")
     return float(value)
 
 

@@ -40,10 +40,6 @@ from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, require_vali
 from .solver import SolveConfig, _InnerProblem, _signature_library, _solve_library, _witness_tables
 
 
-# z_size = None means the cardinality bound |X| + K + 1
-ExtSolveConfig = SolveConfig
-
-
 @dataclass(frozen=True)
 class ExtRatePoint:
     """Solved extended point with its witness (phi, psi3, P_{UZ|X}).

@@ -456,25 +456,6 @@ def solve_constrained(
     )
 
 
-def inner_minimize(
-    src: JointSource,
-    spec: DistortionSpec,
-    dd_target: float,
-    de_target: float,
-    phi: np.ndarray,
-    psi: np.ndarray,
-) -> InnerResult:
-    """Constrained convex minimization over P_{Z|X} for fixed rules.
-
-    Returns the optimal channel and rate for this (phi, psi), with a
-    certified lower bound and the rate's gap above it, or an infeasible
-    status when no channel meets both targets strictly.
-    """
-    cons = _cost_tables(src.pxy, spec, np.asarray(phi, np.int64), np.asarray(psi, np.int64))
-    problem = _InnerProblem(src.pxy, cons[0].shape[1])
-    return solve_constrained(problem, list(cons), [float(dd_target), float(de_target)])
-
-
 def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     """Exactly solve rule candidates, stopping as early as possible.
 
@@ -1139,10 +1120,7 @@ def solve_rate(
     solves the point on its own (an empty store).
     """
     store = _Store(src, spec, cfg) if store is None else store
-    dd_target = float(dd_target)
-    de_target = float(de_target)
-    if dd_target < 0 or de_target < 0:
-        raise AssumptionError("distortion targets must be nonnegative")
+    dd_target, de_target = _check_targets(dd_target, de_target)
     if not store.zero_distortion:
         raise AssumptionError(
             "distortion tables violate the zero-distortion assumption"
@@ -1232,9 +1210,7 @@ def r_wz(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
     spec = _dd_only_spec(dd)
     _check_instance(src, spec)
-    dd_target = float(dd_target)
-    if dd_target < 0:
-        raise AssumptionError("distortion target must be nonnegative")
+    (dd_target,) = _check_targets(dd_target)
     if not np.all((dd == 0.0).any(axis=1)):
         raise AssumptionError("every source symbol needs a zero-distortion letter")
     z_size = cfg.z_size if cfg.z_size is not None else src.x_size + 1
@@ -1257,15 +1233,21 @@ def r_cr(src: JointSource, spec_dd, dd_target: float, cfg: SolveConfig | None = 
     dd = spec_dd.dd if isinstance(spec_dd, DistortionSpec) else np.asarray(spec_dd, float)
     spec = _dd_only_spec(dd)
     _check_instance(src, spec)
-    dd_target = float(dd_target)
-    if dd_target < 0:
-        raise AssumptionError("distortion target must be nonnegative")
+    (dd_target,) = _check_targets(dd_target)
     a_cols = src.px[:, None] * dd  # E d_d coefficient of column z = xhat
     n = spec.xhat_size
     sol = _solve_library(src, [a_cols], [dd_target], cfg, n, n)
     if sol is None:
         raise InfeasibleError("target below the minimum achievable distortion")
     return max(sol.rate, 0.0)
+
+
+def _check_targets(*targets) -> list[float]:
+    """The distortion targets as floats, each finite and nonnegative."""
+    targets = [float(t) for t in targets]
+    if not all(math.isfinite(t) and t >= 0 for t in targets):
+        raise AssumptionError("distortion targets must be finite and nonnegative")
+    return targets
 
 
 def _dd_only_spec(dd: np.ndarray) -> DistortionSpec:

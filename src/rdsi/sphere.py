@@ -1,7 +1,8 @@
 """Finite-blocklength Monte Carlo of the sphere-codebook achievability scheme.
 
-Codebook: ceil(2^(n R')) points drawn uniformly on the centered n-sphere of
-radius sqrt(n var_z), var_z = a^2 (var_w + var_x), split into
+run_simulation, configured by a SimConfig, is the entry point.  The
+codebook is ceil(2^(n R')) points drawn uniformly on the centered n-sphere
+of radius sqrt(n var_z), var_z = a^2 (var_w + var_x), split into
 floor(2^(n (R + delta))) bins of ceil(2^(n (R' - R - delta))) consecutive
 indices (the last nominal bin absorbs the remainder; at desk-scale n the
 ceilings can leave trailing bins empty, which is harmless because the
@@ -22,10 +23,10 @@ and score earlier ones, with one matrix product per chunk for a block of
 trials.  The simulation draws into a fixed ring of reused chunk buffers,
 scores every trial in that one pass and keeps only the generator state
 saved at each chunk's start; afterwards it redraws just the bin each
-trial's codeword falls in, so memory stays a few chunks whatever the
-codebook size.  Scores merge in chunk order, so no result depends on the
-number of workers.  Everything after the encoder's choice runs trial by
-trial in trial order, exactly as for a single trial.
+trial's codeword falls in.  The codebook is never held: memory stays a
+few chunks whatever its size.  Scores merge in chunk order, so no result
+depends on the number of workers.  Everything after the encoder's choice
+runs trial by trial in trial order, exactly as for a single trial.
 
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
@@ -39,14 +40,13 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._scipy import betainc
 from .errors import AssumptionError, InfeasibleError, ResourceCapError
 from .gaussian import SchemeParams
-from .model import _freeze
 
 DEFAULT_CODEBOOK_CAP = 2**22
 
@@ -133,28 +133,28 @@ def _scan(rows: np.ndarray | tuple[int, int], search: _Search | None = None,
           rng: np.random.Generator | None = None, radius: float = 1.0) -> list[dict]:
     """Stream codebook rows through a thread pool in _ROW_CHUNK-row chunks.
 
-    rows is the array to read, or to draw into when rng is given; or only
-    its (count, n) shape, to draw through a ring of _RING reused chunk
-    buffers that keeps no row.  With rng, the calling thread fills the
-    chunks in row order, continuing one stream exactly as a single draw of
-    every row would, and saves the generator state at each chunk's start
-    (returned, for _redraw), while workers scale earlier chunks' rows to
-    norm radius.  With search, workers score each chunk, and the chunks
-    merge in row order: a later chunk replaces a point's best only when
-    strictly closer, so ties go to the lowest index.  On any exception,
-    queued chunks are cancelled and only running ones awaited.
+    rows is the array to read; or, with rng, only its (count, n) shape, to
+    draw through a ring of _RING reused chunk buffers that keeps no row.
+    With rng, the calling thread fills the chunks in row order, continuing
+    one stream exactly as a single draw of every row would, and saves the
+    generator state at each chunk's start (returned, for _redraw), while
+    workers scale earlier chunks' rows to norm radius.  With search,
+    workers score each chunk, and the chunks merge in row order: a later
+    chunk replaces a point's best only when strictly closer, so ties go to
+    the lowest index.  On any exception, queued chunks are cancelled and
+    only running ones awaited.
     """
-    stored = isinstance(rows, np.ndarray)
-    count, n = rows.shape if stored else rows
+    count, n = rows.shape if rng is None else rows
     starts = range(0, count, _ROW_CHUNK)
-    ring = None if stored else np.empty((min(_RING, len(starts)), _ROW_CHUNK, n))
+    ring = None if rng is None else np.empty((min(_RING, len(starts)), _ROW_CHUNK, n))
     states = []
 
     def chunk(i, lo):
-        block = rows[lo : lo + _ROW_CHUNK] if stored else ring[i % _RING][: count - lo]
-        if rng is not None:
-            states.append(rng.bit_generator.state)
-            rng.standard_normal(out=block)
+        if rng is None:
+            return rows[lo : lo + _ROW_CHUNK]
+        block = ring[i % _RING][: count - lo]
+        states.append(rng.bit_generator.state)
+        rng.standard_normal(out=block)
         return block
 
     def work(block):
@@ -201,22 +201,6 @@ def _redraw(rng: np.random.Generator, states: list[dict], lo: int, hi: int,
     start = lo - lo % _ROW_CHUNK
     rng.bit_generator.state = states[lo // _ROW_CHUNK]
     return _normalise(rng.standard_normal((hi - start, n))[lo - start :], radius)
-
-
-def _sample_sphere_batch(count: int, n: int, radius: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    v = np.empty((count, n))
-    _scan(v, rng=rng, radius=radius)
-    return v
-
-
-def sample_sphere(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """One point uniform on the centered n-sphere of the given radius."""
-    if n < 2:
-        raise AssumptionError("sample_sphere requires n >= 2")
-    if not radius > 0:
-        raise AssumptionError("radius must be positive")
-    return _sample_sphere_batch(1, n, radius, rng)[0]
 
 
 def rate_pair(var_x: float, var_u: float, params: SchemeParams) -> tuple[float, float]:
@@ -306,8 +290,13 @@ class SimConfig:
         return math.sqrt(1.0 - 2.0 ** (-2.0 * (self.rate_fine - self.rate_nominal)))
 
 
-class _Bins:
+@dataclass(frozen=True)
+class _Layout:
     """The contiguous-bin layout of size codewords in n_bins bins."""
+
+    size: int
+    n_bins: int
+    bin_size: int
 
     def bin_of(self, index: int) -> int:
         return min(index // self.bin_size, self.n_bins - 1)
@@ -319,42 +308,6 @@ class _Bins:
         lo = m * self.bin_size
         hi = self.size if m == self.n_bins - 1 else min((m + 1) * self.bin_size, self.size)
         return lo, hi
-
-
-@dataclass(frozen=True)
-class _Layout(_Bins):
-    """The bin layout of a codebook that is streamed rather than held."""
-
-    size: int
-    n_bins: int
-    bin_size: int
-
-
-@dataclass(frozen=True)
-class Codebook(_Bins):
-    """Immutable codebook: point matrix plus the contiguous-bin layout.
-
-    The vectors are copied, so the caller's array stays theirs; _owned=True
-    (for arrays this module has just drawn) freezes the array in place
-    instead of copying it.
-    """
-
-    vectors: np.ndarray
-    n_bins: int
-    bin_size: int
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned):
-        if self.n_bins < 1 or self.bin_size < 1:
-            raise AssumptionError("codebook needs at least one nonempty bin")
-        if _owned:
-            self.vectors.flags.writeable = False
-        else:
-            object.__setattr__(self, "vectors", _freeze(np.asarray(self.vectors, dtype=float)))
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _layout(cfg: SimConfig) -> _Layout:
@@ -379,76 +332,12 @@ def _radius(cfg: SimConfig) -> float:
     return math.sqrt(cfg.n * cfg.var_z)
 
 
-def build_codebook(cfg: SimConfig, rng: np.random.Generator | None = None) -> Codebook:
-    """Draw the codebook and bin layout for a configuration, chunk by chunk
-    as run_simulation streams it, but keeping every row.
-
-    Deterministic given cfg.seed when rng is omitted.  Raises when the
-    codebook size would exceed cfg.codebook_cap, reporting the largest
-    feasible blocklength instead of silently truncating.
-    """
-    layout = _layout(cfg)
-    if rng is None:
-        rng = _rng(cfg.seed, 0)
-    vectors = _sample_sphere_batch(layout.size, cfg.n, _radius(cfg), rng)
-    return Codebook(vectors=vectors, n_bins=layout.n_bins, bin_size=layout.bin_size,
-                    _owned=True)
-
-
-@dataclass(frozen=True)
-class EncodeResult:
-    bin_index: int
-    codeword_index: int
-    codeword: np.ndarray
-    recon_encoder: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    codeword_index: int
-    codeword: np.ndarray
-    recon_decoder: np.ndarray
-
-
-def encode(x: np.ndarray, cb: Codebook, cfg: SimConfig) -> EncodeResult | list[EncodeResult]:
-    """Pick the codeword whose angle with x is closest to the encoding target;
-    send its bin, reconstruct as z* + b x.
-
-    x is one source vector of shape (n,), giving one EncodeResult, or a
-    block of them of shape (k, n), giving a list of k results from a single
-    pass over the codebook.
-    """
-    xs = np.atleast_2d(x)
-    search = _Search(xs, cfg.enc_target, _radius(cfg))
-    _scan(cb.vectors, search)
-    results = [
-        EncodeResult(bin_index=cb.bin_of(i), codeword_index=i, codeword=cb.vectors[i],
-                     recon_encoder=cb.vectors[i] + cfg.params.b * x)
-        for i, x in zip(map(int, search.best), xs)
-    ]
-    return results if np.ndim(x) == 2 else results[0]
-
-
 def _decode_rows(rows: np.ndarray, y: np.ndarray, cfg: SimConfig) -> int:
     """Position within rows (one bin's codewords) of the row whose angle with
     y is closest to the decoding target."""
     search = _Search(y[np.newaxis], cfg.dec_target, _radius(cfg))
     _scan(rows, search)
     return int(search.best[0])
-
-
-def decode(m: int, y: np.ndarray, cb: Codebook, cfg: SimConfig) -> DecodeResult:
-    """Pick, within bin m, the codeword whose angle with y is closest to the
-    decoding target; reconstruct as zhat + b y."""
-    lo, hi = cb.bin_bounds(m)
-    assert hi > lo, "selected bin is empty (cannot occur for an encoder-chosen bin)"
-    idx = lo + _decode_rows(cb.vectors[lo:hi], y, cfg)
-    z_hat = cb.vectors[idx]
-    return DecodeResult(
-        codeword_index=idx,
-        codeword=z_hat,
-        recon_decoder=z_hat + cfg.params.b * y,
-    )
 
 
 @dataclass(frozen=True)

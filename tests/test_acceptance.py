@@ -18,7 +18,7 @@ from scipy.spatial import ConvexHull
 from conftest import bsc_pair, hamming_spec, random_binary_instance
 from rdsi.caratheodory import ConvexCombination, boundary_reduce, caratheodory_reduce, reduce_aux_u
 from rdsi.cli import main as cli_main
-from rdsi.extended import ExtSolveConfig, solve_rate_ext
+from rdsi.extended import solve_rate_ext
 from rdsi.gaussian import (
     GaussianProblem,
     r_cr_gaussian,
@@ -278,7 +278,7 @@ def test_c09_extended_consistency():
         dk[1] = np.tile(spec.de[None, :, :], (2, 1, 1))
         ext = ExtendedInstance(2, 2, 2, dk, targets=[dd_t, de_t])
         base = solve_rate(src, spec, dd_t, de_t, SolveConfig(z_size=5))
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=5))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=5))
         assert abs(point.rate - base.rate) <= 1e-9
 
 

@@ -457,6 +457,27 @@ class TestConfigValues:
                     "--config", "de_target=0.05", "--config", pair]
         self.assert_parse_error(args, capsys, pair.split("=")[0])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1" + "0" * 400], ids=["nan", "inf", "huge"])
+    @pytest.mark.parametrize(
+        "sub, pairs, bad",
+        [
+            ("discrete-solve", ["de_target=0.05"], "dd_target"),
+            ("discrete-solve", ["dd_target=0.1"], "de_target"),
+            ("discrete-sweep", ["dd_grid=0.1"], "de_grid"),
+            ("wz", [], "dd_target"),
+            ("cr", [], "dd_target"),
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, capsys, sub, pairs, bad, value):
+        args = [sub, "--input", binary_instance_file(tmp_path)]
+        for pair in pairs + [f"{bad}=0.0,{value}" if bad == "de_grid" else f"{bad}={value}"]:
+            args += ["--config", pair]
+        status = main(args)
+        captured = capsys.readouterr()
+        assert status == 2 and captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "parse" and bad in error["message"]
+
     def test_integral_float_counts_pass(self, capsys):
         args = self.SIM + ["--config", "n=8,1e1", "--config", "trials=2.0"]
         status, out = run(args, capsys)

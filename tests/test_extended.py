@@ -13,7 +13,6 @@ import rdsi.extended as extended_module
 import rdsi.solver as solver_module
 from rdsi.errors import AssumptionError, InvalidInstanceError
 from rdsi.extended import (
-    ExtSolveConfig,
     check_zero_distortion_assumption_ext,
     constraints_depending_on_xhat_e,
     ext_expected_distortion_k,
@@ -199,14 +198,14 @@ class TestSolveRateExt:
         dd = hamming(2)
         dk = np.repeat(dd[np.newaxis, :, :, np.newaxis], 2, axis=3)
         ext = ExtendedInstance(2, 2, 1, dk, targets=[0.1])
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=3))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=3))
         assert point.rate == pytest.approx(r_wz(src, dd, 0.1), abs=5e-3)
 
     def test_k2_embedding_matches_base_solver(self):
         src = bsc_pair(0.25)
         spec = hamming_spec()
         ext = embed_base_instance(spec.dd, spec.de, [0.1, 0.02])
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=5))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=5))
         base = solve_rate(src, spec, 0.1, 0.02, SolveConfig(z_size=5))
         assert point.rate == pytest.approx(base.rate, abs=1e-9)
 
@@ -215,7 +214,7 @@ class TestSolveRateExt:
         spec = hamming_spec()
         ext = embed_base_instance(spec.dd, spec.de, [0.1, 0.02])
         assert constraints_depending_on_xhat_e(ext) == 1
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=3))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=3))
         assert point.p_uz_given_x.shape[1] == 1  # |U| reduced to 1
 
     def test_assumption_violated(self):
@@ -232,13 +231,13 @@ class TestSolveRateExt:
             ext = embed_base_instance(
                 spec.dd, spec.de, [rng.uniform(0.05, 0.3), rng.uniform(0.02, 0.3)]
             )
-            point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=3))
+            point = solve_rate_ext(src, ext, SolveConfig(z_size=3))
             assert 0.0 <= point.rate <= conditional_entropy_x_given_y(src) + 1e-6
 
     def test_monotone_in_targets(self):
         src = bsc_pair(0.25)
         spec = hamming_spec()
-        cfg = ExtSolveConfig(z_size=3)
+        cfg = SolveConfig(z_size=3)
         r1 = solve_rate_ext(src, embed_base_instance(spec.dd, spec.de, [0.08, 0.05]), cfg).rate
         r2 = solve_rate_ext(src, embed_base_instance(spec.dd, spec.de, [0.16, 0.05]), cfg).rate
         r3 = solve_rate_ext(src, embed_base_instance(spec.dd, spec.de, [0.08, 0.15]), cfg).rate
@@ -248,7 +247,7 @@ class TestSolveRateExt:
     def test_achieved_meet_targets(self, rng):
         src, spec = random_binary_instance(rng)
         ext = embed_base_instance(spec.dd, spec.de, [0.2, 0.2])
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=3))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=3))
         assert np.all(point.achieved <= np.asarray(ext.targets) + 1e-6)
 
 
@@ -260,7 +259,7 @@ class TestLibraryPath:
     def test_ladder_embeddings_are_exact(self, shape):
         src, spec, dd_t, de_t = ladder_instance(*shape)
         ext = embed_base_instance(spec.dd, spec.de, [dd_t, de_t])
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=src.x_size + 3))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=src.x_size + 3))
         assert point.path == "library"
         assert point.label == "exact"
         assert 0.0 <= point.gap <= 1e-7
@@ -304,7 +303,7 @@ class TestLibraryPath:
         src = bsc_pair(0.25)
         spec = hamming_spec()
         ext = embed_base_instance(spec.dd, spec.de, [0.15, 0.1])
-        point = solve_rate_ext(src, ext, ExtSolveConfig(z_size=2))
+        point = solve_rate_ext(src, ext, SolveConfig(z_size=2))
         assert (point.path, point.label) == ("scan", "upper_bound")
         assert point.gap >= 0.0
         assert point.rate >= solve_rate_ext(src, ext).rate - 1e-9

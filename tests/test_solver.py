@@ -23,7 +23,7 @@ from conftest import (
 )
 from rdsi.cli import main
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
-from rdsi.extended import ExtSolveConfig, solve_rate_ext
+from rdsi.extended import solve_rate_ext
 from rdsi.model import (
     DistortionSpec,
     ExtendedInstance,
@@ -33,12 +33,14 @@ from rdsi.model import (
 )
 from rdsi.solver import (
     SolveConfig,
+    _cost_tables,
+    _InnerProblem,
     brute_force_oracle,
     expected_distortions,
-    inner_minimize,
     r_cr,
     r_wz,
     rate_objective,
+    solve_constrained,
     solve_rate,
     tradeoff_sweep,
 )
@@ -151,12 +153,19 @@ class TestExpectedDistortions:
             expected_distortions(bsc_pair(0.25), hamming_spec(), constant_channel(2, 2, xhat=2))
 
 
+def fixed_rules(src, spec, dd_target, de_target, phi, psi):
+    """The inner solve for one rule pair (phi, psi)."""
+    cons = _cost_tables(src.pxy, spec, np.asarray(phi), np.asarray(psi))
+    problem = _InnerProblem(src.pxy, cons[0].shape[1])
+    return solve_constrained(problem, list(cons), [dd_target, de_target])
+
+
 class TestInnerMinimize:
     def test_slack_targets_give_zero_rate(self):
         src = bsc_pair(0.25)
         phi = np.zeros((2, 2), dtype=int)
         psi = np.zeros((2, 2), dtype=int)
-        res = inner_minimize(src, hamming_spec(), 0.6, 0.5, phi, psi)
+        res = fixed_rules(src, hamming_spec(), 0.6, 0.5, phi, psi)
         assert res.status == "optimal"
         assert res.rate == pytest.approx(0.0, abs=1e-7)
 
@@ -164,7 +173,7 @@ class TestInnerMinimize:
         src = bsc_pair(0.25)
         phi = np.zeros((2, 2), dtype=int)  # always reconstruct 0
         psi = np.zeros((2, 2), dtype=int)
-        res = inner_minimize(src, hamming_spec(), 0.1, 0.5, phi, psi)
+        res = fixed_rules(src, hamming_spec(), 0.1, 0.5, phi, psi)
         assert res.status == "infeasible"
 
     def test_matches_grid_oracle_for_fixed_rules(self):
@@ -173,7 +182,7 @@ class TestInnerMinimize:
         spec = hamming_spec()
         phi = np.array([[0, 1], [0, 1]])  # phi(y, z) = z
         psi = np.array([[0, 1], [0, 1]])  # psi(x, z) = z
-        res = inner_minimize(src, spec, 0.1, 0.3, phi, psi)
+        res = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
         oracle = brute_force_oracle(src, spec, 0.1, 0.3, 2, 20, phi=phi, psi=psi)
         assert res.status == "optimal"
         assert oracle >= res.rate - 1e-9
@@ -185,7 +194,7 @@ class TestInnerMinimize:
         spec = hamming_spec()
         phi = np.array([[0, 1], [0, 1]])
         psi = np.array([[0, 1], [0, 1]])
-        res = inner_minimize(src, spec, 0.1, 0.3, phi, psi)
+        res = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
         oracle = brute_force_oracle(src, spec, 0.1, 0.3, 2, 20, phi=phi, psi=psi)
         assert res.lower_bound <= oracle + 1e-9
 
@@ -221,6 +230,12 @@ class TestSolveRate:
     def test_negative_target_raises(self):
         with pytest.raises(AssumptionError):
             solve_rate(bsc_pair(0.25), hamming_spec(), -0.1, 0.0, CFG3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_raises(self, bad):
+        for targets in [(bad, 0.1), (0.1, bad)]:
+            with pytest.raises(AssumptionError, match="finite"):
+                solve_rate(bsc_pair(0.25), hamming_spec(), *targets, CFG3)
 
     def test_enumeration_cap(self):
         # |Xhat|^|Y| = 27 decoder columns; z_size=4 sits below the cardinality
@@ -343,7 +358,7 @@ class TestSignatureLibrary:
         # both tables vary with the encoder letter: the library keeps each
         # (f, x) front of letters, and nothing the front drops is needed;
         # seed 0 settles on the library, seed 3 scans at both z_size
-        cfg = ExtSolveConfig(z_size=z_size)
+        cfg = SolveConfig(z_size=z_size)
         for seed in (0, 3):
             src, ext = grouped_instance(seed)
             fronts = solve_rate_ext(src, ext, cfg).rate
@@ -841,6 +856,11 @@ class TestWynerZivBaseline:
         with pytest.raises(AssumptionError, match="nonnegative"):
             r_wz(bsc_pair(0.25), hamming(2), -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_raises(self, bad):
+        with pytest.raises(AssumptionError, match="finite"):
+            r_wz(bsc_pair(0.25), hamming(2), bad)
+
     def test_source_letter_without_a_zero_distortion_letter_raises(self):
         with pytest.raises(AssumptionError, match="zero-distortion letter"):
             r_wz(bsc_pair(0.25), np.array([[0.5, 1.0], [1.0, 0.0]]), 0.1)
@@ -897,6 +917,11 @@ class TestCommonReconstructionBaseline:
     def test_negative_target_raises(self):
         with pytest.raises(AssumptionError, match="nonnegative"):
             r_cr(bsc_pair(0.25), hamming(2), -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_raises(self, bad):
+        with pytest.raises(AssumptionError, match="finite"):
+            r_cr(bsc_pair(0.25), hamming(2), bad)
 
     def test_zero_target_forces_lossless(self):
         src = bsc_pair(0.25)
@@ -1022,6 +1047,16 @@ class TestTradeoffSweep:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(InvalidInstanceError):
             tradeoff_sweep(bsc_pair(0.25), hamming_spec(), [0.2, 0.1], [0.0], CFG3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_recorded_in_cell(self, bad):
+        # the bad cell follows a solved one, so the shared store is not empty
+        src, spec = bsc_pair(0.25), hamming_spec()
+        cells = tradeoff_sweep(src, spec, [0.1], [0.05, bad], CFG3)
+        good, cell = cells[0]
+        assert good.point.rate == solve_rate(src, spec, 0.1, 0.05, CFG3).rate
+        assert cell.status == "error" and "finite" in cell.error
+        assert_cells_match_own_errors(cells, src, spec, CFG3)
 
     def test_cell_error_recorded(self):
         src = bsc_pair(0.25)

@@ -12,20 +12,15 @@ from rdsi import sphere
 from rdsi.errors import AssumptionError, InfeasibleError, ResourceCapError
 from rdsi.gaussian import GaussianProblem, SchemeParams, scheme_params
 from rdsi.sphere import (
-    Codebook,
     SimConfig,
     SimResult,
     _rng,
-    build_codebook,
     cap_exponent,
     cap_ratio,
-    decode,
-    encode,
     max_epsilon,
     max_feasible_blocklength,
     rate_pair,
     run_simulation,
-    sample_sphere,
 )
 
 
@@ -45,34 +40,55 @@ def small_cfg(n=8, trials=5, seed=0, delta=None, params=None, var_u=0.5):
     )
 
 
+def one_shot(count, n, radius, rng):
+    """count rows on the n-sphere of the radius, drawn in one piece."""
+    v = rng.standard_normal((count, n))
+    v *= radius / np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+def streamed(count, n, radius, rng):
+    """count rows drawn as run_simulation draws its codebook, then redrawn."""
+    states = sphere._scan((count, n), rng=rng, radius=radius)
+    return sphere._redraw(rng, states, 0, count, n, radius)
+
+
+def held_book(cfg):
+    """The codebook run_simulation streams, held: its one-shot draw, which
+    test_chunked_draw_matches_one_shot proves equal to the chunked one."""
+    return one_shot(sphere._layout(cfg).size, cfg.n, sphere._radius(cfg), _rng(cfg.seed, 0))
+
+
+def best_match(book, points, target, radius):
+    """Index of each point's codeword, as the encoder picks it."""
+    search = sphere._Search(np.atleast_2d(points), target, radius)
+    sphere._scan(book, search)
+    return search.best
+
+
 class TestSampleSphere:
+    """The codebook's rows are uniform on the sphere of the radius."""
+
     def test_unit_circle(self):
-        v = sample_sphere(2, 1.0, _rng(0))
+        v = streamed(1, 2, 1.0, _rng(0))[0]
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_norms_exact(self):
-        rng = _rng(1)
-        for _ in range(50):
-            v = sample_sphere(7, 3.5, rng)
-            assert abs(np.linalg.norm(v) / 3.5 - 1.0) <= 1e-9
+        v = streamed(50, 7, 3.5, _rng(1))
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) / 3.5 - 1.0)) <= 1e-9
 
     def test_requires_n_at_least_2(self):
         with pytest.raises(AssumptionError):
-            sample_sphere(1, 1.0, _rng(0))
+            dataclasses.replace(small_cfg(), n=1)
 
     def test_coordinate_means_in_clt_band(self):
         n, count, radius = 3, 100_000, 2.0
-        rng = _rng(42)
-        v = rng.standard_normal((count, n))
-        v *= radius / np.linalg.norm(v, axis=1, keepdims=True)
+        v = streamed(count, n, radius, _rng(42))
         sigma = radius / math.sqrt(n) / math.sqrt(count)
         assert np.all(np.abs(v.mean(axis=0)) <= 4 * sigma)
 
     def test_first_coordinate_median_symmetric(self):
-        count = 100_000
-        rng = _rng(7)
-        v = rng.standard_normal((count, 5))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = streamed(100_000, 5, 1.0, _rng(7))
         assert abs((v[:, 0] <= 0).mean() - 0.5) <= 0.01
 
 
@@ -146,64 +162,49 @@ class TestCodebook:
         cfg = small_cfg(n=8)
         r_fine, r_nom = rate_pair(1.0, 0.5, cfg.params)
         assert r_fine == pytest.approx(0.5, abs=1e-12)
-        cb = build_codebook(cfg)
-        assert cb.size == 16
-        assert cb.n_bins == 4 and cb.bin_size == 4
-        assert [cb.bin_bounds(m) for m in range(4)] == [(0, 4), (4, 8), (8, 12), (12, 16)]
-        radius = math.sqrt(cfg.n * cfg.var_z)
-        norms = np.linalg.norm(cb.vectors, axis=1)
-        assert np.max(np.abs(norms / radius - 1.0)) <= 1e-9
+        layout = sphere._layout(cfg)
+        assert layout.size == 16
+        assert layout.n_bins == 4 and layout.bin_size == 4
+        assert [layout.bin_bounds(m) for m in range(4)] == [(0, 4), (4, 8), (8, 12), (12, 16)]
+        norms = np.linalg.norm(streamed(16, cfg.n, sphere._radius(cfg), _rng(cfg.seed, 0)), axis=1)
+        assert np.max(np.abs(norms / sphere._radius(cfg) - 1.0)) <= 1e-9
 
     def test_same_seed_bit_identical(self):
-        cfg = small_cfg(n=8, seed=33)
-        cb1 = build_codebook(cfg)
-        cb2 = build_codebook(cfg)
-        assert cb1.vectors.tobytes() == cb2.vectors.tobytes()
+        cfg = small_cfg(n=25, seed=33)
+        size, radius = sphere._layout(cfg).size, sphere._radius(cfg)
+        book1 = streamed(size, cfg.n, radius, _rng(cfg.seed, 0))
+        book2 = streamed(size, cfg.n, radius, _rng(cfg.seed, 0))
+        assert book1.tobytes() == book2.tobytes()
 
-    def test_memory_cap_reports_feasible_n(self):
+    def test_memory_cap_reports_feasible_n(self, monkeypatch):
+        # run_simulation checks the cap before it draws anything
         cfg = dataclasses.replace(small_cfg(n=8), codebook_cap=8)
+        keys = []
+        monkeypatch.setattr(sphere, "_rng", lambda *key: keys.append(key))
         with pytest.raises(ResourceCapError) as err:
-            build_codebook(cfg)
+            run_simulation(cfg)
         n_max = max_feasible_blocklength(1.0, 0.5, cfg.params, 8)
         assert str(n_max) in str(err.value)
-
-    def test_caller_array_is_copied(self):
-        vec = _rng(2).standard_normal((4, 3))
-        cb = Codebook(vectors=vec, n_bins=1, bin_size=4)
-        before = cb.vectors.copy()
-        vec[:] = 0.0
-        np.testing.assert_array_equal(cb.vectors, before)
-        assert not cb.vectors.flags.writeable
-
-    def test_built_codebook_is_read_only(self):
-        cb = build_codebook(small_cfg(n=8))
-        assert not cb.vectors.flags.writeable
-        with pytest.raises(ValueError):
-            cb.vectors[0, 0] = 1.0
+        assert keys == []
 
     def test_bin_of_matches_bounds(self):
-        cfg = small_cfg(n=8)
-        cb = build_codebook(cfg)
-        for idx in range(cb.size):
-            m = cb.bin_of(idx)
-            lo, hi = cb.bin_bounds(m)
+        layout = sphere._layout(small_cfg(n=25))
+        for idx in range(layout.size):
+            lo, hi = layout.bin_bounds(layout.bin_of(idx))
             assert lo <= idx < hi
 
 
 class TestEncodeDecode:
     def test_single_codeword_bin(self):
         cfg = small_cfg(n=8)
-        vec = sample_sphere(8, math.sqrt(8 * cfg.var_z), _rng(3))
-        cb = Codebook(vectors=vec[np.newaxis, :], n_bins=1, bin_size=1)
+        book = one_shot(1, 8, sphere._radius(cfg), _rng(3))
         x = _rng(4).standard_normal(8)
-        enc = encode(x, cb, cfg)
-        assert enc.codeword_index == 0
-        dec = decode(0, x, cb, cfg)
-        assert dec.codeword_index == 0
+        assert best_match(book, x, cfg.enc_target, sphere._radius(cfg))[0] == 0
+        assert sphere._decode_rows(book, x, cfg) == 0
 
     def test_exact_target_angle_wins(self):
         cfg = small_cfg(n=8)
-        radius = math.sqrt(8 * cfg.var_z)
+        radius = sphere._radius(cfg)
         rng = _rng(9)
         x = rng.standard_normal(8)
         x /= np.linalg.norm(x)
@@ -215,97 +216,96 @@ class TestEncodeDecode:
         others = np.asarray(
             [radius * (0.1 * x + math.sqrt(1 - 0.01) * perp) for _ in range(3)]
         )
-        cb = Codebook(np.vstack([others[:2], ideal, others[2:]]), n_bins=1, bin_size=4)
-        enc = encode(5.0 * x, cb, cfg)
-        assert enc.codeword_index == 2
+        book = np.vstack([others[:2], ideal, others[2:]])
+        assert best_match(book, 5.0 * x, t, radius)[0] == 2
 
     def test_encoder_reconstruction_identity(self):
-        cfg = small_cfg(n=8)
-        cb = build_codebook(cfg)
-        x = _rng(11).standard_normal(8)
-        enc = encode(x, cb, cfg)
-        np.testing.assert_allclose(
-            enc.recon_encoder - cfg.params.b * x, enc.codeword, rtol=0, atol=1e-12
-        )
+        # the codeword run_simulation takes from its redrawn bin is the held
+        # book's row, so z* + b x is the reference's reconstruction
+        cfg = small_cfg(n=25)
+        layout, book, radius = sphere._layout(cfg), held_book(cfg), sphere._radius(cfg)
+        xs = _rng(11).standard_normal((3, cfg.n))
+        rng = _rng(cfg.seed, 0)
+        search = sphere._Search(xs, cfg.enc_target, radius)
+        states = sphere._scan((layout.size, cfg.n), search, rng, radius)
+        for x, best in zip(xs, map(int, search.best)):
+            assert best == best_match(book, x, cfg.enc_target, radius)[0]
+            lo, hi = layout.bin_bounds(layout.bin_of(best))
+            rows = sphere._redraw(rng, states, lo, hi, cfg.n, radius)
+            assert rows[best - lo].tobytes() == book[best].tobytes()
 
     def test_decoder_reconstruction_identity(self):
-        cfg = small_cfg(n=8)
-        cb = build_codebook(cfg)
-        y = _rng(12).standard_normal(8)
-        dec = decode(1, y, cb, cfg)
-        np.testing.assert_allclose(
-            dec.recon_decoder - cfg.params.b * y, dec.codeword, rtol=0, atol=1e-12
-        )
-        lo, hi = cb.bin_bounds(1)
-        assert lo <= dec.codeword_index < hi
+        # the decoder's pick is the bin row whose cosine with y is nearest
+        # the decoding target
+        cfg = small_cfg(n=25)
+        layout, book = sphere._layout(cfg), held_book(cfg)
+        y = _rng(12).standard_normal(cfg.n)
+        lo, hi = layout.bin_bounds(1)
+        picked = sphere._decode_rows(book[lo:hi], y, cfg)
+        cosines = book[lo:hi] @ y / (sphere._radius(cfg) * np.linalg.norm(y))
+        assert 0 <= picked < hi - lo
+        assert picked == np.argmin(np.abs(cosines - cfg.dec_target))
 
     def test_zero_vector_rejected(self):
         cfg = small_cfg(n=8)
-        cb = build_codebook(cfg)
+        book = held_book(cfg)
         with pytest.raises(AssumptionError):
-            encode(np.zeros(8), cb, cfg)
+            best_match(book, np.zeros(8), cfg.enc_target, sphere._radius(cfg))
+        with pytest.raises(AssumptionError):
+            sphere._decode_rows(book, np.zeros(8), cfg)
 
     def test_tie_breaks_to_lowest_index(self):
         cfg = small_cfg(n=8)
-        radius = math.sqrt(8 * cfg.var_z)
         x = np.zeros(8)
         x[0] = 1.0
         mirror = np.zeros(8)
-        mirror[1] = radius
-        cb = Codebook(
-            np.vstack([mirror, mirror]), n_bins=2, bin_size=1
-        )  # identical scores
-        enc = encode(x, cb, cfg)
-        assert enc.codeword_index == 0
+        mirror[1] = sphere._radius(cfg)
+        book = np.vstack([mirror, mirror])  # identical scores
+        assert best_match(book, x, cfg.enc_target, sphere._radius(cfg))[0] == 0
 
 
-def random_codebook(rows, n, seed):
+def random_book(rows, n, seed):
     # random rows on the sphere of the small configuration's radius
     cfg = small_cfg(n=n)
-    vectors = sphere._sample_sphere_batch(rows, n, math.sqrt(n * cfg.var_z), _rng(seed))
-    return cfg, Codebook(vectors, n_bins=1, bin_size=rows)
+    return cfg, one_shot(rows, n, sphere._radius(cfg), _rng(seed))
 
 
 class TestBatchedEncode:
     def test_block_matches_per_row_encode(self):
         # a codebook spanning several row chunks, with a ragged last chunk
-        cfg, cb = random_codebook(3 * sphere._ROW_CHUNK + 77, 8, seed=21)
+        cfg, book = random_book(3 * sphere._ROW_CHUNK + 77, 8, seed=21)
         xs = _rng(22).standard_normal((40, 8))
-        block = encode(xs, cb, cfg)
+        block = best_match(book, xs, cfg.enc_target, sphere._radius(cfg))
         assert len(block) == 40
-        for x, enc in zip(xs, block):
-            one = encode(x, cb, cfg)
-            assert enc.codeword_index == one.codeword_index
-            assert enc.bin_index == one.bin_index
-            np.testing.assert_array_equal(enc.recon_encoder, one.recon_encoder)
+        for x, best in zip(xs, block):
+            assert best == best_match(book, x, cfg.enc_target, sphere._radius(cfg))[0]
 
     def test_duplicate_across_chunk_boundary_goes_to_lower_index(self):
-        cfg, cb = random_codebook(2 * sphere._ROW_CHUNK, 8, seed=23)
+        cfg, book = random_book(2 * sphere._ROW_CHUNK, 8, seed=23)
         xs = _rng(24).standard_normal((2, 8))
-        vectors = np.array(cb.vectors)
         # move x's best codeword to the last row of the first chunk and the
         # first row of the second, and turn the original away from x
-        best = encode(xs[0], cb, cfg).codeword_index
+        best = best_match(book, xs[0], cfg.enc_target, sphere._radius(cfg))[0]
         low, high = sphere._ROW_CHUNK - 1, sphere._ROW_CHUNK
-        winner = vectors[best].copy()
-        vectors[best] = -winner
-        vectors[[low, high]] = winner
-        dup = Codebook(vectors, n_bins=1, bin_size=len(vectors))
-        assert encode(xs[0], dup, cfg).codeword_index == low
-        assert encode(xs, dup, cfg)[0].codeword_index == low
+        winner = book[best].copy()
+        book[best] = -winner
+        book[[low, high]] = winner
+        assert best_match(book, xs[0], cfg.enc_target, sphere._radius(cfg))[0] == low
+        assert best_match(book, xs, cfg.enc_target, sphere._radius(cfg))[0] == low
 
     def test_zero_row_in_block_rejected(self):
-        cfg, cb = random_codebook(100, 8, seed=25)
+        cfg, book = random_book(100, 8, seed=25)
         xs = _rng(26).standard_normal((5, 8))
         xs[3] = 0.0
         with pytest.raises(AssumptionError):
-            encode(xs, cb, cfg)
+            best_match(book, xs, cfg.enc_target, sphere._radius(cfg))
 
 
 def reference_simulation(cfg):
-    """The simulation written trial by trial: one draw, one encode() and one
-    decode() per trial, in trial order."""
-    cb = build_codebook(cfg)
+    """The simulation written trial by trial on the held codebook: one draw,
+    one encoder search over every row and one decoder search in the sent
+    bin per trial, in trial order."""
+    layout, book, radius = sphere._layout(cfg), held_book(cfg), sphere._radius(cfg)
     n = cfg.n
     var_y = cfg.var_x + cfg.var_u
     rho_xy = math.sqrt(cfg.var_x / var_y)
@@ -317,10 +317,13 @@ def reference_simulation(cfg):
         x = math.sqrt(cfg.var_x) * rng.standard_normal(n)
         u = math.sqrt(cfg.var_u) * rng.standard_normal(n)
         y = x + u
-        enc = encode(x, cb, cfg)
-        dec = decode(enc.bin_index, y, cb, cfg)
-        dd = float(np.sum((x - dec.recon_decoder) ** 2)) / n
-        de = float(np.sum((dec.recon_decoder - enc.recon_encoder) ** 2)) / n
+        best = int(best_match(book, x, cfg.enc_target, radius)[0])
+        lo, hi = layout.bin_bounds(layout.bin_of(best))
+        picked = lo + sphere._decode_rows(book[lo:hi], y, cfg)
+        z = book[best]
+        recon_e, recon_d = z + cfg.params.b * x, book[picked] + cfg.params.b * y
+        dd = float(np.sum((x - recon_d) ** 2)) / n
+        de = float(np.sum((recon_d - recon_e) ** 2)) / n
         xx, yy = float(x @ x), float(y @ y)
         cos_xy = float(x @ y) / math.sqrt(xx * yy)
         e_src = (
@@ -328,12 +331,12 @@ def reference_simulation(cfg):
             or abs(yy / n - var_y) > cfg.epsilon * var_y
             or abs(cos_xy - rho_xy) > cfg.epsilon * rho_xy
         )
-        zz = float(enc.codeword @ enc.codeword)
-        cos_xz = float(x @ enc.codeword) / math.sqrt(xx * zz)
+        zz = float(z @ z)
+        cos_xz = float(x @ z) / math.sqrt(xx * zz)
         e_enc = abs(cos_xz - cfg.enc_target) > cfg.epsilon * cfg.enc_target
-        cos_yz = float(y @ enc.codeword) / math.sqrt(yy * zz)
+        cos_yz = float(y @ z) / math.sqrt(yy * zz)
         e_dec1 = abs(cos_yz - cfg.dec_target) > 4.0 * cfg.epsilon * cfg.dec_target
-        e_dec2 = dec.codeword_index != enc.codeword_index
+        e_dec2 = picked != best
         any_e = e_src or e_enc or e_dec1 or e_dec2
         sums += (dd, de)
         counts += (e_src, e_enc, e_dec1, e_dec2, any_e)
@@ -362,36 +365,45 @@ class Interrupt(BaseException):
 
 
 class TestStreamedCodebook:
-    def test_chunked_draw_matches_one_shot(self):
-        # 2^12.5 -> 5793 codewords: eleven full row chunks and a ragged one
+    def test_chunked_draw_matches_one_shot(self, monkeypatch):
+        # 2^12.5 -> 5793 codewords: eleven full row chunks and a ragged one,
+        # drawn through a ring of 2 reused buffers
         cfg = small_cfg(n=25)
-        cb = build_codebook(cfg)
-        assert cb.size > sphere._ROW_CHUNK and cb.size % sphere._ROW_CHUNK
-        v = _rng(cfg.seed, 0).standard_normal((cb.size, cfg.n))
-        v *= math.sqrt(cfg.n * cfg.var_z) / np.linalg.norm(v, axis=1, keepdims=True)
-        assert cb.vectors.tobytes() == v.tobytes()
+        size = sphere._layout(cfg).size
+        assert size > sphere._ROW_CHUNK and size % sphere._ROW_CHUNK
+        chunks, normalise = [], sphere._normalise
+
+        def keep(block, radius):
+            chunks.append(normalise(block, radius).copy())
+            return block
+
+        monkeypatch.setattr(sphere, "_workers", lambda: 1)  # one worker keeps row order
+        monkeypatch.setattr(sphere, "_RING", 2)
+        monkeypatch.setattr(sphere, "_normalise", keep)
+        sphere._scan((size, cfg.n), rng=_rng(cfg.seed, 0), radius=sphere._radius(cfg))
+        assert np.concatenate(chunks).tobytes() == held_book(cfg).tobytes()
 
     def test_redrawn_rows_match_built_codebook(self):
         # 5793 codewords: eleven full row chunks and a ragged one of 161 rows
         cfg = small_cfg(n=25)
-        cb = build_codebook(cfg)
-        chunk, radius = sphere._ROW_CHUNK, math.sqrt(cfg.n * cfg.var_z)
+        layout, book = sphere._layout(cfg), held_book(cfg)
+        chunk, radius, size = sphere._ROW_CHUNK, sphere._radius(cfg), layout.size
         rng = _rng(cfg.seed, 0)
-        states = sphere._scan((cb.size, cfg.n), rng=rng, radius=radius)
-        assert len(states) == -(-cb.size // chunk) and cb.size % chunk
-        bins = [cb.bin_bounds(m) for m in range(cb.n_bins)]
+        states = sphere._scan((size, cfg.n), rng=rng, radius=radius)
+        assert len(states) == -(-size // chunk) and size % chunk
+        bins = [layout.bin_bounds(m) for m in range(layout.n_bins)]
         straddling = [(lo, hi) for lo, hi in bins if lo // chunk != (hi - 1) // chunk]
         assert straddling
-        ragged = (cb.size - cb.size % chunk, cb.size)
-        others = [(0, 1), ragged, (cb.size - 1, cb.size), (chunk - 1, 3 * chunk + 1), (0, chunk)]
+        ragged = (size - size % chunk, size)
+        others = [(0, 1), ragged, (size - 1, size), (chunk - 1, 3 * chunk + 1), (0, chunk)]
         for lo, hi in bins[::-1] + others:
             rows = sphere._redraw(rng, states, lo, hi, cfg.n, radius)
-            assert rows.tobytes() == cb.vectors[lo:hi].tobytes(), (lo, hi)
+            assert rows.tobytes() == book[lo:hi].tobytes(), (lo, hi)
 
     def test_simulation_never_holds_the_codebook(self):
         # 2^16 codewords of 32 coordinates: 16.8 MB if held
         cfg = small_cfg(n=32, trials=4)
-        book_bytes = build_codebook(cfg).vectors.nbytes
+        book_bytes = sphere._layout(cfg).size * cfg.n * 8
         assert book_bytes > 16e6
         tracemalloc.start()
         try:
@@ -417,29 +429,30 @@ class TestStreamedCodebook:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = small_cfg(n=25, trials=sphere._TRIAL_BLOCK + 13, seed=6)
-        ys = _rng(7).standard_normal((3, cfg.n))
+        xs, ys = _rng(7).standard_normal((2, 3, cfg.n))
+        book, radius = held_book(cfg), sphere._radius(cfg)
+        assert len(book) == 5793
 
         def run(workers, ring=sphere._RING):
             with monkeypatch.context() as m:
                 m.setattr(sphere, "_workers", lambda: workers)
                 m.setattr(sphere, "_RING", ring)
                 result = run_simulation(cfg)
-                book = build_codebook(cfg)
-                # a single bin spanning every chunk sends decode through the pool
-                one_bin = Codebook(book.vectors, n_bins=1, bin_size=book.size)
-                decoded = [decode(0, y, one_bin, cfg).codeword_index for y in ys]
-            return result, book.vectors.tobytes(), decoded
+                search = sphere._Search(xs, cfg.enc_target, radius)
+                sphere._scan((len(book), cfg.n), search, _rng(cfg.seed, 0), radius)
+                # a decoder search over every row goes through the pool
+                decoded = [sphere._decode_rows(book, y, cfg) for y in ys]
+            return result, search.best.tobytes() + search.best_err.tobytes(), decoded
 
-        result, book, decoded = run(1)
-        assert len(book) == 5793 * cfg.n * 8
+        result, encoded, decoded = run(1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             # a ring of 2 buffers reuses each one five times over the 12 chunks
             for workers, ring in itertools.product((3, 2), (sphere._RING, 2)):
-                other, other_book, other_decoded = run(workers, ring)
+                other, other_encoded, other_decoded = run(workers, ring)
                 same_result(other, result)
-                assert other_book == book
+                assert other_encoded == encoded
                 assert other_decoded == decoded
         finally:
             sys.setswitchinterval(interval)
@@ -491,7 +504,7 @@ class TestRunSimulation:
         # 2^13 codewords span 16 row chunks of 512 rows, a full ring; the
         # trial count leaves a partial second block
         cfg = small_cfg(n=26, trials=sphere._TRIAL_BLOCK + 13, seed=4)
-        assert build_codebook(cfg).size > 3 * sphere._ROW_CHUNK
+        assert sphere._layout(cfg).size > 3 * sphere._ROW_CHUNK
         got, want = run_simulation(cfg), reference_simulation(cfg)
         for field in dataclasses.fields(SimResult):
             a, b = getattr(got, field.name), getattr(want, field.name)
