@@ -424,6 +424,13 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, as numpy's SeedSequence needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"needs a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -436,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", default=None, help="instance file (JSON)")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -486,6 +486,26 @@ class TestConfigValues:
         assert rows == [["8", "2"], ["10", "2"]]
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("sub", ["sphere-sim", "discrete-solve"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_nonnegative_integer(self, tmp_path, capsys, sub, seed):
+        # numpy's SeedSequence takes no negative seed: an argument error
+        # before anything runs, never a traceback or an echoed -1
+        if sub == "sphere-sim":
+            args = TestConfigValues.SIM
+        else:
+            args = [sub, "--input", binary_instance_file(tmp_path),
+                    "--config", "dd_target=0.1", "--config", "de_target=0.05"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--seed" in captured.err and "nonnegative integer" in captured.err
+        status, out = run(args + ["--seed", "7", "--format", "json"], capsys)
+        assert status == 0 and json.loads(out)["seed"] == 7
+
+
 class TestOutputFile:
     def test_writes_file(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path)

@@ -564,6 +564,70 @@ class TestUniverseFirst:
         assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
 
 
+def ladder_library(shape):
+    """A _LibraryBA over a ladder instance's full column library at its
+    targets, and that instance's certified solve_rate point."""
+    src, spec, dd_t, de_t = ladder_instance(*shape)
+    _, (a_rows, e_rows) = base_library(src, spec)
+    ba = solver_module._LibraryBA(src.pxy, [a_rows.T, e_rows.T], [dd_t, de_t])
+    return ba, solve_rate(src, spec, dd_t, de_t)
+
+
+class TestOverRelaxedBA:
+    # bracket solves of the 3x3x3 ladder's dual search, after lam = 0
+    BRACKET = ((1.0, 1e-3), (4.0, 1e-3), (16.0, 1e-3))
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 5])
+    def test_bound_is_made_at_the_returned_point(self, monkeypatch, cap):
+        # a solve stopped by the iteration cap must pair the Lagrangian and
+        # the Frank-Wolfe gap of one and the same channel: an extrapolated
+        # step can raise L, so the previous point's gap does not cover it
+        ba, point = ladder_library((3, 3, 3))
+        monkeypatch.setattr(solver_module, "_BA_MAX_ITERS", cap)
+        for lam, tol in self.BRACKET:
+            bound, res = ba.solve(lam, tol)
+            _, gap = ba._step(res.logp, ba.penalty(bound.lam))
+            assert gap > tol  # the cap stopped it
+            assert bound == pytest.approx(ba.lagrangian(res.channel, bound.lam) - gap, abs=1e-12)
+            assert bound <= point.rate + 1e-9
+        assert ba.iterations == cap * len(self.BRACKET)
+
+    def test_rejected_extrapolation_keeps_the_answer(self, monkeypatch):
+        # an extrapolated point whose gap rose is dropped for the plain image
+        # of the last accepted point, which is an earlier _step's output
+        # handed back in as it is
+        outputs, rejected = [], 0
+        step = solver_module._LibraryBA._step
+
+        def counted(ba, logp, penalty):
+            nonlocal rejected
+            rejected += len(outputs) >= 2 and logp is outputs[-2]
+            new, gap = step(ba, logp, penalty)
+            outputs.append(new)
+            return new, gap
+
+        ba, _ = ladder_library((3, 3, 3))
+        monkeypatch.setattr(solver_module._LibraryBA, "_step", counted)
+        for lam, tol in self.BRACKET:
+            outputs.clear()
+            rejected = 0
+            bound, res = ba.solve(lam, tol)
+            _, gap = step(ba, res.logp, ba.penalty(bound.lam))
+            assert gap <= tol
+            if lam < 16.0:
+                assert rejected >= 1
+        src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
+        point = solve_rate(src, spec, dd_t, de_t)
+        assert point.label == "exact"
+        assert point.rate == pytest.approx(0.233108254361, abs=1e-9)  # the plain BA's rate
+
+    def test_ladder_point_iterations(self):
+        # 992 iterations with plain Blahut-Arimoto steps
+        _, point = ladder_library((3, 3, 3))
+        assert point.label == "exact"
+        assert point.iterations <= 600
+
+
 # the bench's BSC(0.25) Hamming sweep at z_size 5, rates of the seed commit
 BSC_SWEEP_DD = (0.05, 0.15, 0.25, 0.35)
 BSC_SWEEP_DE = (0.0, 0.1, 0.2, 0.3)
@@ -1113,6 +1177,14 @@ class TestTradeoffSweep:
             assert point.path == "library" and point.label == "exact"
             assert 0.0 <= point.gap <= 1e-10
             assert point.multipliers[1] == 0.0
+
+    def test_bsc_sweep_iterations(self):
+        # 559 over the 16 cells with plain Blahut-Arimoto steps
+        cells = tradeoff_sweep(
+            bsc_pair(0.25), hamming_spec(), BSC_SWEEP_DD, BSC_SWEEP_DE, SolveConfig(z_size=5)
+        )
+        assert all(c.point.label == "exact" for row in cells for c in row)
+        assert sum(c.point.iterations for row in cells for c in row) <= 559
 
     @pytest.mark.parametrize("case", ["bsc", "ladder"])
     def test_cells_match_their_own_solves(self, case):
