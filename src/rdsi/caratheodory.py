@@ -1,6 +1,6 @@
 """Constructive convex-combination reductions.
 
-Three layers, each used by the next:
+Three reductions:
 
 * ``caratheodory_reduce`` rewrites a convex combination in R^d over at most
   d+1 of its points by repeatedly cancelling an affine dependence among the
@@ -10,10 +10,14 @@ Three layers, each used by the next:
   lies on the hull boundary with a known supporting direction: only points
   on the supporting hyperplane can carry weight, and inside that hyperplane
   the problem is (d-1)-dimensional;
-* ``reduce_aux_u`` applies the boundary variant to shrink the auxiliary
-  randomisation alphabet of an extended witness to at most K symbols
-  without increasing any of the K per-(x, z) conditional distortions and
-  without touching the Z-channel (so the rate objective is unchanged).
+* ``reduce_aux_u`` shrinks the auxiliary randomisation alphabet of an
+  extended witness to at most K symbols without increasing any of the K
+  per-(x, z) conditional distortions and without touching the Z-channel
+  (so the rate objective is unchanged): one LP walks each per-(x, z)
+  distortion vector down to the hull boundary, and its basic optimum
+  carries weight on at most K symbols (K + 1 affinely independent points
+  with weight would put the walk's end inside the hull, where it could
+  still go on).
 
 Determinism: affine-dependence elimination breaks ties by eliminating the
 largest-index point; all LPs use the deterministic HiGHS backend.
@@ -138,7 +142,13 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
-def _boundary_reduce_indices(points: np.ndarray, target: np.ndarray, normal: np.ndarray):
+def boundary_reduce(points, target, normal) -> ConvexCombination:
+    """Decompose a hull-boundary point over at most d of the given points.
+
+    ``normal`` must support the hull at ``target``: normal . target equals
+    the maximum of normal . x over the point set (within tolerance), else
+    the precondition is violated and an error is raised.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float).ravel()
     normal = np.asarray(normal, dtype=float).ravel()
@@ -165,20 +175,8 @@ def _boundary_reduce_indices(points: np.ndarray, target: np.ndarray, normal: np.
         raise RdsiError("target is not a convex combination of the face points")
     w = w / w.sum()
     local_idx, w = _reduce_indices(coords, w)
-    return on_face[local_idx], w
-
-
-def boundary_reduce(points, target, normal) -> ConvexCombination:
-    """Decompose a hull-boundary point over at most d of the given points.
-
-    ``normal`` must support the hull at ``target``: normal . target equals
-    the maximum of normal . x over the point set (within tolerance), else
-    the precondition is violated and an error is raised.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    idx, w = _boundary_reduce_indices(points, target, normal)
-    out = ConvexCombination(points[idx], w)
-    err = float(np.linalg.norm(out.target() - np.asarray(target, dtype=float)))
+    out = ConvexCombination(points[on_face[local_idx]], w)
+    err = float(np.linalg.norm(out.target() - target))
     if err > RECON_TOL:
         raise RdsiError(f"boundary reduction lost the target (error {err:.3g})")
     return out
@@ -188,7 +186,7 @@ def _dominating_boundary_point(h: np.ndarray, d_vec: np.ndarray):
     """Walk from d_vec along -(1, ..., 1) to the hull boundary of the rows of h.
 
     Solved as one LP: maximise t subject to  h' lambda + t 1 = d_vec,
-    lambda in the simplex, t >= 0.  Returns (s_bar, lambda, t).
+    lambda in the simplex, t >= 0.  Returns lambda, HiGHS's basic optimum.
     """
     m, k = h.shape
     a_eq = np.zeros((k + 1, m + 1))
@@ -201,31 +199,7 @@ def _dominating_boundary_point(h: np.ndarray, d_vec: np.ndarray):
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * (m + 1), method="highs")
     if not res.success:
         raise RdsiError("no dominating boundary point found")
-    lam = np.maximum(res.x[:m], 0.0)
-    t = max(res.x[m], 0.0)
-    return d_vec - t, lam, t
-
-
-def _supporting_direction(h: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
-    """An outward normal c at s_bar with c . 1 = -1 (the exit face of the walk)."""
-    m, k = h.shape
-    a_ub = h - s_bar[np.newaxis, :]
-    res = linprog(
-        np.zeros(k),
-        A_ub=a_ub,
-        b_ub=np.zeros(m),
-        A_eq=np.ones((1, k)),
-        b_eq=[-1.0],
-        bounds=[(None, None)] * k,
-        method="highs",
-    )
-    if not res.success:
-        raise RdsiError("no supporting direction found at the boundary point")
-    c = res.x
-    slack = float((a_ub @ c).max())
-    if slack > 1e-7:
-        raise RdsiError("supporting direction certification failed")
-    return c
+    return np.maximum(res.x[:m], 0.0)
 
 
 def reduce_aux_u(
@@ -239,11 +213,12 @@ def reduce_aux_u(
     """Shrink the auxiliary alphabet of an extended witness to at most K.
 
     For every (x, z) the conditional distortion vector over the K constraints
-    is a convex combination of the per-u vectors; a boundary point of their
-    hull dominated coordinatewise is reached by walking along -(1, ..., 1),
-    then decomposed over at most K symbols.  Returns the new conditional law
-    of the reduced auxiliary (shape X x Z x K) and the matching
-    reconstruction table psi_tilde (same shape, xhat_e indices).
+    is a convex combination of the per-u vectors; one LP walks it along
+    -(1, ..., 1) to a boundary point of their hull, and the LP's basic
+    optimum writes that point over at most K symbols (an RdsiError if it
+    does not).  Returns the new conditional law of the reduced auxiliary
+    (shape X x Z x K) and the matching reconstruction table psi_tilde (same
+    shape, xhat_e indices).
 
     The Z-channel is untouched, so the rate objective is exactly preserved;
     every per-(x, z), per-k conditional distortion of the output is at most
@@ -270,15 +245,15 @@ def reduce_aux_u(
             h = per_xhat_e[:, psi3[x, z, :]].T  # (U, K)
             d_vec = pu_given_xz[x, z] @ h
             try:
-                s_bar, lam, _ = _dominating_boundary_point(h, d_vec)
-                support = np.nonzero(lam > 1e-12)[0]
-                if len(support) <= kk:
-                    u_idx, w = support, lam[support] / lam[support].sum()
-                else:
-                    c = _supporting_direction(h, s_bar)
-                    u_idx, w = _boundary_reduce_indices(h, s_bar, c)
+                lam = _dominating_boundary_point(h, d_vec)
             except RdsiError as exc:
                 raise RdsiError(f"reduction failed at (x={x}, z={z}): {exc}") from exc
+            u_idx = np.nonzero(lam > 1e-12)[0]
+            if len(u_idx) > kk:
+                raise RdsiError(
+                    f"reduction failed at (x={x}, z={z}): {len(u_idx)} symbols carry weight"
+                )
+            w = lam[u_idx] / lam[u_idx].sum()
             reduced = w @ h[u_idx]
             if np.any(reduced > d_vec + RECON_TOL):
                 raise RdsiError(

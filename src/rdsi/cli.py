@@ -35,7 +35,7 @@ from .gaussian import (
     scheme_params,
 )
 from .caratheodory import reduce_aux_u
-from .model import DistortionSpec, ExtendedInstance, JointSource, validate_source
+from .model import DistortionSpec, ExtendedInstance, JointSource, require_valid_source
 from .solver import SolveConfig, r_cr, r_wz, solve_rate, tradeoff_sweep
 from .sphere import SimConfig, max_epsilon, run_simulation
 
@@ -153,9 +153,7 @@ def load_instance(path):
     ny = int(_need(data, "y_size"))
     nhat = int(_need(data, "xhat_size"))
     src = JointSource(nx, ny, _reshape(_need(data, "pxy"), "pxy", (nx, ny)))
-    hard = [v for v in validate_source(src) if not v.startswith("zero-mass")]
-    if hard:
-        raise InvalidInstanceError("; ".join(hard))
+    require_valid_source(src)
     spec = DistortionSpec(
         xhat_size=nhat,
         dd=_reshape(_need(data, "dd"), "dd", (nx, nhat)),
@@ -172,9 +170,7 @@ def load_extended_instance(path):
     ne = int(_need(data, "xhat_e_size"))
     kk = int(_need(data, "k"))
     src = JointSource(nx, ny, _reshape(_need(data, "pxy"), "pxy", (nx, ny)))
-    hard = [v for v in validate_source(src) if not v.startswith("zero-mass")]
-    if hard:
-        raise InvalidInstanceError("; ".join(hard))
+    require_valid_source(src)
     ext = ExtendedInstance(
         xhat_d_size=nd,
         xhat_e_size=ne,

@@ -94,9 +94,7 @@ def ext_rate_objective(src: JointSource, p_uz_given_x: np.ndarray) -> float:
     sums = p.reshape(src.x_size, -1).sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > DERIVED_MASS_TOL or p.min() < 0:
         raise InvalidInstanceError("p_uz_given_x rows must be distributions")
-    marginal = p.sum(axis=1)
-    problem = _InnerProblem(src.pxy, marginal.shape[1])
-    return max(problem.value(marginal), 0.0)
+    return _witness_rate(src, p.sum(axis=1))
 
 
 def ext_expected_distortion_k(
@@ -192,8 +190,7 @@ def verify_u_reduction(
 
 
 def _witness_rate(src: JointSource, pz_given_x: np.ndarray) -> float:
-    problem = _InnerProblem(src.pxy, pz_given_x.shape[1])
-    return max(problem.value(pz_given_x), 0.0)
+    return max(_InnerProblem(src.pxy).value(pz_given_x), 0.0)
 
 
 def _witness_distortion(src, ext, pz_given_x, pu_given_xz, phi, psi3, k) -> float:

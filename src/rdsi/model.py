@@ -37,12 +37,6 @@ def _freeze_int(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy of a mass vector/array, in bits (0 log 0 = 0)."""
-    p = np.asarray(p, dtype=float)
-    return float(-xlogy(p, p).sum() / LN2)
-
-
 @dataclass(frozen=True)
 class JointSource:
     """Joint law of a source symbol X (rows) and side information Y (columns).

@@ -194,26 +194,6 @@ class RatePoint:
     multipliers: tuple = ()
 
 
-@dataclass
-class InnerResult:
-    """Outcome of one inner minimization for fixed reconstruction rules.
-
-    ``lower_bound`` is a certified bound on the constrained optimum (a
-    _Bound, with its multipliers, once a centring has run), and ``gap`` the
-    rate above it, never negative.
-    """
-
-    status: str  # "optimal" | "infeasible" | "pruned"
-    channel: np.ndarray | None = None
-    rate: float = math.inf
-    iterations: int = 0
-    lower_bound: float = -math.inf
-
-    @property
-    def gap(self) -> float:
-        return max(self.rate - self.lower_bound, 0.0)
-
-
 class _Bound(float):
     """A certified lower bound on R at the targets t it was made at, with
     its multipliers lam >= 0 (K,): bound + lam . (t - t') bounds R(t') as
@@ -230,12 +210,11 @@ class _Bound(float):
 class _InnerProblem:
     """H(Z|Y) - H(Z|X) (bits) as a function of the conditional table."""
 
-    def __init__(self, pxy: np.ndarray, n_cols: int):
+    def __init__(self, pxy: np.ndarray):
         self.pxy = pxy
         self.px = pxy.sum(axis=1)
         py = pxy.sum(axis=0)
         self._hy = float(xlogy(py, py).sum())
-        self.n_cols = n_cols
 
     def value(self, p: np.ndarray) -> float:
         myz = self.pxy.T @ p
@@ -398,48 +377,44 @@ def _centre(problem, cons, targets, free, p, tau):
     return p, lam, it
 
 
-def solve_constrained(
-    problem: _InnerProblem,
-    cons: list[np.ndarray],
-    targets: list[float],
-    best_bound: float | None = None,
-) -> InnerResult:
-    """Core inner solve: convex rate objective, linear distortion constraints.
+def solve_constrained(ba: _LibraryBA, incumbent: float | None = None):
+    """Core inner solve on the columns of ``ba``: convex rate objective,
+    linear distortion constraints.
 
     A log-barrier method (Boyd and Vandenberghe, Convex Optimization, ch.
     11): a zero target fixes the entries it forbids at zero and is dropped,
-    an LP finds a strictly feasible start (none: "infeasible"), and tau
-    grows by _BARRIER_MU between centrings, each followed by a certified
-    bound (L(p, lam) - lam . t minus the Frank-Wolfe gap) that prunes
-    against best_bound, until the rate is within _BARRIER_GAP of it.
-    One _settle call then solves the support found exactly, holding the
-    targets that bind there; its point counts if it is lower (the
-    barrier's is strictly feasible, and _settle's meets every target within
-    1e-12), so no candidate undercuts the certified bound.
+    an LP finds a strictly feasible start, and tau grows by _BARRIER_MU
+    between centrings, each followed by a certified bound (L(p, lam) - lam
+    . t minus the Frank-Wolfe gap) that prunes against the incumbent rate,
+    until the rate is within _BARRIER_GAP of it.  One _settle call then
+    solves the support found exactly, holding the targets that bind there;
+    its point counts if it is lower (the barrier's is strictly feasible,
+    and _settle's meets every target within 1e-12), so no candidate
+    undercuts the certified bound.  Newton steps count in ba.iterations.
+    Returns what _settle returns: (best certified lower bound on R, or
+    -inf; the lowest-rate point, or None when the columns cannot meet the
+    targets or the bound prunes them).
     """
-    nx, n = problem.pxy.shape[0], problem.n_cols
-    for c, t in zip(cons, targets):
-        if c.min(axis=1).sum() > t + 1e-12:
-            return InnerResult(status="infeasible")  # even the cheapest columns miss t
-    ba = _LibraryBA(problem.pxy, np.reshape(cons, (-1, nx, n)), targets)
+    if (ba.costs.min(axis=2).sum(axis=1) > ba.targets + 1e-12).any():
+        return -math.inf, None  # even the cheapest columns miss a target
     zero, free = ba.targets <= 0.0, ba.forbidden == 0.0
     cons, targets = ba.costs[~zero], ba.targets[~zero]
     p = _barrier_start(cons, targets, free) if free.any(axis=1).all() else None
     if p is None:
-        return InnerResult(status="infeasible")
-    tau, iters, bound, last = _BARRIER_TAU, 0, -math.inf, math.inf
+        return -math.inf, None
+    tau, bound, last = _BARRIER_TAU, -math.inf, math.inf
     while True:
-        p, lam, steps = _centre(problem, cons, targets, free, p, tau)
-        iters += steps
-        value, grad = problem.value_and_grad(p)
+        p, lam, steps = _centre(ba.problem, cons, targets, free, p, tau)
+        ba.iterations += steps
+        value, grad = ba.problem.value_and_grad(p)
         grad += np.tensordot(lam, cons, 1)
         fw = (p * grad).sum(axis=1) - np.where(free, grad, np.inf).min(axis=1)
         slack = targets - np.einsum("kxn,xn->k", cons, p)
         full = np.zeros(len(zero))
         full[~zero] = lam
         bound = max(bound, _Bound(value - float(lam @ slack + fw.sum()), full))
-        if best_bound is not None and bound > best_bound + _PRUNE_MARGIN:
-            return InnerResult(status="pruned", lower_bound=bound, iterations=iters)
+        if incumbent is not None and bound > incumbent + _PRUNE_MARGIN:
+            return bound, None
         # stop at the gap, or once rounding stops the centrings closing it
         if value - bound <= _BARRIER_GAP or value - bound > 0.5 * last:
             break
@@ -449,16 +424,12 @@ def solve_constrained(
     # a target binds where its slack is below its multiplier (tau s^2 < 1)
     active = list(np.flatnonzero(~zero)[slack < lam])
     got, point = _settle(ba, p, np.log(np.maximum(p, _TINY)), active, _UNIVERSE_GAP)
-    bound = max(bound, got)
     if point is not None and point.value < best.value:
         best = point
-    return InnerResult(
-        status="optimal", channel=best.channel, rate=best.value,
-        iterations=iters + ba.iterations, lower_bound=bound,
-    )
+    return max(bound, got), best
 
 
-def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
+def scan_candidates(pxy, cons, cands, targets, floor=-math.inf, mass=None):
     """Exactly solve rule candidates, stopping as early as possible.
 
     cons: one (X, N) constraint matrix per target over the complete column
@@ -471,7 +442,8 @@ def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     descending total mass of their columns, equal masses in lexicographic
     order, so the full library's own support comes first.
 
-    Returns (best InnerResult or None, best row of cands, iterations).
+    Returns (best point, an _Iterate over its candidate's columns, or None;
+    best row of cands; iterations).
     """
     total_iters = 0
     order = range(len(cands))
@@ -481,17 +453,13 @@ def scan_candidates(problem, cons, cands, targets, floor=-math.inf, mass=None):
     best_idx = -1
     for ci in order:
         ci = int(ci)
-        cand_cons = [c[:, cands[ci]] for c in cons]
-        res = solve_constrained(
-            problem, cand_cons, targets, best_bound=None if best is None else best.rate
-        )
-        total_iters += res.iterations
-        if res.status != "optimal":
-            continue
-        if best is None or res.rate < best.rate - _TIE_EPS:
-            best = res
+        ba = _LibraryBA(pxy, [c[:, cands[ci]] for c in cons], targets)
+        _, point = solve_constrained(ba, None if best is None else best.value)
+        total_iters += ba.iterations
+        if point is not None and (best is None or point.value < best.value - _TIE_EPS):
+            best = point
             best_idx = ci
-            if best.rate <= floor + _STOP_TOL:
+            if best.value <= floor + _STOP_TOL:
                 break
     return best, best_idx, total_iters
 
@@ -552,8 +520,8 @@ class _LibraryBA:
     """
 
     def __init__(self, pxy: np.ndarray, costs, targets):
-        px = pxy.sum(axis=1)
-        self.px = px
+        self.problem = _InnerProblem(pxy)
+        self.px = px = self.problem.px
         self.p_y_given_x = pxy / np.maximum(px, _TINY)[:, None]
         self.p_x_given_y = pxy / np.maximum(pxy.sum(axis=0), _TINY)
         self.costs = np.asarray(costs, dtype=float)  # (K, X, N)
@@ -563,7 +531,6 @@ class _LibraryBA:
         zero = self.costs[self.targets <= 0.0]
         self.forbidden = _ZERO_TARGET_NATS * (zero > 0.0).any(axis=0)
         n = self.costs.shape[2]
-        self.problem = _InnerProblem(pxy, n)
         self.warm = np.full((pxy.shape[0], n), 1.0 / n)  # the next solve's start
         self.iterations = 0
 
@@ -871,15 +838,12 @@ def _universe_solve(pxy, cons, targets):
         bound = max(bound, got)
         if point is not None or missed.any():
             primal = point
-    iters = ba.iterations
     if primal is None or primal.value - bound > _EXACT_GAP:
-        res = solve_constrained(_InnerProblem(pxy, cons[0].shape[1]), cons, targets)
-        bound, iters = max(bound, res.lower_bound), iters + res.iterations
-        if res.status == "optimal" and (primal is None or res.rate < primal.value):
-            costs = np.einsum("kxn,xn->k", cons, res.channel)
-            with np.errstate(divide="ignore"):
-                primal = _Iterate(np.log(res.channel), res.rate, costs)
-    return bound, primal, iters
+        got, point = solve_constrained(ba)
+        bound = max(bound, got)
+        if point is not None and (primal is None or point.value < primal.value):
+            primal = point
+    return bound, primal, ba.iterations
 
 
 def _caratheodory_witness(src, cons, channel):
@@ -1059,12 +1023,10 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=Non
     if sol is None and not at_bound:
         cands = _candidate_array(n_sig, m, cfg.enumeration_cap)
         mass = None if primal is None else src.px @ primal.channel
-        best, best_idx, scan_iters = scan_candidates(
-            _InnerProblem(src.pxy, m), cons, cands, targets, floor, mass
-        )
+        best, best_idx, scan_iters = scan_candidates(src.pxy, cons, cands, targets, floor, mass)
         if best is not None:
             sol = _Solution(
-                cands[best_idx], best.channel, best.rate, floor, iters + scan_iters, "scan"
+                cands[best_idx], best.channel, best.value, floor, iters + scan_iters, "scan"
             )
     if sol is not None and store is not None:
         store.add(sol, targets)

@@ -242,7 +242,7 @@ def test_c08_caratheodory():
         after = _conditional_distortions(src, ext, pu2, phi, psi2)
         assert np.all(after <= before + 1e-9)
         # the z-channel is untouched, so the rate objective is exactly equal
-        problem = _InnerProblem(src.pxy, pz.shape[1])
+        problem = _InnerProblem(src.pxy)
         assert problem.value(pz) == problem.value(pz)
         joint_before = pz[:, None, :] * pu.transpose(0, 2, 1)
         joint_after = pz[:, None, :] * pu2.transpose(0, 2, 1)

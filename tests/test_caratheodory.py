@@ -161,6 +161,18 @@ class TestReduceAuxU:
             after = conditional_distortions(src, ext, pz, pu2, phi, psi2)
             assert np.all(after <= before + 1e-9)
 
+    def test_support_above_k_raises(self, rng, monkeypatch):
+        # the walk LP's basic optimum weights at most K symbols; a walk that
+        # weighted more is reported, not passed on
+        src = bsc_pair(0.25)
+        ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
+        pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=4)
+        monkeypatch.setattr(
+            "rdsi.caratheodory._dominating_boundary_point", lambda h, d: np.full(len(h), 0.25)
+        )
+        with pytest.raises(RdsiError, match=r"\(x=0, z=0\): 4 symbols carry weight"):
+            reduce_aux_u(src, ext, pz, pu, phi, psi3)
+
     def test_u_law_depends_only_on_x_and_z(self, rng):
         # structural Markov property: the output law is indexed by (x, z) alone
         src = bsc_pair(0.25)

@@ -150,6 +150,18 @@ class TestDiscreteSolve:
         assert status == 2
         assert json.loads(out)["error"]["kind"] == "parse"
 
+    def test_pxy_mass_must_be_one(self, tmp_path, capsys):
+        inst = binary_instance_file(tmp_path)
+        payload = json.loads(open(inst).read())
+        payload["pxy"] = [0.3, 0.15, 0.15, 0.3]
+        status, out = run(
+            ["discrete-solve", "--input", write_json(tmp_path / "mass.json", payload),
+             "--config", "dd_target=0.1", "--config", "de_target=0.1"],
+            capsys,
+        )
+        assert status == 2
+        assert "mass 0.9 != 1" in json.loads(out)["error"]["message"]
+
     def test_assumption_violation(self, tmp_path, capsys):
         inst = binary_instance_file(tmp_path, de=[1.0, 1.0, 1.0, 1.0])
         status, out = run(
@@ -382,6 +394,15 @@ class TestExtSolveAndReduce:
         assert 0.0 <= report["diagnostics"]["gap"] <= 1e-7
         multipliers = report["diagnostics"]["multipliers"]
         assert len(multipliers) == 2 and min(multipliers) >= 0.0
+
+    def test_ext_solve_rejects_a_negative_pxy_entry(self, tmp_path, capsys):
+        payload = json.loads(open(ext_instance_file(tmp_path)).read())
+        payload["pxy"] = [0.5, -0.1, 0.1, 0.5]
+        status, out = run(
+            ["ext-solve", "--input", write_json(tmp_path / "negative.json", payload)], capsys
+        )
+        assert status == 2
+        assert "negative entry at (0, 1)" in json.loads(out)["error"]["message"]
 
     def test_ext_solve_z_size_range(self, tmp_path, capsys):
         # z_size must lie in [1, |X| + K + 1]; 0 is rejected by the config

@@ -34,7 +34,7 @@ from rdsi.model import (
 from rdsi.solver import (
     SolveConfig,
     _cost_tables,
-    _InnerProblem,
+    _LibraryBA,
     brute_force_oracle,
     expected_distortions,
     r_cr,
@@ -154,10 +154,10 @@ class TestExpectedDistortions:
 
 
 def fixed_rules(src, spec, dd_target, de_target, phi, psi):
-    """The inner solve for one rule pair (phi, psi)."""
+    """The inner solve for one rule pair (phi, psi): (certified bound,
+    point or None)."""
     cons = _cost_tables(src.pxy, spec, np.asarray(phi), np.asarray(psi))
-    problem = _InnerProblem(src.pxy, cons[0].shape[1])
-    return solve_constrained(problem, list(cons), [dd_target, de_target])
+    return solve_constrained(_LibraryBA(src.pxy, cons, [dd_target, de_target]))
 
 
 class TestInnerMinimize:
@@ -165,16 +165,39 @@ class TestInnerMinimize:
         src = bsc_pair(0.25)
         phi = np.zeros((2, 2), dtype=int)
         psi = np.zeros((2, 2), dtype=int)
-        res = fixed_rules(src, hamming_spec(), 0.6, 0.5, phi, psi)
-        assert res.status == "optimal"
-        assert res.rate == pytest.approx(0.0, abs=1e-7)
+        _, point = fixed_rules(src, hamming_spec(), 0.6, 0.5, phi, psi)
+        assert point is not None
+        assert point.value == pytest.approx(0.0, abs=1e-7)
 
     def test_infeasible_targets_detected(self):
         src = bsc_pair(0.25)
         phi = np.zeros((2, 2), dtype=int)  # always reconstruct 0
         psi = np.zeros((2, 2), dtype=int)
-        res = fixed_rules(src, hamming_spec(), 0.1, 0.5, phi, psi)
-        assert res.status == "infeasible"
+        assert fixed_rules(src, hamming_spec(), 0.1, 0.5, phi, psi) == (-math.inf, None)
+
+    def test_jointly_infeasible_targets_detected(self):
+        # each target alone is met by one column, but every channel's two
+        # costs add up to 1 > 0.25 + 0.25: the barrier's start LP finds no
+        # interior point
+        src = bsc_pair(0.25)
+        a = np.outer(src.px, [0.0, 1.0])
+        ba = _LibraryBA(src.pxy, [a, src.px[:, None] - a], [0.25, 0.25])
+        assert solve_constrained(ba) == (-math.inf, None)
+
+    def test_incumbent_below_the_optimum_prunes(self):
+        # the instance of test_matches_grid_oracle_for_fixed_rules; an
+        # incumbent under its optimum is beaten by a certified bound
+        src = bsc_pair(0.25)
+        spec = hamming_spec()
+        phi = np.array([[0, 1], [0, 1]])
+        psi = np.array([[0, 1], [0, 1]])
+        _, point = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
+        incumbent = point.value - 0.01
+        ba = _LibraryBA(src.pxy, _cost_tables(src.pxy, spec, phi, psi), [0.1, 0.3])
+        bound, pruned = solve_constrained(ba, incumbent)
+        assert pruned is None
+        assert incumbent + 1e-7 < bound <= point.value + 1e-9
+        assert ba.iterations > 0  # the Newton steps of the centrings it ran
 
     def test_matches_grid_oracle_for_fixed_rules(self):
         # mid-range target commensurate with the oracle grid (0.1 = 2/20)
@@ -182,11 +205,11 @@ class TestInnerMinimize:
         spec = hamming_spec()
         phi = np.array([[0, 1], [0, 1]])  # phi(y, z) = z
         psi = np.array([[0, 1], [0, 1]])  # psi(x, z) = z
-        res = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
+        _, point = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
         oracle = brute_force_oracle(src, spec, 0.1, 0.3, 2, 20, phi=phi, psi=psi)
-        assert res.status == "optimal"
-        assert oracle >= res.rate - 1e-9
-        assert abs(res.rate - oracle) <= 2e-3
+        assert point is not None
+        assert oracle >= point.value - 1e-9
+        assert abs(point.value - oracle) <= 2e-3
 
     def test_certified_bound_is_below_the_oracle(self):
         # the instance of test_matches_grid_oracle_for_fixed_rules
@@ -194,9 +217,9 @@ class TestInnerMinimize:
         spec = hamming_spec()
         phi = np.array([[0, 1], [0, 1]])
         psi = np.array([[0, 1], [0, 1]])
-        res = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
+        bound, _ = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
         oracle = brute_force_oracle(src, spec, 0.1, 0.3, 2, 20, phi=phi, psi=psi)
-        assert res.lower_bound <= oracle + 1e-9
+        assert bound <= oracle + 1e-9
 
 
 class TestSolveRate:
@@ -402,10 +425,8 @@ def encoder_active_enumeration():
     assert len(sigs) == 9
     cons = [np.ascontiguousarray(a_rows.T), np.ascontiguousarray(e_rows.T)]
     cands = solver_module._candidate_array(len(sigs), 5, 10**6)
-    full, _, _ = solver_module.scan_candidates(
-        solver_module._InnerProblem(src.pxy, 5), cons, cands, [dd_t, de_t]
-    )
-    return full.rate
+    full, _, _ = solver_module.scan_candidates(src.pxy, cons, cands, [dd_t, de_t])
+    return full.value
 
 
 def encoder_active_library():
@@ -656,11 +677,9 @@ def small_library_instance(seed):
 def assert_matches_scan(value, cons, cands, target, src):
     """value against the candidate scan over the same columns: never above
     it, and below it by at most 1e-8 bits."""
-    old, _, _ = solver_module.scan_candidates(
-        solver_module._InnerProblem(src.pxy, cands.shape[1]), cons, cands, [target]
-    )
-    assert value <= old.rate + 1e-9
-    assert old.rate - value <= 1e-8
+    old, _, _ = solver_module.scan_candidates(src.pxy, cons, cands, [target])
+    assert value <= old.value + 1e-9
+    assert old.value - value <= 1e-8
 
 
 class TestLibraryPath:
@@ -798,10 +817,8 @@ class TestBelowTheBound:
         targets = [0.1, 0.0]
         bound, _, _ = solver_module._universe_solve(src.pxy, cons, targets)
         cands = solver_module._candidate_array(len(rows[0]), 5, 10**6)
-        full, _, _ = solver_module.scan_candidates(
-            solver_module._InnerProblem(src.pxy, 5), cons, cands, targets
-        )
-        assert full.rate >= bound - 1e-9
+        full, _, _ = solver_module.scan_candidates(src.pxy, cons, cands, targets)
+        assert full.value >= bound - 1e-9
 
     def test_rate_never_rises_with_z_size(self):
         src, spec = ternary_instance()
