@@ -132,7 +132,7 @@ _PRICING_ROUNDS = 10  # support solves per settle attempt, one entering column e
 _ENTER_MASS = 1e-3  # starting mass of an entering column
 _SLACK_MULTIPLIER = 1e-9  # a held target whose multiplier is below minus this may be slack
 _DUAL_MAX_LAMBDA = 1e12
-_COARSE_GAP = 1e-2  # inner accuracy of the bracketing solves at lam = 1, 4, 16, ...
+_COARSE_GAP = 1e-2  # gap (bits) that ends the bracketing solves at lam = 1, 4, 16, ...
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
 _BARRIER_TAU = 1.0  # weight of F in the first centring of a barrier solve ...
 _BARRIER_MU = 16.0  # ... its growth between centrings ...
@@ -549,10 +549,11 @@ class _LibraryBA:
         return self.problem.value(p) + float(cost - lam @ self.targets)
 
     def _step(self, logp, penalty):
-        """One update from logp, and the Frank-Wolfe gap (bits) at logp."""
+        """The update's image of a normalized logp, off by a constant per row,
+        and the Frank-Wolfe gap (bits) at logp."""
         top = logp.max(axis=0)
         r = self.p_x_given_y.T @ np.exp(logp - top)
-        new = _log_normalize(self.p_y_given_x @ np.log(np.maximum(r, _TINY)) + top - penalty)
+        new = self.p_y_given_x @ np.log(np.maximum(r, _TINY)) + top - penalty
         d = logp - new  # the gradient in units of p(x) / ln2, up to a constant per row
         gap = float(self.px @ ((np.exp(logp) * d).sum(axis=1) - d.min(axis=1))) / LN2
         return new, gap
@@ -573,7 +574,7 @@ class _LibraryBA:
             if gap <= tol or it == _BA_MAX_ITERS:
                 break
             if gap > last and mu > 1.0:  # back to the plain image of the last accepted point
-                logp, mu = plain, 1.0
+                logp, mu = _log_normalize(plain), 1.0
                 continue
             if plain is not None and gap <= last:
                 mu = min(_BA_MU_GROWTH * mu, _BA_MU_MAX)
@@ -651,12 +652,10 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         var = ok.T.ravel()
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
         n = int(var.sum())
+        hessian = np.zeros((len(cols), nx, len(cols), nx))  # block diagonal by column
+        hessian[np.arange(len(cols)), :, np.arange(len(cols))] = blocks
         kkt = np.zeros((n + len(a), n + len(a)))
-        start = 0
-        for block, v in zip(blocks, ok.T):  # the Hessian is block diagonal by column
-            end = start + int(v.sum())
-            kkt[start:end, start:end] = block[np.ix_(v, v)]
-            start = end
+        kkt[:n, :n] = hessian.reshape(var.size, var.size)[np.ix_(var, var)]
         kkt[:n, n:] = a.T
         kkt[n:, :n] = a
         residual = np.r_[np.ones(n_live), targets] - rows.sum(axis=(1, 2))
@@ -719,7 +718,8 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
     bound = -math.inf
     for it in range(1, _CERT_STEPS + 1):
         point = _log_normalize(np.where(off, shapes - _log_mass(shapes, ba.px) - _DEAD_NATS, logp))
-        shapes, gap = ba._step(point, penalty)
+        image, gap = ba._step(point, penalty)
+        shapes = _log_normalize(image)
         bound = max(bound, _Bound(ba.lagrangian(np.exp(point), lam) - gap, lam))
         if value - bound <= tol:
             break
@@ -790,21 +790,21 @@ def _dual_search(ba: _LibraryBA, tol: float):
     """Bracket the multiplier of the first target.
 
     BA solves lam = 0 (to 0.1 tol; an iterate meeting the target there is
-    returned as it is), then lam = 1, 4, 16, ... coarsely (_COARSE_GAP)
-    until an iterate meets the target; every solve's certified bound holds
-    for R.  BA finds the support of the optimum long before it converges on
-    it, so the bracket's primal is the mix of its last two iterates that
-    meets the target exactly.  Returns (best certified lower bound on R,
-    that primal); it misses the first target only when no multiplier up to
+    returned as it is), then lam = 1, 4, 16, ... to a gap of _COARSE_GAP
+    bits until an iterate meets the target; every solve's certified bound
+    holds for R.  BA finds the support of the optimum long before it
+    converges on it, and _settle solves that support exactly, so the
+    bracket's primal is the mix of its last two iterates that meets the
+    target exactly.  Returns (best certified lower bound on R, that primal);
+    it misses the first target only when no multiplier up to
     _DUAL_MAX_LAMBDA reaches it.
     """
     bound, lo = ba.solve(0.0, 0.1 * tol)
     if lo.costs[0] <= ba.target:
         return bound, lo
-    coarse = max(tol, _COARSE_GAP)
     lam = 1.0
     while True:
-        got, hi = ba.solve(lam, 0.1 * coarse)
+        got, hi = ba.solve(lam, max(0.1 * tol, _COARSE_GAP))
         bound = max(bound, got)
         if hi.costs[0] <= ba.target:
             return bound, _mix(ba, lo, hi)

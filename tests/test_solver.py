@@ -595,7 +595,9 @@ def ladder_library(shape):
 
 
 class TestOverRelaxedBA:
-    # bracket solves of the 3x3x3 ladder's dual search, after lam = 0
+    # the 3x3x3 ladder's bracket multipliers after lam = 0, solved to 1e-3
+    # bits, ten times finer than the dual search's _COARSE_GAP, so that the
+    # over-relaxed steps run long enough to be rejected
     BRACKET = ((1.0, 1e-3), (4.0, 1e-3), (16.0, 1e-3))
 
     @pytest.mark.parametrize("cap", [2, 3, 4, 5])
@@ -615,14 +617,16 @@ class TestOverRelaxedBA:
 
     def test_rejected_extrapolation_keeps_the_answer(self, monkeypatch):
         # an extrapolated point whose gap rose is dropped for the plain image
-        # of the last accepted point, which is an earlier _step's output
-        # handed back in as it is
+        # of the last accepted point, which is an earlier _step's output,
+        # normalized, handed back in
         outputs, rejected = [], 0
         step = solver_module._LibraryBA._step
 
         def counted(ba, logp, penalty):
             nonlocal rejected
-            rejected += len(outputs) >= 2 and logp is outputs[-2]
+            if len(outputs) >= 2:
+                plain = solver_module._log_normalize(outputs[-2])
+                rejected += np.allclose(logp, plain, rtol=0.0, atol=1e-12)
             new, gap = step(ba, logp, penalty)
             outputs.append(new)
             return new, gap
@@ -643,10 +647,42 @@ class TestOverRelaxedBA:
         assert point.rate == pytest.approx(0.233108254361, abs=1e-9)  # the plain BA's rate
 
     def test_ladder_point_iterations(self):
-        # 992 iterations with plain Blahut-Arimoto steps
+        # 992 iterations with plain Blahut-Arimoto steps, 365 with over-relaxed
+        # steps and the bracket solved to 1e-3 bits
         _, point = ladder_library((3, 3, 3))
         assert point.label == "exact"
-        assert point.iterations <= 600
+        assert point.iterations <= 200
+
+    def test_bracket_leaves_the_barrier_unreached(self, monkeypatch):
+        # the bracket stops at _COARSE_GAP, and _settle must still certify
+        # every ladder point and the K = 2 BSC ext-solve from its primal
+        def refuse(*args, **kwargs):
+            raise AssertionError("the barrier solve was reached")
+
+        monkeypatch.setattr(solver_module, "solve_constrained", refuse)
+        for shape in ((3, 2, 2), (2, 3, 3), (3, 3, 3), (4, 4, 4)):
+            src, spec, dd_t, de_t = ladder_instance(*shape)
+            assert solve_rate(src, spec, dd_t, de_t).label == "exact"
+        dk = np.zeros((2, 2, 2, 2))
+        dk[0], dk[1] = hamming(2)[:, :, None], hamming(2)
+        ext = ExtendedInstance(xhat_d_size=2, xhat_e_size=2, k=2, dk=dk, targets=[0.15, 0.1])
+        assert solve_rate_ext(bsc_pair(0.25), ext, SolveConfig(z_size=5)).label == "exact"
+
+    def test_support_solve_with_holes(self):
+        # a zero encoder target forbids single entries of the 3x3x3 ladder's
+        # library before each encoder column collapses onto its best letter,
+        # so the support solve starts on columns with holes
+        src, spec, dd_t, _ = ladder_instance(3, 3, 3)
+        _, rows = full_signature_library(src.pxy, solver_module._base_tables(spec))
+        ba = _LibraryBA(src.pxy, [rows[0].T, rows[1].T], [dd_t, 0.0])
+        _, primal = solver_module._dual_search(ba, 1e-10)
+        forbidden = ba.forbidden > 0.0
+        start = forbidden[:, np.argsort(-(ba.px @ primal.channel))[:6]]
+        assert (start.any(axis=0) & ~start.all(axis=0)).any()
+        p, _ = solver_module._support_solve(ba, primal.channel, [0])
+        assert p.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
+        assert (p[forbidden] == 0.0).all()
+        assert np.einsum("xn,xn->", ba.costs[0], p) == pytest.approx(dd_t, abs=1e-12)
 
 
 # the bench's BSC(0.25) Hamming sweep at z_size 5, rates of the seed commit
