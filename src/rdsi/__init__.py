@@ -50,7 +50,6 @@ from .model import (
 from .solver import (
     RatePoint,
     SolveConfig,
-    brute_force_oracle,
     expected_distortions,
     r_cr,
     r_wz,

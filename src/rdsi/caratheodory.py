@@ -13,9 +13,10 @@ Three reductions:
 * ``reduce_aux_u`` shrinks the auxiliary randomisation alphabet of an
   extended witness to at most K symbols without increasing any of the K
   per-(x, z) conditional distortions and without touching the Z-channel
-  (so the rate objective is unchanged): one LP walks each per-(x, z)
-  distortion vector down to the hull boundary, and its basic optimum
-  carries weight on at most K symbols (K + 1 affinely independent points
+  (so the rate objective is unchanged): one LP, block-diagonal over
+  (x, z), walks every per-(x, z) distortion vector down to the hull
+  boundary, and its basic optimum carries weight on at most K symbols in
+  each block (K + 1 affinely independent points
   with weight would put the walk's end inside the hull, where it could
   still go on).
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import linprog, nnls
+from ._scipy import bsr_array, linprog, nnls
 from .errors import RdsiError
 from .model import ExtendedInstance, JointSource, _freeze
 
@@ -182,24 +183,30 @@ def boundary_reduce(points, target, normal) -> ConvexCombination:
     return out
 
 
-def _dominating_boundary_point(h: np.ndarray, d_vec: np.ndarray):
-    """Walk from d_vec along -(1, ..., 1) to the hull boundary of the rows of h.
+def _dominating_boundary_points(hs, ds):
+    """Walk each d_b in ``ds`` along -(1, ..., 1) to the hull boundary of the
+    rows of its h_b in ``hs`` (B blocks, each h_b of shape (U, K)).
 
-    Solved as one LP: maximise t subject to  h' lambda + t 1 = d_vec,
-    lambda in the simplex, t >= 0.  Returns lambda, HiGHS's basic optimum.
+    Solved as one block-diagonal LP: maximise sum_b t_b subject to
+    h_b' lambda_b + t_b 1 = d_b, each lambda_b in the simplex, t_b >= 0.  The
+    blocks share no variable, so HiGHS's basic optimum is basic in every
+    block.  Returns the lambda_b, shape (B, U).
     """
-    m, k = h.shape
-    a_eq = np.zeros((k + 1, m + 1))
-    a_eq[:k, :m] = h.T
-    a_eq[:k, m] = 1.0
-    a_eq[k, :m] = 1.0
-    b_eq = np.concatenate([d_vec, [1.0]])
-    cost = np.zeros(m + 1)
-    cost[m] = -1.0
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * (m + 1), method="highs")
+    hs = np.asarray(hs, dtype=float)
+    nb, m, k = hs.shape
+    blocks = np.ones((nb, k + 1, m + 1))  # rows: the K totals, the simplex
+    blocks[:, :k, :m] = hs.transpose(0, 2, 1)
+    blocks[:, k, m] = 0.0
+    a_eq = bsr_array((blocks, np.arange(nb), np.arange(nb + 1)))
+    b_eq = np.concatenate([np.asarray(ds, dtype=float), np.ones((nb, 1))], axis=1)
+    cost = np.zeros((nb, m + 1))
+    cost[:, m] = -1.0
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=b_eq.ravel(), bounds=(0.0, None), method="highs"
+    )
     if not res.success:
         raise RdsiError("no dominating boundary point found")
-    return np.maximum(res.x[:m], 0.0)
+    return np.maximum(res.x.reshape(nb, m + 1)[:, :m], 0.0)
 
 
 def reduce_aux_u(
@@ -213,12 +220,12 @@ def reduce_aux_u(
     """Shrink the auxiliary alphabet of an extended witness to at most K.
 
     For every (x, z) the conditional distortion vector over the K constraints
-    is a convex combination of the per-u vectors; one LP walks it along
-    -(1, ..., 1) to a boundary point of their hull, and the LP's basic
-    optimum writes that point over at most K symbols (an RdsiError if it
-    does not).  Returns the new conditional law of the reduced auxiliary
-    (shape X x Z x K) and the matching reconstruction table psi_tilde (same
-    shape, xhat_e indices).
+    is a convex combination of the per-u vectors; one LP over all (x, z)
+    walks each along -(1, ..., 1) to a boundary point of their hull, and the
+    LP's basic optimum writes that point over at most K symbols (an
+    RdsiError naming the (x, z) if it does not).  Returns the new
+    conditional law of the reduced auxiliary (shape X x Z x K) and the
+    matching reconstruction table psi_tilde (same shape, xhat_e indices).
 
     The Z-channel is untouched, so the rate objective is exactly preserved;
     every per-(x, z), per-k conditional distortion of the output is at most
@@ -234,34 +241,30 @@ def reduce_aux_u(
         return pu_given_xz, psi3
 
     px = src.px
+    p_y_given_x = src.pxy / np.where(px > 0, px, 1.0)[:, None]
+    # h[x, z, u, k] = E[d_k(x, phi(Y, z), psi3(x, z, u)) | X = x]
+    per_xhat_e = np.einsum("xy,kxyze->xzke", p_y_given_x, ext.dk[:, :, phi, :])
+    h = np.take_along_axis(per_xhat_e, psi3[:, :, None, :], axis=3).transpose(0, 1, 3, 2)
+    d = np.einsum("xzu,xzuk->xzk", pu_given_xz, h)
+    try:
+        lam = _dominating_boundary_points(h.reshape(nx * nz, nu, kk), d.reshape(nx * nz, kk))
+    except RdsiError as exc:
+        raise RdsiError(f"reduction failed: {exc}") from exc
     pu_new = np.zeros((nx, nz, kk))
     psi_tilde = np.zeros((nx, nz, kk), dtype=np.int64)
-    for x in range(nx):
-        p_y_given_x = src.pxy[x] / px[x] if px[x] > 0 else np.zeros(src.y_size)
-        for z in range(nz):
-            # h[u, k] = E[d_k(x, phi(Y, z), psi3(x, z, u)) | X = x]
-            d_slices = ext.dk[:, x, phi[:, z], :]  # (K, Y, xhat_e)
-            per_xhat_e = np.einsum("y,kye->ke", p_y_given_x, d_slices)
-            h = per_xhat_e[:, psi3[x, z, :]].T  # (U, K)
-            d_vec = pu_given_xz[x, z] @ h
-            try:
-                lam = _dominating_boundary_point(h, d_vec)
-            except RdsiError as exc:
-                raise RdsiError(f"reduction failed at (x={x}, z={z}): {exc}") from exc
-            u_idx = np.nonzero(lam > 1e-12)[0]
-            if len(u_idx) > kk:
-                raise RdsiError(
-                    f"reduction failed at (x={x}, z={z}): {len(u_idx)} symbols carry weight"
-                )
-            w = lam[u_idx] / lam[u_idx].sum()
-            reduced = w @ h[u_idx]
-            if np.any(reduced > d_vec + RECON_TOL):
-                raise RdsiError(
-                    f"reduction failed at (x={x}, z={z}): dominance not certified"
-                )
-            m = len(u_idx)
-            pu_new[x, z, :m] = w
-            psi_tilde[x, z, :m] = psi3[x, z, u_idx]
-            if m < kk:
-                psi_tilde[x, z, m:] = psi_tilde[x, z, 0]
+    for b, (x, z) in enumerate(np.ndindex(nx, nz)):
+        u_idx = np.nonzero(lam[b] > 1e-12)[0]
+        if len(u_idx) > kk:
+            raise RdsiError(
+                f"reduction failed at (x={x}, z={z}): {len(u_idx)} symbols carry weight"
+            )
+        w = lam[b, u_idx] / lam[b, u_idx].sum()
+        reduced = w @ h[x, z, u_idx]
+        if np.any(reduced > d[x, z] + RECON_TOL):
+            raise RdsiError(f"reduction failed at (x={x}, z={z}): dominance not certified")
+        m = len(u_idx)
+        pu_new[x, z, :m] = w
+        psi_tilde[x, z, :m] = psi3[x, z, u_idx]
+        if m < kk:
+            psi_tilde[x, z, m:] = psi_tilde[x, z, 0]
     return pu_new, psi_tilde

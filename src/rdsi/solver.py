@@ -32,8 +32,10 @@ at most one table varies with the encoder letter.
 
 Rate zero.  A Z independent of X has rate 0; its distortions are one mix
 of the library columns' totals, and with two constraints one column or a
-pair of them decides whether such a mix meets both targets.  Every library
-solve (base, baselines and extended) checks this first.
+pair of them decides whether such a mix meets both targets; the pairs
+come from the columns no other column beats on every total, a front
+found once per library.  Every library solve (base, baselines and
+extended) checks this first.
 
 Full-library solve.  The same minimization over the complete column
 library (no subset restriction) lower-bounds the rate at every z_size, a
@@ -80,7 +82,9 @@ Sweeps.  Every certified bound is L(p, lam) - lam . t - gap for some
 multipliers lam >= 0, a plane under R at every target pair with the same
 zero targets, and a witness stays feasible at larger targets, so a sweep
 settles a cell from earlier cells' planes and witnesses where they meet
-within 1e-10 bits (tradeoff_sweep).
+within 1e-10 bits (tradeoff_sweep).  The bracket's Blahut-Arimoto solves
+do not depend on the target values, only on which targets are zero, so a
+sweep makes each of them once and every cell reuses them.
 
 Early stopping.  Candidates are scanned in descending total mass of
 their columns under the full-library solution, ties in lexicographic
@@ -126,6 +130,7 @@ _SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's
 _SUPPORT_FLOOR = 1e-9  # smallest starting entry of a support column
 _NEWTON_MAX_ITERS = 50  # Newton steps of a support solve or a barrier centring
 _NEWTON_TOL = 1e-10  # largest relative entry change of a converged Newton step
+_KKT_RESIDUAL = 1e-9  # relative residual above which a Newton step falls back to lstsq
 _CERT_STEPS = 20  # Blahut-Arimoto steps of a support certificate
 _DEAD_NATS = 60.0  # log-mass of a column off the support, below its BA shape
 _PRICING_ROUNDS = 10  # support solves per settle attempt, one entering column each
@@ -178,7 +183,8 @@ class RatePoint:
     certified bound a plane: rate - gap + multipliers . (t - t') lower-bounds
     R at every t' whose zero targets include those of t = (dd_target,
     de_target); a rate-0 point has zeros.  In a sweep, a cell settled from
-    earlier cells reports iterations 0 (see tradeoff_sweep).
+    earlier cells reports iterations 0, and a solved cell counts only the
+    bracket solves it was the first to make (see tradeoff_sweep).
     """
 
     dd_target: float
@@ -478,6 +484,7 @@ class _Iterate:
     logp: np.ndarray  # (X, N)
     value: float  # H(Z|Y) - H(Z|X) in bits
     costs: np.ndarray  # (K,) the first is the one with a multiplier
+    gap: float = math.nan  # a Blahut-Arimoto solve's Frank-Wolfe gap (bits) at its multiplier
 
     @property
     def channel(self) -> np.ndarray:
@@ -562,7 +569,7 @@ class _LibraryBA:
         """Minimize L(., lam) from ``warm`` until the gap is <= tol.
 
         Returns (certified lower bound on R, a _Bound at the multipliers
-        (lam, 0, ...), made at the iterate; iterate).
+        (lam, 0, ...), made at the iterate; iterate, with its gap).
         """
         multipliers = np.zeros(len(self.targets))
         multipliers[0] = lam
@@ -582,8 +589,17 @@ class _LibraryBA:
             logp = _log_normalize(logp + mu * (new - logp))
         self.iterations += it
         res = self.iterate(logp)
+        res.gap = gap
         self.warm = res.channel
-        return _Bound(res.value + lam * (res.costs[0] - self.target) - gap, multipliers), res
+        return self.bound(lam, res), res
+
+    def bound(self, lam: float, res: _Iterate) -> _Bound:
+        """The certified bound at these targets of a solve's iterate ``res``
+        at the multiplier lam on the first target; the iterate and its gap
+        depend only on the costs and on which targets are zero."""
+        multipliers = np.zeros(len(self.targets))
+        multipliers[0] = lam
+        return _Bound(res.value + lam * (res.costs[0] - self.target) - res.gap, multipliers)
 
 
 def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> _Iterate:
@@ -652,24 +668,31 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         var = ok.T.ravel()
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
         n = int(var.sum())
-        hessian = np.zeros((len(cols), nx, len(cols), nx))  # block diagonal by column
-        hessian[np.arange(len(cols)), :, np.arange(len(cols))] = blocks
         kkt = np.zeros((n + len(a), n + len(a)))
-        kkt[:n, :n] = hessian.reshape(var.size, var.size)[np.ix_(var, var)]
+        # the Hessian is block diagonal by column: scatter the blocks in
+        at = np.arange(len(cols))[:, None] * nx + diag
+        if var.all():
+            kkt[at[:, :, None], at[:, None, :]] = blocks
+        else:
+            hessian = np.zeros((var.size, var.size))
+            hessian[at[:, :, None], at[:, None, :]] = blocks
+            kkt[:n, :n] = hessian[np.ix_(var, var)]
         kkt[:n, n:] = a.T
         kkt[n:, :n] = a
         residual = np.r_[np.ones(n_live), targets] - rows.sum(axis=(1, 2))
         rhs = np.concatenate([-(g * scale).T.ravel()[var], residual])
         if not np.isfinite(kkt).all() or not np.isfinite(rhs).all():
             return None
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        sol = _kkt_solve(kkt, rhs, n)
         step = np.zeros(var.size)
         step[var] = sol[:n]
         step = step.reshape(len(cols), nx).T * scale / np.where(ok, p, 1.0)  # relative change
         before = px @ p
         after = px @ (p * (1.0 + step))
-        if (after <= 0.0).any():
-            share = np.where(after <= 0.0, before / (before - after), np.inf)
+        empties = after <= 0.0
+        if empties.any():
+            share = np.full(len(cols), np.inf)
+            share[empties] = before[empties] / (before[empties] - after[empties])
             j = int(np.argmin(share))
             cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
             continue
@@ -690,6 +713,25 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
             out[~live, cols[0]] = 1.0
             return out, sol[n + n_live :] / LN2
     return None
+
+
+def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
+    """A support solve's Newton step, over n unknowns and the equations
+    after them: LU, unless it fails, gives non-finite values or leaves a
+    residual above _KKT_RESIDUAL times the largest right-hand side entry;
+    then the least-squares solution (the system is singular where the
+    equations depend on each other, as they must when they outnumber the
+    unknowns, and LU is not tried there)."""
+    sol = None
+    if 2 * n >= len(rhs):
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if sol is not None and np.isfinite(sol).all():
+        if np.abs(kkt @ sol - rhs).max() <= _KKT_RESIDUAL * np.abs(rhs).max():
+            return sol
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
 
 
 def _log_mass(logp: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -786,34 +828,43 @@ def _settle(ba: _LibraryBA, channel, shapes, active: list, tol: float):
     return bound, best
 
 
-def _dual_search(ba: _LibraryBA, tol: float):
+def _dual_search(ba: _LibraryBA, tol: float, solves: list | None = None):
     """Bracket the multiplier of the first target.
 
     BA solves lam = 0 (to 0.1 tol; an iterate meeting the target there is
     returned as it is), then lam = 1, 4, 16, ... to a gap of _COARSE_GAP
-    bits until an iterate meets the target; every solve's certified bound
-    holds for R.  BA finds the support of the optimum long before it
-    converges on it, and _settle solves that support exactly, so the
-    bracket's primal is the mix of its last two iterates that meets the
-    target exactly.  Returns (best certified lower bound on R, that primal);
-    it misses the first target only when no multiplier up to
-    _DUAL_MAX_LAMBDA reaches it.
+    bits until an iterate meets the target, each started from the one
+    before; every solve's certified bound holds for R.  BA finds the support
+    of the optimum long before it converges on it, and _settle solves that
+    support exactly, so the bracket's primal is the mix of its last two
+    iterates that meets the target exactly.  Returns (best certified lower
+    bound on R, that primal); it misses the first target only when no
+    multiplier up to _DUAL_MAX_LAMBDA reaches it.
+
+    The solves do not depend on the target values, only on the costs and
+    on which targets are zero.  ``solves`` lists the iterates of those made
+    so far on this library and zero pattern, at lam = 0, 1, 4, ... (a
+    sweep's _Store keeps it): the search walks it, making each bound at its
+    own targets, and solves and appends only past its end.
     """
-    bound, lo = ba.solve(0.0, 0.1 * tol)
-    if lo.costs[0] <= ba.target:
-        return bound, lo
-    lam = 1.0
-    while True:
-        got, hi = ba.solve(lam, max(0.1 * tol, _COARSE_GAP))
-        bound = max(bound, got)
-        if hi.costs[0] <= ba.target:
-            return bound, _mix(ba, lo, hi)
-        lo, lam = hi, 4.0 * lam
+    solves = [] if solves is None else solves
+    bound, lo = -math.inf, None
+    for i in itertools.count():
+        lam = 0.0 if i == 0 else 4.0 ** (i - 1)
         if lam > _DUAL_MAX_LAMBDA:
             return bound, lo
+        if i == len(solves):
+            if solves:
+                ba.warm = solves[-1].channel
+            solves.append(ba.solve(lam, max(0.1 * tol, _COARSE_GAP if i else 0.0))[1])
+        hi = solves[i]
+        bound = max(bound, ba.bound(lam, hi))
+        if hi.costs[0] <= ba.target:
+            return bound, hi if lo is None else _mix(ba, lo, hi)
+        lo = hi
 
 
-def _universe_solve(pxy, cons, targets):
+def _universe_solve(pxy, cons, targets, solves=None):
     """Certified minimum over the full column library.
 
     The first constraint carries the multiplier of the search
@@ -827,10 +878,10 @@ def _universe_solve(pxy, cons, targets):
     Returns (lower bound, a _Bound with the multipliers it was made at;
     primal iterate or None if none meets every target; iterations,
     certificate and Newton steps included).  The search aims at a gap of
-    _UNIVERSE_GAP bits.
+    _UNIVERSE_GAP bits, reusing ``solves`` (see _dual_search).
     """
     ba = _LibraryBA(pxy, cons, targets)
-    bound, primal = _dual_search(ba, _UNIVERSE_GAP)
+    bound, primal = _dual_search(ba, _UNIVERSE_GAP, solves)
     missed = primal.costs > ba.targets + 1e-12
     if missed.any() or primal.value - bound > _UNIVERSE_GAP:
         held = [k for k in np.flatnonzero(ba.targets > 0.0) if k == 0 or missed[k]]
@@ -999,9 +1050,16 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=Non
     (_constant_mix) gives rate 0: path "constant", zero multipliers and no
     iterations, before the cap check and the store.  With a _Store, after
     the checks that raise or return None, a point the store settles is
-    returned from it, and a solved one is added to it.
+    returned from it, and a solved one is added to it; the store also holds
+    the library's rate-0 front and its dual-search solves.
     """
-    mix = _constant_mix(np.asarray([c.sum(axis=0) for c in cons]), targets)
+    if store is None:
+        totals, front = _rate_zero_front(cons)
+        solves = None
+    else:
+        totals, front = store.totals, store.front
+        solves = store.solves.setdefault(tuple(t <= 0.0 for t in targets), [])
+    mix = _constant_mix(totals, front, targets)
     if mix is not None:
         cols, channel = np.asarray(mix[0]), np.tile(mix[1], (src.x_size, 1))
         return _Solution(cols, channel, 0.0, _Bound(0.0, np.zeros(len(cons))), 0, "constant")
@@ -1015,7 +1073,7 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=Non
     sol = None if store is None else store.settle(targets)
     if sol is not None:
         return sol
-    floor, primal, iters = _universe_solve(src.pxy, cons, targets)
+    floor, primal, iters = _universe_solve(src.pxy, cons, targets, solves)
     if primal is not None and (at_bound or primal.value - floor <= _EXACT_GAP):
         cols, channel = _caratheodory_witness(src, cons, primal.channel)
         if at_bound or len(cols) <= z_size:
@@ -1035,8 +1093,10 @@ def _solve_library(src, cons, targets, cfg, z_size: int, z_bound: int, store=Non
 
 class _Store:
     """A discrete instance's column library, built once for a sweep, with
-    the plane (a _Bound and the targets it was made at) and the witness
-    (with its cost vector) of every cell solved on it so far."""
+    its rate-0 front, the dual-search solves made on it so far per pattern
+    of zero targets (see _dual_search), and the plane (a _Bound and the
+    targets it was made at) and the witness (with its cost vector) of every
+    cell solved on it so far."""
 
     def __init__(self, src: JointSource, spec: DistortionSpec, cfg: SolveConfig | None):
         self.cfg = cfg or SolveConfig()
@@ -1045,6 +1105,8 @@ class _Store:
         self.z_size = self.cfg.z_size if self.cfg.z_size is not None else src.x_size + 3
         self.sigs, rows = _signature_library(src.pxy, _base_tables(spec))
         self.cons = [np.ascontiguousarray(r.T) for r in rows]
+        self.totals, self.front = _rate_zero_front(self.cons)
+        self.solves = {}  # tuple of zero-target flags -> the dual search's iterates
         self.planes = []  # (targets, multipliers, value at the targets)
         self.solutions = []  # (_Solution, cost vector)
 
@@ -1125,29 +1187,47 @@ def solve_rate(
     )
 
 
-def _constant_mix(totals: np.ndarray, targets):
+def _rate_zero_front(cons):
+    """The totals (K, N) of a library with cost matrices ``cons`` (sum_x of
+    each column's coefficients) and their front: the columns no other
+    column matches or beats on every total (of equal ones the first in
+    library order), in lexicographic order of the totals.
+
+    One scan in that order (Kung, Luccio and Preparata 1975): the first
+    remaining column is on the front, and it drops every later column it
+    matches or beats, until none remains.  A dropped column is beaten by a
+    front column, by transitivity, so this is the pairwise definition, for
+    every K, in O(N x front size).
+    """
+    totals = np.asarray([c.sum(axis=0) for c in cons])
+    order = np.lexsort(totals[::-1])
+    ranked = totals[:, order]
+    front, rest = [], np.arange(len(order))
+    while len(rest):
+        first, rest = rest[0], rest[1:]
+        front.append(first)
+        rest = rest[~(ranked[:, first, None] <= ranked[:, rest]).all(axis=0)]
+    return totals, order[front]
+
+
+def _constant_mix(totals: np.ndarray, front: np.ndarray, targets):
     """Rate-0 shortcut: a Z independent of X that meets every target, if any.
 
     Such a Z mixes library columns with one weight vector for every x, so
     its distortions are the same mix of the columns' totals (``totals``,
     shape (K, N): sum_x of each column's coefficients).  A single column
     meeting every target is taken first (the first in library order), else
-    the first pair, among the columns no other beats on every total (in
-    lexicographic order of the totals), whose segment meets the targets,
-    mixed at the middle of the weights that meet them.  With two
-    constraints a vertex of the feasible mixes uses one column or two, so
-    this decides whether the rate is 0; with more it may miss a mix of more
-    columns, which the full-library solve then finds.  Returns (columns,
-    weights) or None.
+    the first pair, among the columns of ``front`` (_rate_zero_front), whose
+    segment meets the targets, mixed at the middle of the weights that meet
+    them.  With two constraints a vertex of the feasible mixes uses one
+    column or two, so this decides whether the rate is 0; with more it may
+    miss a mix of more columns, which the full-library solve then finds.
+    Returns (columns, weights) or None.
     """
     bounds = np.asarray(targets, dtype=float) + 1e-15
     ok = np.flatnonzero((totals <= bounds[:, None]).all(axis=0))
     if len(ok):
         return [int(ok[0])], np.ones(1)
-    order = np.lexsort(totals[::-1])
-    ranked = totals[:, order]
-    beaten = np.triu((ranked[:, :, None] <= ranked[:, None, :]).all(axis=0), 1).any(axis=0)
-    front = order[~beaten]
     i, j = np.triu_indices(len(front), 1)
     i, j = front[i], front[j]
     # weight w on column i: w (c_i - c_j) <= t - c_j for every total
@@ -1236,80 +1316,6 @@ def _dd_only_spec(dd: np.ndarray) -> DistortionSpec:
     return DistortionSpec(xhat_size=nhat, dd=dd, de=np.zeros((nhat, nhat)))
 
 
-def brute_force_oracle(
-    src: JointSource,
-    spec: DistortionSpec,
-    dd_target: float,
-    de_target: float,
-    z_size: int,
-    grid_resolution: int,
-    phi: np.ndarray | None = None,
-    psi: np.ndarray | None = None,
-) -> float:
-    """Exhaustive simplex-grid scan over channels and reconstruction rules.
-
-    Channel rows range over the grid {k / grid_resolution}; the result is
-    the minimum objective among grid points meeting both constraints, an
-    upper bound on the true rate that tightens as the grid refines.
-    Intended for binary-scale instances; pass phi/psi to restrict the scan
-    to one rule pair.
-    """
-    _check_instance(src, spec)
-    rows = _simplex_grid(z_size, grid_resolution)
-    n_rows = rows.shape[0]
-    nx, ny = src.x_size, src.y_size
-    n_channels = n_rows**nx
-    if phi is None:
-        pairs = [
-            (np.asarray(f, np.int64).reshape(ny, z_size), np.asarray(g, np.int64).reshape(nx, z_size))
-            for f in itertools.product(range(spec.xhat_size), repeat=ny * z_size)
-            for g in itertools.product(range(spec.xhat_size), repeat=nx * z_size)
-        ]
-    else:
-        pairs = [(np.asarray(phi, np.int64), np.asarray(psi, np.int64))]
-    if n_channels * len(pairs) > 2e8:
-        raise ResourceCapError(
-            f"{n_channels} grid channels x {len(pairs)} rule pairs is beyond the oracle cap"
-        )
-    idx = np.indices((n_rows,) * nx).reshape(nx, -1).T  # (n_channels, X)
-    channels = rows[idx]  # (n_channels, X, z)
-    pxy = src.pxy
-    px = src.px
-    py = pxy.sum(axis=0)
-    hy_const = float(xlogy(py, py).sum())
-    m_yz = np.einsum("xy,cxz->cyz", pxy, channels)
-    objective = (
-        hy_const
-        - xlogy(m_yz, m_yz).sum(axis=(1, 2))
-        + (px[None, :, None] * xlogy(channels, channels)).sum(axis=(1, 2))
-    ) / LN2
-    best = math.inf
-    for f_tab, g_tab in pairs:
-        a_cols, e_cols = _cost_tables(pxy, spec, f_tab, g_tab)
-        edd = np.einsum("cxz,xz->c", channels, a_cols)
-        ede = np.einsum("cxz,xz->c", channels, e_cols)
-        feasible = (edd <= dd_target + 1e-12) & (ede <= de_target + 1e-12)
-        if feasible.any():
-            best = min(best, float(objective[feasible].min()))
-    if best is math.inf:
-        raise InfeasibleError("no grid point meets the targets")
-    return max(best, 0.0)
-
-
-def _simplex_grid(z_size: int, resolution: int) -> np.ndarray:
-    """All probability rows with entries k / resolution summing to 1."""
-    rows = []
-    for bars in itertools.combinations(range(resolution + z_size - 1), z_size - 1):
-        prev = -1
-        counts = []
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(resolution + z_size - 2 - prev)
-        rows.append(counts)
-    return np.asarray(rows, dtype=float) / resolution
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One cell of a trade-off sweep: a RatePoint or recorded error."""
@@ -1334,10 +1340,13 @@ def tradeoff_sweep(
     """solve_rate over the target grid, as one solve; per-cell errors are
     recorded in-cell.
 
-    The library is built once, and the cells, visited in grid order, share
-    one _Store.  R is convex, so every certified bound is a plane under it
-    at every target pair sharing its zero targets, and a witness stays
-    feasible at larger targets.  A cell passes solve_rate's checks first,
+    The library and its rate-0 front are built once, and the cells,
+    visited in grid order, share one _Store, which also keeps the dual
+    search's solves per pattern of zero targets: a cell makes only those
+    no earlier cell made, and its iterations count only those.  R is
+    convex, so every certified bound is a plane under it at every target
+    pair sharing its zero targets, and a witness stays feasible at larger
+    targets.  A cell passes solve_rate's checks first,
     so it errors exactly when its own solve does; a cell that the stored
     witnesses and planes settle within 1e-10 bits (where the encoder target
     is slack, R does not change along the row) reports that witness, the

@@ -16,6 +16,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from conftest import bsc_pair, hamming_spec, random_binary_instance
+from oracle import brute_force_oracle
 from rdsi.caratheodory import ConvexCombination, boundary_reduce, caratheodory_reduce, reduce_aux_u
 from rdsi.cli import main as cli_main
 from rdsi.extended import solve_rate_ext
@@ -30,7 +31,6 @@ from rdsi.gaussian import (
 from rdsi.model import ExtendedInstance, conditional_entropy_x_given_y
 from rdsi.solver import (
     SolveConfig,
-    brute_force_oracle,
     r_cr,
     r_wz,
     solve_rate,

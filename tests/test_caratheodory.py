@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import rdsi.caratheodory as caratheodory_module
 from conftest import bsc_pair
 from rdsi.caratheodory import (
     ConvexCombination,
@@ -162,16 +163,35 @@ class TestReduceAuxU:
             assert np.all(after <= before + 1e-9)
 
     def test_support_above_k_raises(self, rng, monkeypatch):
-        # the walk LP's basic optimum weights at most K symbols; a walk that
-        # weighted more is reported, not passed on
+        # the walk LP's basic optimum weights at most K symbols per block; a
+        # walk that weighted more is reported, not passed on
         src = bsc_pair(0.25)
         ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
         pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=4)
         monkeypatch.setattr(
-            "rdsi.caratheodory._dominating_boundary_point", lambda h, d: np.full(len(h), 0.25)
+            "rdsi.caratheodory._dominating_boundary_points",
+            lambda hs, ds: np.full(np.shape(hs)[:2], 0.25),
         )
         with pytest.raises(RdsiError, match=r"\(x=0, z=0\): 4 symbols carry weight"):
             reduce_aux_u(src, ext, pz, pu, phi, psi3)
+
+    def test_one_lp_for_every_x_and_z(self, rng, monkeypatch):
+        # the per-(x, z) walks share no variable, so one block-diagonal LP
+        # solves them all: one linprog call for a 2 x 2 x 5 witness
+        calls = []
+        linprog = caratheodory_module.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["A_eq"].shape)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(caratheodory_module, "linprog", counted)
+        src = bsc_pair(0.25)
+        ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
+        pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=5)
+        pu2, _ = reduce_aux_u(src, ext, pz, pu, phi, psi3)
+        assert calls == [(4 * 3, 4 * 6)]
+        assert pu2.shape == (2, 2, 2)
 
     def test_u_law_depends_only_on_x_and_z(self, rng):
         # structural Markov property: the output law is indexed by (x, z) alone

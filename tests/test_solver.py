@@ -21,6 +21,7 @@ from conftest import (
     ladder_instance,
     random_binary_instance,
 )
+from oracle import brute_force_oracle
 from rdsi.cli import main
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from rdsi.extended import solve_rate_ext
@@ -35,7 +36,6 @@ from rdsi.solver import (
     SolveConfig,
     _cost_tables,
     _LibraryBA,
-    brute_force_oracle,
     expected_distortions,
     r_cr,
     r_wz,
@@ -684,6 +684,34 @@ class TestOverRelaxedBA:
         assert (p[forbidden] == 0.0).all()
         assert np.einsum("xn,xn->", ba.costs[0], p) == pytest.approx(dd_t, abs=1e-12)
 
+    def test_zero_step_columns_do_not_divide(self):
+        # a scan candidate of BSC(0.25) at (0.15, 0.1): decoder column (1, 1)
+        # with encoder columns (0, 0), (1, 0) and (1, 1) pays E d_d = 0.5
+        # whatever the channel, so the support solve holding D_d drops
+        # columns while others' steps are exactly zero; the drop test must
+        # divide only where a column empties (a warning is an error here)
+        a = [[0.5, 0.5, 0.5], [0.0, 0.0, 0.0]]
+        e = [[0.5, 0.0, 0.0], [0.5, 0.5, 0.0]]
+        ba = _LibraryBA(bsc_pair(0.25).pxy, [a, e], [0.15, 0.1])
+        bound, primal = solver_module._dual_search(ba, solver_module._UNIVERSE_GAP)
+        assert primal.costs[0] == pytest.approx(0.5, abs=1e-12)
+        got, point = solver_module._settle(
+            ba, primal.channel, primal.logp, [0, 1], solver_module._UNIVERSE_GAP
+        )
+        assert point is None
+        assert bound > 1e10  # the bracket's bound grows with lam: no channel meets D_d
+
+    def test_newton_steps_take_lu(self, monkeypatch):
+        # every Newton step of the ladder points' support solves is a square,
+        # nonsingular system: none falls back to least squares
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Newton step fell back to lstsq")
+
+        monkeypatch.setattr(solver_module.np.linalg, "lstsq", refuse)
+        for shape in ((3, 2, 2), (2, 3, 3), (3, 3, 3), (4, 4, 4)):
+            src, spec, dd_t, de_t = ladder_instance(*shape)
+            assert solve_rate(src, spec, dd_t, de_t).label == "exact"
+
 
 # the bench's BSC(0.25) Hamming sweep at z_size 5, rates of the seed commit
 BSC_SWEEP_DD = (0.05, 0.15, 0.25, 0.35)
@@ -749,6 +777,24 @@ class TestLibraryPath:
         # rule's (0.5, 0)
         assert (point.achieved_dd, point.achieved_de) == pytest.approx((0.325, 0.175), abs=1e-12)
         assert rate_objective(src, w) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rate_zero_front_matches_the_pairwise_definition(self, k):
+        # small integer totals give ties on single totals and duplicate
+        # columns; the reference keeps, in lexicographic order of the totals
+        # (library order on ties), each column that no earlier one matches or
+        # beats on every total
+        rng = np.random.default_rng(k)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            totals = rng.integers(0, 4, size=(k, n)).astype(float)
+            order = np.lexsort(totals[::-1])
+            ranked = totals[:, order]
+            pairs = (ranked[:, :, None] <= ranked[:, None, :]).all(axis=0)
+            reference = order[~np.triu(pairs, 1).any(axis=0)]
+            got, front = solver_module._rate_zero_front(list(totals[:, None, :]))
+            assert np.array_equal(got, totals)
+            assert np.array_equal(front, reference)
 
     def test_rate_zero_comes_before_the_cap(self):
         # a constant rule meets (0.5, 0.1); z_size 1 sits below every
@@ -841,6 +887,45 @@ def ternary_instance():
     de = rng.random((3, 3))
     np.fill_diagonal(de, 0.0)
     return JointSource.from_pxy(pxy), DistortionSpec(xhat_size=3, dd=dd, de=de)
+
+
+def corpus_points():
+    """The 97-point regression corpus: encoder_active_instance seeds 0-11 at
+    |Y| = 2 and 3, with D_d at 0.6 and 0.95 x the cheapest constant rule's
+    E d_d and D_e at 0.005 and 0.02, then the 5x5x5 ladder point.
+    Yields (src, spec, dd_target, de_target)."""
+    for seed, y_size in itertools.product(range(12), (2, 3)):
+        src, spec, _ = encoder_active_instance(seed, y_size)
+        const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
+        for scale, de_t in itertools.product((0.6, 0.95), (0.005, 0.02)):
+            yield src, spec, scale * const, de_t
+    yield ladder_instance(5, 5, 5)
+
+
+class TestCorpus:
+    def test_every_point_is_exact_and_checks_out(self, monkeypatch):
+        # each point's witness is checked by the model's own formulas, and
+        # the barrier solve is called at most 11 times, its count when this
+        # corpus was first recorded
+        barrier = []
+        solve = solver_module.solve_constrained
+
+        def counted(*args, **kwargs):
+            barrier.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "solve_constrained", counted)
+        points = 0
+        for src, spec, dd_t, de_t in corpus_points():
+            point = solve_rate(src, spec, dd_t, de_t)
+            assert point.label == "exact"
+            assert 0.0 <= point.gap <= 1e-7
+            edd, ede = expected_distortions(src, spec, point.witness)
+            assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+            assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
+            points += 1
+        assert points == 97
+        assert len(barrier) <= 11
 
 
 class TestBelowTheBound:
@@ -1232,12 +1317,32 @@ class TestTradeoffSweep:
             assert point.multipliers[1] == 0.0
 
     def test_bsc_sweep_iterations(self):
-        # 559 over the 16 cells with plain Blahut-Arimoto steps
+        # 559 over the 16 cells with plain Blahut-Arimoto steps, 187 with
+        # over-relaxed steps and a dual-search bracket per cell
         cells = tradeoff_sweep(
             bsc_pair(0.25), hamming_spec(), BSC_SWEEP_DD, BSC_SWEEP_DE, SolveConfig(z_size=5)
         )
         assert all(c.point.label == "exact" for row in cells for c in row)
-        assert sum(c.point.iterations for row in cells for c in row) <= 559
+        assert sum(c.point.iterations for row in cells for c in row) <= 51
+
+    def test_bracket_is_solved_once_per_zero_pattern(self, monkeypatch):
+        # the dual search's solves depend on the library and on which
+        # targets are zero, not on the target values: the sweep shares them
+        calls = collections.Counter()
+        solve = _LibraryBA.solve
+
+        def counted(ba, lam, tol):
+            calls[tuple(ba.targets <= 0.0), lam] += 1
+            return solve(ba, lam, tol)
+
+        monkeypatch.setattr(_LibraryBA, "solve", counted)
+        cells = tradeoff_sweep(
+            bsc_pair(0.25), hamming_spec(), BSC_SWEEP_DD, BSC_SWEEP_DE, SolveConfig(z_size=5)
+        )
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) == 6
+        for row, rates in zip(cells, BSC_SWEEP_RATES):
+            assert [c.point.rate for c in row] == pytest.approx(rates, abs=1e-9)
 
     @pytest.mark.parametrize("case", ["bsc", "ladder"])
     def test_cells_match_their_own_solves(self, case):
