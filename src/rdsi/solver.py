@@ -629,7 +629,9 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
     optimum may have a zero entry inside a support column).  Entries a
     zero target forbids stay zero.  Returns (channel over the library,
     zero off its support; multipliers of the active constraints in bits
-    per unit), or None if Newton does not converge.
+    per unit), or None if Newton does not converge or the support has
+    fewer free entries than equations (a held target is then fixed by the
+    row sums, and Newton cannot move it).
     """
     pxy, px = ba.problem.pxy, ba.px
     live = px > 0.0
@@ -660,14 +662,16 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
             p *= 1.0 - dirn / dirn[j]
             cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
             continue
+        var = ok.T.ravel()
+        n = int(var.sum())
+        if n < len(rows):
+            return None
         # the step in Jacobi-scaled coordinates dp = scale * v, which give
         # the Hessian a unit diagonal however small an entry is
         scale = np.sqrt(p / np.maximum(px, _TINY)[:, None])
         blocks = _hessian_blocks(pxy, q, scale)
         blocks[:, diag, diag] += 1.0
-        var = ok.T.ravel()
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
-        n = int(var.sum())
         kkt = np.zeros((n + len(a), n + len(a)))
         # the Hessian is block diagonal by column: scatter the blocks in
         at = np.arange(len(cols))[:, None] * nx + diag
@@ -683,7 +687,7 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         rhs = np.concatenate([-(g * scale).T.ravel()[var], residual])
         if not np.isfinite(kkt).all() or not np.isfinite(rhs).all():
             return None
-        sol = _kkt_solve(kkt, rhs, n)
+        sol = _kkt_solve(kkt, rhs)
         step = np.zeros(var.size)
         step[var] = sol[:n]
         step = step.reshape(len(cols), nx).T * scale / np.where(ok, p, 1.0)  # relative change
@@ -715,19 +719,16 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
     return None
 
 
-def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
-    """A support solve's Newton step, over n unknowns and the equations
-    after them: LU, unless it fails, gives non-finite values or leaves a
-    residual above _KKT_RESIDUAL times the largest right-hand side entry;
-    then the least-squares solution (the system is singular where the
-    equations depend on each other, as they must when they outnumber the
-    unknowns, and LU is not tried there)."""
+def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A support solve's Newton step: LU, unless it fails, gives non-finite
+    values or leaves a residual above _KKT_RESIDUAL times the largest
+    right-hand side entry; then the least-squares solution (the system is
+    singular where the equations depend on each other)."""
     sol = None
-    if 2 * n >= len(rhs):
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        pass
     if sol is not None and np.isfinite(sol).all():
         if np.abs(kkt @ sol - rhs).max() <= _KKT_RESIDUAL * np.abs(rhs).max():
             return sol

@@ -18,15 +18,21 @@ sqrt(1 - 2^(-2 (R' - R))) within the sent bin.  Ties (measure zero in
 theory, possible in floats) go to the lowest codeword index.
 
 The codebook streams through a thread pool in chunks of a few hundred
-codewords: the calling thread draws each chunk while workers normalise
-and score earlier ones, with one matrix product per chunk for a block of
-trials.  The simulation draws into a fixed ring of reused chunk buffers,
-scores every trial in that one pass and keeps only the generator state
-saved at each chunk's start; afterwards it redraws just the bin each
-trial's codeword falls in.  The codebook is never held: memory stays a
-few chunks whatever its size.  Scores merge in chunk order, so no result
-depends on the number of workers.  Everything after the encoder's choice
-runs trial by trial in trial order, exactly as for a single trial.
+codewords: the calling thread draws each chunk, the sequential part that
+bounds the pass, and keeps a core to itself, while one worker per other
+usable core (at least one) normalises and scores earlier ones, with one
+matrix product per chunk for a block of trials.  A trial whose largest
+cosine in a chunk lies at least its best error so far below the target
+cannot get closer there, so only the few other trials pay for the error
+and argmin passes; the screen is exact.  The simulation draws into a
+fixed ring of reused chunk buffers, scores every trial in that one pass
+and keeps the generator state saved at each chunk's start, and, each time
+a trial's best codeword moves, a copy of its bin when that chunk holds
+all of it; afterwards it redraws only the bins that straddle a chunk
+boundary.  The codebook is never held: memory stays a few chunks
+whatever its size.  Scores merge in chunk order, so no result depends on
+the number of workers.  Everything after the encoder's choice runs trial
+by trial in trial order, exactly as for a single trial.
 
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
@@ -41,6 +47,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,10 +92,13 @@ def cap_exponent(tau: float) -> float:
 
 
 def _workers() -> int:
-    """Pool size: one worker per core this process may run on."""
+    """Pool size: one worker per core this process may run on, but one,
+    which the drawing thread keeps; at least one worker."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(cores - 1, 1)
 
 
 class _Search:
@@ -100,9 +110,19 @@ class _Search:
     point gets numpy's matrix-vector product; for several, the matrix
     product may round a cosine differently in the last bit, which can only
     move a near-tie within one rounding error.
+
+    Workers score chunks while the calling thread merges earlier ones, so
+    merge never writes best_err in place: it publishes a new array, and
+    score reads one fixed array, current at some time before the chunk's
+    merge.  best_err only falls and chunks merge in row order, so that
+    array is never below the values the merge compares with.
+
+    With a layout, kept holds a copy of the bin of each point's best when
+    the chunk that gave the best held the whole bin, and None otherwise.
     """
 
-    def __init__(self, points: np.ndarray, target: float, radius: float):
+    def __init__(self, points: np.ndarray, target: float, radius: float,
+                 layout: _Layout | None = None):
         # per-point norm, rounded exactly as for a single point (an axis=1
         # norm sums in another order)
         scale = np.array([[radius * np.linalg.norm(p)] for p in points])
@@ -110,18 +130,51 @@ class _Search:
             raise AssumptionError("cannot take angles with the zero vector")
         self.points, self.target = points / scale, target
         self.best, self.best_err = np.zeros(len(points), np.intp), np.full(len(points), np.inf)
+        self.layout, self.kept = layout, [None] * len(points)
 
-    def score(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.empty(len(self.points), np.intp)
-        best_err = np.empty(len(self.points))
+    def score(self, block: np.ndarray) -> tuple[np.ndarray, ...] | None:
+        """(points, row, err) for the points that block may bring strictly
+        closer to target than best_err: their indices, the position of
+        their closest row in block and its error; None when there are none.
+
+        A point is skipped when target minus its largest cosine is at
+        least best_err.  Rounded subtraction is monotone, so every error
+        |cosine - target| is then at least best_err as well.
+        """
+        found, bound = [], self.best_err
         for lo in range(0, len(self.points), _TRIAL_BLOCK):
             err = self.points[lo : lo + _TRIAL_BLOCK] @ block.T
+            gap = err.max(axis=1)
+            np.subtract(self.target, gap, out=gap)
+            near = np.flatnonzero(gap < bound[lo : lo + _TRIAL_BLOCK])
+            if not len(near):
+                continue
+            if len(near) < len(err):
+                err = err[near]
             err -= self.target
             np.abs(err, out=err)
             i = np.argmin(err, axis=1)
-            idx[lo : lo + len(i)] = i
-            best_err[lo : lo + len(i)] = err[np.arange(len(i)), i]
-        return idx, best_err
+            found.append((lo + near, i, err[np.arange(len(i)), i]))
+        return tuple(map(np.concatenate, zip(*found))) if found else None
+
+    def merge(self, lo: int, block: np.ndarray, scored: tuple[np.ndarray, ...] | None):
+        """Take score's findings in block, the codebook rows from lo on: a
+        point's best moves only when strictly closer, so ties keep the
+        lowest index."""
+        if scored is None:
+            return
+        at, idx, err = scored
+        closer = err < self.best_err[at]
+        at, best = at[closer], lo + idx[closer]
+        best_err = self.best_err.copy()
+        best_err[at] = err[closer]
+        self.best_err = best_err
+        self.best[at] = best
+        if self.layout is not None:
+            for t, index in zip(at.tolist(), best.tolist()):
+                first, last = self.layout.bin_bounds(self.layout.bin_of(index))
+                whole = lo <= first and last <= lo + len(block)
+                self.kept[t] = block[first - lo : last - lo].copy() if whole else None
 
 
 def _normalise(block: np.ndarray, radius: float) -> np.ndarray:
@@ -139,10 +192,9 @@ def _scan(rows: np.ndarray | tuple[int, int], search: _Search | None = None,
     one stream exactly as a single draw of every row would, and saves the
     generator state at each chunk's start (returned, for _redraw), while
     workers scale earlier chunks' rows to norm radius.  With search,
-    workers score each chunk, and the chunks merge in row order: a later
-    chunk replaces a point's best only when strictly closer, so ties go to
-    the lowest index.  On any exception, queued chunks are cancelled and
-    only running ones awaited.
+    workers score each chunk, and the chunks merge into search in row
+    order, each before its buffer is reused.  On any exception, queued
+    chunks are cancelled and only running ones awaited.
     """
     count, n = rows.shape if rng is None else rows
     starts = range(0, count, _ROW_CHUNK)
@@ -162,30 +214,34 @@ def _scan(rows: np.ndarray | tuple[int, int], search: _Search | None = None,
             _normalise(block, radius)
         return search.score(block) if search else None
 
-    def merge(lo, scored):
-        if search:
-            idx, err = scored
-            closer = err < search.best_err
-            search.best_err[closer] = err[closer]
-            search.best[closer] = lo + idx[closer]
-
     if len(starts) <= 1:  # nothing to overlap: a worker would only add its start-up
         for i, lo in enumerate(starts):
-            merge(lo, work(chunk(i, lo)))
+            block = chunk(i, lo)
+            scored = work(block)
+            if search:
+                search.merge(lo, block, scored)
         return states
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(_workers())
-    pending = deque()  # (lo, future) of the chunks in flight, in row order
+    pending = deque()  # (lo, block, future) of the chunks in flight, in row order
+
+    def merge():
+        done, block, future = pending.popleft()
+        scored = future.result()
+        if search:
+            search.merge(done, block, scored)
+
     try:
         for i, lo in enumerate(starts):
-            if len(pending) == _RING:  # frees the ring buffer chunk i reuses
-                done, future = pending.popleft()
-                merge(done, future.result())
-            pending.append((lo, pool.submit(work, chunk(i, lo))))
+            # a full ring waits for the chunk whose buffer chunk i reuses;
+            # merging finished chunks early gives scoring a fresher best_err
+            while pending and (len(pending) == _RING or pending[0][2].done()):
+                merge()
+            block = chunk(i, lo)
+            pending.append((lo, block, pool.submit(work, block)))
         while pending:
-            done, future = pending.popleft()
-            merge(done, future.result())
+            merge()
     except BaseException:
         pool.shutdown(cancel_futures=True)
         raise
@@ -269,23 +325,25 @@ class SimConfig:
                 f"epsilon {self.epsilon:.6g} too large: needs epsilon < {eps_sup:.6g}"
             )
 
-    @property
+    # derived constants, computed once per configuration (the trial loop
+    # reads them many times per trial)
+    @cached_property
     def var_z(self) -> float:
         return self.params.a**2 * (self.params.var_w + self.var_x)
 
-    @property
+    @cached_property
     def rate_fine(self) -> float:
         return rate_pair(self.var_x, self.var_u, self.params)[0]
 
-    @property
+    @cached_property
     def rate_nominal(self) -> float:
         return rate_pair(self.var_x, self.var_u, self.params)[1]
 
-    @property
+    @cached_property
     def enc_target(self) -> float:
         return math.sqrt(1.0 - 2.0 ** (-2.0 * self.rate_fine))
 
-    @property
+    @cached_property
     def dec_target(self) -> float:
         return math.sqrt(1.0 - 2.0 ** (-2.0 * (self.rate_fine - self.rate_nominal)))
 
@@ -334,10 +392,19 @@ def _radius(cfg: SimConfig) -> float:
 
 def _decode_rows(rows: np.ndarray, y: np.ndarray, cfg: SimConfig) -> int:
     """Position within rows (one bin's codewords) of the row whose angle with
-    y is closest to the decoding target."""
-    search = _Search(y[np.newaxis], cfg.dec_target, _radius(cfg))
-    _scan(rows, search)
-    return int(search.best[0])
+    y is closest to the decoding target.  A bin of at most one chunk is
+    scored here with _Search's arithmetic for a single point."""
+    if len(rows) > _ROW_CHUNK:
+        search = _Search(y[np.newaxis], cfg.dec_target, _radius(cfg))
+        _scan(rows, search)
+        return int(search.best[0])
+    scale = _radius(cfg) * np.linalg.norm(y)
+    if not scale:
+        raise AssumptionError("cannot take angles with the zero vector")
+    err = (y[np.newaxis] / scale) @ rows.T
+    err -= cfg.dec_target
+    np.abs(err, out=err)
+    return int(np.argmin(err))
 
 
 @dataclass(frozen=True)
@@ -385,15 +452,16 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     The encoder scores every trial in one pass over the codebook while it
     is drawn through a ring of reused chunk buffers, so the codebook is
-    never held; each trial's bin is then redrawn from the generator state
-    saved at its chunk's start, and the decoder search and the rest of the
-    trial run on those rows, trial by trial, with every sum in trial order.
+    never held; each trial's bin is kept from that pass, or redrawn from
+    the generator state saved at its chunk's start when it straddles two
+    chunks, and the decoder search and the rest of the trial run on those
+    rows, trial by trial, with every sum in trial order.
     """
     n = cfg.n
     radius = _radius(cfg)
     layout = _layout(cfg)
     pairs = [_draw_trial(cfg, t) for t in range(cfg.trials)]
-    search = _Search(np.stack([x for x, _ in pairs]), cfg.enc_target, radius)
+    search = _Search(np.stack([x for x, _ in pairs]), cfg.enc_target, radius, layout)
     rng = _rng(cfg.seed, 0)
     states = _scan((layout.size, n), search, rng, radius)
     var_y = cfg.var_x + cfg.var_u
@@ -404,9 +472,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     counts = np.zeros(5)  # src, enc, dec1, dec2, any
     n_clean = 0
     n_decoded = 0
-    for (x, u), best in zip(pairs, map(int, search.best)):
+    for (x, u), best, rows in zip(pairs, map(int, search.best), search.kept):
         lo, hi = layout.bin_bounds(layout.bin_of(best))
-        rows = _redraw(rng, states, lo, hi, n, radius)
+        if rows is None:
+            rows = _redraw(rng, states, lo, hi, n, radius)
         z = rows[best - lo]
         y = x + u
         picked = _decode_rows(rows, y, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -351,6 +352,20 @@ class TestSphereSim:
         _, out1 = run(self.ARGS, capsys)
         _, out2 = run(self.ARGS, capsys)
         assert out1 == out2
+
+    def test_output_bytes_pinned(self, capsys):
+        # the sha256 of this run's CSV: the codebook search is exact, so a
+        # speed-up of the simulation must not move a byte
+        status, out = run(
+            ["sphere-sim", "--seed", "3", "--config", "var_x=1", "--config", "var_u=1",
+             "--config", "dd=0.25", "--config", "de=0.0625", "--config", "delta=0.1",
+             "--config", "n=12,16", "--config", "trials=50"],
+            capsys,
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a2c34d6fa0f6b89cbdf310e195cd3ff39b5141fa09ce6d922924e1bc4ad8276f"
+        )
 
     def test_infeasible_epsilon(self, capsys):
         status, out = run(self.ARGS + ["--config", "epsilon=0.3"], capsys)

@@ -301,6 +301,109 @@ class TestBatchedEncode:
             best_match(book, xs, cfg.enc_target, sphere._radius(cfg))
 
 
+def unscreened(search, block):
+    """Each point's closest row of block and its error, scoring every row."""
+    err = np.abs(search.points @ block.T - search.target)
+    idx = np.argmin(err, axis=1)
+    return idx, err[np.arange(len(idx)), idx]
+
+
+class TestScreenedScore:
+    def test_matches_unscreened_reference(self):
+        # points whose best_err lies below, at and above the block's best
+        # error, and at inf: the screen keeps every point the block can
+        # improve, with the unscreened row and error
+        cfg = small_cfg(n=8)
+        radius = sphere._radius(cfg)
+        for seed in range(5):
+            rng = _rng(31, seed)
+            book = one_shot(sphere._ROW_CHUNK, 8, radius, rng)
+            search = sphere._Search(rng.standard_normal((40, 8)), cfg.enc_target, radius)
+            idx, err = unscreened(search, book)
+            search.best_err = err * rng.choice([0.5, 1.0, 1.0 + 1e-12, 2.0, np.inf], size=40)
+            at, got_idx, got_err = search.score(book)
+            improved = np.flatnonzero(err < search.best_err)
+            assert np.isin(improved, at).all()
+            assert (got_idx == idx[at]).all()
+            assert got_err.tobytes() == err[at].tobytes()
+
+    def test_skips_a_point_exactly_at_best_err(self):
+        cfg = small_cfg(n=8)
+        radius = sphere._radius(cfg)
+        book = one_shot(sphere._ROW_CHUNK, 8, radius, _rng(32))
+        # a target above every cosine, so that target minus the largest
+        # cosine is the smallest error of the block
+        search = sphere._Search(_rng(33).standard_normal((1, 8)), 0.999, radius)
+        cosines = search.points @ book.T
+        gap = search.target - cosines.max()
+        assert gap > 0.0
+        assert unscreened(search, book)[1][0] >= gap
+        search.best_err[:] = gap
+        assert search.score(book) is None
+        search.best_err[:] = np.nextafter(gap, np.inf)  # gap is one ulp below
+        at, idx, err = search.score(book)
+        assert at.tolist() == [0] and idx[0] == np.argmax(cosines)
+
+    def test_stale_bound_keeps_duplicates_at_the_lower_index(self):
+        # the second copy of the winner, screened against a best_err read
+        # before the first chunk merged, is scored and must lose the tie
+        cfg, book = random_book(2 * sphere._ROW_CHUNK, 8, seed=23)
+        x = _rng(24).standard_normal(8)
+        radius = sphere._radius(cfg)
+        best = best_match(book, x, cfg.enc_target, radius)[0]
+        low, high = sphere._ROW_CHUNK - 1, sphere._ROW_CHUNK
+        winner = book[best].copy()
+        book[best] = -winner
+        book[[low, high]] = winner
+        chunks = book[:high], book[high:]
+        search = sphere._Search(x[np.newaxis], cfg.enc_target, radius)
+        found = [search.score(chunk) for chunk in chunks]
+        assert found[1] is not None and found[1][1][0] == 0
+        for lo, chunk, scored in zip((0, high), chunks, found):
+            search.merge(lo, chunk, scored)
+        idx, err = unscreened(search, chunks[0])
+        assert search.best[0] == low == idx[0] and search.best_err[0] == err[0]
+
+    def test_merge_publishes_a_new_best_err(self):
+        # a worker may be reading best_err while the calling thread merges
+        cfg, book = random_book(sphere._ROW_CHUNK, 8, seed=27)
+        search = sphere._Search(_rng(28).standard_normal((3, 8)), cfg.enc_target,
+                                sphere._radius(cfg))
+        before = search.best_err
+        search.merge(0, book, search.score(book))
+        assert np.isinf(before).all() and np.isfinite(search.best_err).all()
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_drawing_thread_keeps_a_core(self, monkeypatch, cores):
+        monkeypatch.setattr(sphere.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        assert sphere._workers() == max(cores - 1, 1)
+        monkeypatch.delattr(sphere.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sphere.os, "cpu_count", lambda: cores)
+        assert sphere._workers() == max(cores - 1, 1)
+
+
+class TestOneChunkDecode:
+    def test_same_pick_as_the_search(self, monkeypatch):
+        cfg = small_cfg(n=25)
+        radius = sphere._radius(cfg)
+        rng = _rng(34)
+        bins = [one_shot(size, cfg.n, radius, rng) for size in (1, 2, 28, sphere._ROW_CHUNK)]
+        ys = rng.standard_normal((10, cfg.n))
+        want = [[best_match(rows, y, cfg.dec_target, radius)[0] for y in ys] for rows in bins]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-chunk bin went through _scan")
+
+        monkeypatch.setattr(sphere, "_scan", refuse)
+        got = [[sphere._decode_rows(rows, y, cfg) for y in ys] for rows in bins]
+        assert got == want
+        with pytest.raises(AssumptionError):
+            sphere._decode_rows(bins[2], np.zeros(cfg.n), cfg)
+
+
 def reference_simulation(cfg):
     """The simulation written trial by trial on the held codebook: one draw,
     one encoder search over every row and one decoder search in the sent
@@ -399,6 +502,38 @@ class TestStreamedCodebook:
         for lo, hi in bins[::-1] + others:
             rows = sphere._redraw(rng, states, lo, hi, cfg.n, radius)
             assert rows.tobytes() == book[lo:hi].tobytes(), (lo, hi)
+
+    def test_kept_bins_are_the_codebook_rows(self):
+        # bins of 77 rows: those inside one 512-row chunk are kept from the
+        # scan, those straddling a chunk boundary are left to _redraw
+        cfg = small_cfg(n=25, trials=60, seed=8)
+        layout, book, radius = sphere._layout(cfg), held_book(cfg), sphere._radius(cfg)
+        xs = np.stack([sphere._draw_trial(cfg, t)[0] for t in range(cfg.trials)])
+        search = sphere._Search(xs, cfg.enc_target, radius, layout)
+        sphere._scan((layout.size, cfg.n), search, _rng(cfg.seed, 0), radius)
+        kept = 0
+        for best, rows in zip(map(int, search.best), search.kept):
+            lo, hi = layout.bin_bounds(layout.bin_of(best))
+            straddles = lo // sphere._ROW_CHUNK != (hi - 1) // sphere._ROW_CHUNK
+            assert (rows is None) == straddles
+            if rows is not None:
+                kept += 1
+                assert rows.tobytes() == book[lo:hi].tobytes()
+        assert 0 < kept < cfg.trials
+
+    def test_bin_one_row_past_its_chunk_is_not_kept(self):
+        # bins [0, 513) and [513, 1024) over two 512-row chunks
+        cfg, book = random_book(2 * sphere._ROW_CHUNK, 8, seed=29)
+        chunk = sphere._ROW_CHUNK
+        layout = sphere._Layout(size=len(book), n_bins=2, bin_size=chunk + 1)
+        kept = []
+        for lo, row in [(0, chunk - 1), (chunk, 0), (chunk, 1)]:
+            search = sphere._Search(np.ones((1, 8)), cfg.enc_target, sphere._radius(cfg), layout)
+            search.merge(lo, book[lo : lo + chunk], (np.array([0]), np.array([row]), np.zeros(1)))
+            assert search.best[0] == lo + row
+            kept.append(search.kept[0])
+        assert kept[0] is None and kept[1] is None
+        assert kept[2].tobytes() == book[chunk + 1 :].tobytes()
 
     def test_simulation_never_holds_the_codebook(self):
         # 2^16 codewords of 32 coordinates: 16.8 MB if held
