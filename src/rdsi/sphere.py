@@ -26,13 +26,12 @@ cosine in a chunk lies at least its best error so far below the target
 cannot get closer there, so only the few other trials pay for the error
 and argmin passes; the screen is exact.  The simulation draws into a
 fixed ring of reused chunk buffers, scores every trial in that one pass
-and keeps the generator state saved at each chunk's start, and, each time
-a trial's best codeword moves, a copy of its bin when that chunk holds
-all of it; afterwards it redraws only the bins that straddle a chunk
-boundary.  The codebook is never held: memory stays a few chunks
-whatever its size.  Scores merge in chunk order, so no result depends on
-the number of workers.  Everything after the encoder's choice runs trial
-by trial in trial order, exactly as for a single trial.
+and keeps only the generator state saved at each chunk's start, from
+which it redraws each trial's bin afterwards.  The codebook is never
+held: memory stays a few chunks whatever its size.  Scores merge in
+chunk order, so no result depends on the number of workers.  Everything
+after the encoder's choice runs trial by trial in trial order, exactly
+as for a single trial.
 
 Randomness is fully determined by the seed through the counter-based
 Philox generator: the codebook uses the stream seeded by (seed, 0); trial
@@ -116,13 +115,9 @@ class _Search:
     score reads one fixed array, current at some time before the chunk's
     merge.  best_err only falls and chunks merge in row order, so that
     array is never below the values the merge compares with.
-
-    With a layout, kept holds a copy of the bin of each point's best when
-    the chunk that gave the best held the whole bin, and None otherwise.
     """
 
-    def __init__(self, points: np.ndarray, target: float, radius: float,
-                 layout: _Layout | None = None):
+    def __init__(self, points: np.ndarray, target: float, radius: float):
         # per-point norm, rounded exactly as for a single point (an axis=1
         # norm sums in another order)
         scale = np.array([[radius * np.linalg.norm(p)] for p in points])
@@ -130,7 +125,6 @@ class _Search:
             raise AssumptionError("cannot take angles with the zero vector")
         self.points, self.target = points / scale, target
         self.best, self.best_err = np.zeros(len(points), np.intp), np.full(len(points), np.inf)
-        self.layout, self.kept = layout, [None] * len(points)
 
     def score(self, block: np.ndarray) -> tuple[np.ndarray, ...] | None:
         """(points, row, err) for the points that block may bring strictly
@@ -157,24 +151,19 @@ class _Search:
             found.append((lo + near, i, err[np.arange(len(i)), i]))
         return tuple(map(np.concatenate, zip(*found))) if found else None
 
-    def merge(self, lo: int, block: np.ndarray, scored: tuple[np.ndarray, ...] | None):
-        """Take score's findings in block, the codebook rows from lo on: a
-        point's best moves only when strictly closer, so ties keep the
+    def merge(self, lo: int, scored: tuple[np.ndarray, ...] | None):
+        """Take score's findings in the block of codebook rows from lo on:
+        a point's best moves only when strictly closer, so ties keep the
         lowest index."""
         if scored is None:
             return
         at, idx, err = scored
         closer = err < self.best_err[at]
-        at, best = at[closer], lo + idx[closer]
+        at = at[closer]
         best_err = self.best_err.copy()
         best_err[at] = err[closer]
         self.best_err = best_err
-        self.best[at] = best
-        if self.layout is not None:
-            for t, index in zip(at.tolist(), best.tolist()):
-                first, last = self.layout.bin_bounds(self.layout.bin_of(index))
-                whole = lo <= first and last <= lo + len(block)
-                self.kept[t] = block[first - lo : last - lo].copy() if whole else None
+        self.best[at] = lo + idx[closer]
 
 
 def _normalise(block: np.ndarray, radius: float) -> np.ndarray:
@@ -182,64 +171,58 @@ def _normalise(block: np.ndarray, radius: float) -> np.ndarray:
     return block
 
 
-def _scan(rows: np.ndarray | tuple[int, int], search: _Search | None = None,
+def _scan(shape: tuple[int, int], search: _Search | None = None,
           rng: np.random.Generator | None = None, radius: float = 1.0) -> list[dict]:
-    """Stream codebook rows through a thread pool in _ROW_CHUNK-row chunks.
+    """Draw a codebook of the (count, n) shape from rng and stream it
+    through a thread pool in _ROW_CHUNK-row chunks, keeping no row.
 
-    rows is the array to read; or, with rng, only its (count, n) shape, to
-    draw through a ring of _RING reused chunk buffers that keeps no row.
-    With rng, the calling thread fills the chunks in row order, continuing
-    one stream exactly as a single draw of every row would, and saves the
-    generator state at each chunk's start (returned, for _redraw), while
-    workers scale earlier chunks' rows to norm radius.  With search,
-    workers score each chunk, and the chunks merge into search in row
-    order, each before its buffer is reused.  On any exception, queued
-    chunks are cancelled and only running ones awaited.
+    The calling thread fills a ring of _RING reused chunk buffers in row
+    order, continuing one stream exactly as a single draw of every row
+    would, and saves the generator state at each chunk's start (returned,
+    for _redraw), while workers scale earlier chunks' rows to norm radius.
+    With search, workers score each chunk, and the chunks merge into
+    search in row order, each before its buffer is reused.  On any
+    exception, queued chunks are cancelled and only running ones awaited.
     """
-    count, n = rows.shape if rng is None else rows
+    count, n = shape
     starts = range(0, count, _ROW_CHUNK)
-    ring = None if rng is None else np.empty((min(_RING, len(starts)), _ROW_CHUNK, n))
+    ring = np.empty((min(_RING, len(starts)), _ROW_CHUNK, n))
     states = []
 
     def chunk(i, lo):
-        if rng is None:
-            return rows[lo : lo + _ROW_CHUNK]
         block = ring[i % _RING][: count - lo]
         states.append(rng.bit_generator.state)
         rng.standard_normal(out=block)
         return block
 
     def work(block):
-        if rng is not None:
-            _normalise(block, radius)
+        _normalise(block, radius)
         return search.score(block) if search else None
 
     if len(starts) <= 1:  # nothing to overlap: a worker would only add its start-up
         for i, lo in enumerate(starts):
-            block = chunk(i, lo)
-            scored = work(block)
+            scored = work(chunk(i, lo))
             if search:
-                search.merge(lo, block, scored)
+                search.merge(lo, scored)
         return states
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(_workers())
-    pending = deque()  # (lo, block, future) of the chunks in flight, in row order
+    pending = deque()  # (lo, future) of the chunks in flight, in row order
 
     def merge():
-        done, block, future = pending.popleft()
+        done, future = pending.popleft()
         scored = future.result()
         if search:
-            search.merge(done, block, scored)
+            search.merge(done, scored)
 
     try:
         for i, lo in enumerate(starts):
             # a full ring waits for the chunk whose buffer chunk i reuses;
             # merging finished chunks early gives scoring a fresher best_err
-            while pending and (len(pending) == _RING or pending[0][2].done()):
+            while pending and (len(pending) == _RING or pending[0][1].done()):
                 merge()
-            block = chunk(i, lo)
-            pending.append((lo, block, pool.submit(work, block)))
+            pending.append((lo, pool.submit(work, chunk(i, lo))))
         while pending:
             merge()
     except BaseException:
@@ -391,13 +374,9 @@ def _radius(cfg: SimConfig) -> float:
 
 
 def _decode_rows(rows: np.ndarray, y: np.ndarray, cfg: SimConfig) -> int:
-    """Position within rows (one bin's codewords) of the row whose angle with
-    y is closest to the decoding target.  A bin of at most one chunk is
-    scored here with _Search's arithmetic for a single point."""
-    if len(rows) > _ROW_CHUNK:
-        search = _Search(y[np.newaxis], cfg.dec_target, _radius(cfg))
-        _scan(rows, search)
-        return int(search.best[0])
+    """Position within rows (one bin's codewords, already in memory) of the
+    row whose angle with y is closest to the decoding target, scored with
+    _Search's arithmetic for a single point; ties go to the lowest row."""
     scale = _radius(cfg) * np.linalg.norm(y)
     if not scale:
         raise AssumptionError("cannot take angles with the zero vector")
@@ -452,16 +431,15 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     The encoder scores every trial in one pass over the codebook while it
     is drawn through a ring of reused chunk buffers, so the codebook is
-    never held; each trial's bin is kept from that pass, or redrawn from
-    the generator state saved at its chunk's start when it straddles two
-    chunks, and the decoder search and the rest of the trial run on those
-    rows, trial by trial, with every sum in trial order.
+    never held; each trial's bin is then redrawn from the generator state
+    saved at its chunk's start, and the decoder search and the rest of the
+    trial run on those rows, trial by trial, with every sum in trial order.
     """
     n = cfg.n
     radius = _radius(cfg)
     layout = _layout(cfg)
     pairs = [_draw_trial(cfg, t) for t in range(cfg.trials)]
-    search = _Search(np.stack([x for x, _ in pairs]), cfg.enc_target, radius, layout)
+    search = _Search(np.stack([x for x, _ in pairs]), cfg.enc_target, radius)
     rng = _rng(cfg.seed, 0)
     states = _scan((layout.size, n), search, rng, radius)
     var_y = cfg.var_x + cfg.var_u
@@ -472,10 +450,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     counts = np.zeros(5)  # src, enc, dec1, dec2, any
     n_clean = 0
     n_decoded = 0
-    for (x, u), best, rows in zip(pairs, map(int, search.best), search.kept):
+    for (x, u), best in zip(pairs, map(int, search.best)):
         lo, hi = layout.bin_bounds(layout.bin_of(best))
-        if rows is None:
-            rows = _redraw(rng, states, lo, hi, n, radius)
+        rows = _redraw(rng, states, lo, hi, n, radius)
         z = rows[best - lo]
         y = x + u
         picked = _decode_rows(rows, y, cfg)

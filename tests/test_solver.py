@@ -684,6 +684,27 @@ class TestOverRelaxedBA:
         assert (p[forbidden] == 0.0).all()
         assert np.einsum("xn,xn->", ba.costs[0], p) == pytest.approx(dd_t, abs=1e-12)
 
+    def test_no_underdetermined_newton_step(self, monkeypatch):
+        # a support with fewer free entries than equations fixes a held
+        # target by the row sums: the solve must give it up before Newton,
+        # whose KKT system there is singular.  The Hessian part of a KKT
+        # matrix has a diagonal of at least one and the equations' part a
+        # zero diagonal, so the nonzero diagonal entries count the unknowns.
+        # The 6 x 6 sweep of the 3x3x3 ladder meets such supports.
+        src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
+        solve, shapes = solver_module._kkt_solve, []
+
+        def kkt_solve(kkt, rhs, *args):
+            shapes.append((np.count_nonzero(np.diag(kkt)), len(kkt)))
+            return solve(kkt, rhs, *args)
+
+        monkeypatch.setattr(solver_module, "_kkt_solve", kkt_solve)
+        k = 6
+        tradeoff_sweep(src, spec, [i / k * 2 * dd_t for i in range(1, k + 1)],
+                       [i / k * de_t / 0.3 for i in range(1, k + 1)])
+        assert shapes
+        assert all(2 * unknowns >= size for unknowns, size in shapes)
+
     def test_zero_step_columns_do_not_divide(self):
         # a scan candidate of BSC(0.25) at (0.15, 0.1): decoder column (1, 1)
         # with encoder columns (0, 0), (1, 0) and (1, 1) pays E d_d = 0.5

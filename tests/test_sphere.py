@@ -60,9 +60,11 @@ def held_book(cfg):
 
 
 def best_match(book, points, target, radius):
-    """Index of each point's codeword, as the encoder picks it."""
+    """Index of each point's codeword, as the encoder picks it: book's
+    chunks scored and merged in row order, as _scan does with a pool."""
     search = sphere._Search(np.atleast_2d(points), target, radius)
-    sphere._scan(book, search)
+    for lo in range(0, len(book), sphere._ROW_CHUNK):
+        search.merge(lo, search.score(book[lo : lo + sphere._ROW_CHUNK]))
     return search.best
 
 
@@ -359,8 +361,8 @@ class TestScreenedScore:
         search = sphere._Search(x[np.newaxis], cfg.enc_target, radius)
         found = [search.score(chunk) for chunk in chunks]
         assert found[1] is not None and found[1][1][0] == 0
-        for lo, chunk, scored in zip((0, high), chunks, found):
-            search.merge(lo, chunk, scored)
+        for lo, scored in zip((0, high), found):
+            search.merge(lo, scored)
         idx, err = unscreened(search, chunks[0])
         assert search.best[0] == low == idx[0] and search.best_err[0] == err[0]
 
@@ -370,7 +372,7 @@ class TestScreenedScore:
         search = sphere._Search(_rng(28).standard_normal((3, 8)), cfg.enc_target,
                                 sphere._radius(cfg))
         before = search.best_err
-        search.merge(0, book, search.score(book))
+        search.merge(0, search.score(book))
         assert np.isinf(before).all() and np.isfinite(search.best_err).all()
 
 
@@ -385,19 +387,17 @@ class TestWorkers:
         assert sphere._workers() == max(cores - 1, 1)
 
 
-class TestOneChunkDecode:
-    def test_same_pick_as_the_search(self, monkeypatch):
+class TestDirectDecode:
+    def test_same_pick_as_the_search(self):
+        # bins of one row to several chunks, with a ragged last chunk
         cfg = small_cfg(n=25)
         radius = sphere._radius(cfg)
         rng = _rng(34)
-        bins = [one_shot(size, cfg.n, radius, rng) for size in (1, 2, 28, sphere._ROW_CHUNK)]
+        chunk = sphere._ROW_CHUNK
+        sizes = (1, 2, 28, chunk, chunk + 1, 3 * chunk + 77)
+        bins = [one_shot(size, cfg.n, radius, rng) for size in sizes]
         ys = rng.standard_normal((10, cfg.n))
         want = [[best_match(rows, y, cfg.dec_target, radius)[0] for y in ys] for rows in bins]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a one-chunk bin went through _scan")
-
-        monkeypatch.setattr(sphere, "_scan", refuse)
         got = [[sphere._decode_rows(rows, y, cfg) for y in ys] for rows in bins]
         assert got == want
         with pytest.raises(AssumptionError):
@@ -503,38 +503,6 @@ class TestStreamedCodebook:
             rows = sphere._redraw(rng, states, lo, hi, cfg.n, radius)
             assert rows.tobytes() == book[lo:hi].tobytes(), (lo, hi)
 
-    def test_kept_bins_are_the_codebook_rows(self):
-        # bins of 77 rows: those inside one 512-row chunk are kept from the
-        # scan, those straddling a chunk boundary are left to _redraw
-        cfg = small_cfg(n=25, trials=60, seed=8)
-        layout, book, radius = sphere._layout(cfg), held_book(cfg), sphere._radius(cfg)
-        xs = np.stack([sphere._draw_trial(cfg, t)[0] for t in range(cfg.trials)])
-        search = sphere._Search(xs, cfg.enc_target, radius, layout)
-        sphere._scan((layout.size, cfg.n), search, _rng(cfg.seed, 0), radius)
-        kept = 0
-        for best, rows in zip(map(int, search.best), search.kept):
-            lo, hi = layout.bin_bounds(layout.bin_of(best))
-            straddles = lo // sphere._ROW_CHUNK != (hi - 1) // sphere._ROW_CHUNK
-            assert (rows is None) == straddles
-            if rows is not None:
-                kept += 1
-                assert rows.tobytes() == book[lo:hi].tobytes()
-        assert 0 < kept < cfg.trials
-
-    def test_bin_one_row_past_its_chunk_is_not_kept(self):
-        # bins [0, 513) and [513, 1024) over two 512-row chunks
-        cfg, book = random_book(2 * sphere._ROW_CHUNK, 8, seed=29)
-        chunk = sphere._ROW_CHUNK
-        layout = sphere._Layout(size=len(book), n_bins=2, bin_size=chunk + 1)
-        kept = []
-        for lo, row in [(0, chunk - 1), (chunk, 0), (chunk, 1)]:
-            search = sphere._Search(np.ones((1, 8)), cfg.enc_target, sphere._radius(cfg), layout)
-            search.merge(lo, book[lo : lo + chunk], (np.array([0]), np.array([row]), np.zeros(1)))
-            assert search.best[0] == lo + row
-            kept.append(search.kept[0])
-        assert kept[0] is None and kept[1] is None
-        assert kept[2].tobytes() == book[chunk + 1 :].tobytes()
-
     def test_simulation_never_holds_the_codebook(self):
         # 2^16 codewords of 32 coordinates: 16.8 MB if held
         cfg = small_cfg(n=32, trials=4)
@@ -575,7 +543,7 @@ class TestStreamedCodebook:
                 result = run_simulation(cfg)
                 search = sphere._Search(xs, cfg.enc_target, radius)
                 sphere._scan((len(book), cfg.n), search, _rng(cfg.seed, 0), radius)
-                # a decoder search over every row goes through the pool
+                # a decoder search over every row
                 decoded = [sphere._decode_rows(book, y, cfg) for y in ys]
             return result, search.best.tobytes() + search.best_err.tobytes(), decoded
 
