@@ -64,19 +64,17 @@ of at most |X| + 3 columns with the same rate and distortions.  A gap of
 at most 1e-7 bits settles the point, at any z_size the witness fits in,
 and nothing is enumerated.  A point the support solve leaves uncertified
 (near a corner of the region, where no support from the Wyner-Ziv
-solution reaches both targets) goes straight to the inner solve below on
-the whole library, whose support the same support solve settles; at the
-cardinality bound that is the answer.
+solution reaches both targets) goes on to a log-barrier Newton method on
+the whole library, started from an LP's most interior point (the one
+solver path that loads scipy.optimize), whose support the same support
+solve settles; at the cardinality bound that is the answer.
 
-Inner solve.  A log-barrier Newton method on a fixed set of columns,
-started from an LP's most interior point; F's Hessian is block diagonal
-by column, so each step solves X x X blocks and a Schur complement over
-the row sums and targets.  Its certified bound prunes candidates against
-the incumbent, and its point is finished by the support solve above.
 Below the cardinality bound, where the certified witness needs more than
 z_size columns, the restricted problem is not convex: the z_size-column
-candidates are enumerated, each solved this way, and a candidate counts
-only if it meets every target within 1e-12.
+candidates are enumerated, each solved on its own columns by the search
+and one support solve, without the barrier, and pruned once a bound of
+the search exceeds the incumbent; a candidate counts only if it meets
+every target within 1e-12.
 
 Sweeps.  Every certified bound is L(p, lam) - lam . t - gap for some
 multipliers lam >= 0, a plane under R at every target pair with the same
@@ -383,26 +381,21 @@ def _centre(problem, cons, targets, free, p, tau):
     return p, lam, it
 
 
-def solve_constrained(ba: _LibraryBA, incumbent: float | None = None):
-    """Core inner solve on the columns of ``ba``: convex rate objective,
-    linear distortion constraints.
+def solve_constrained(ba: _LibraryBA):
+    """The full library's fallback solve on the columns of ``ba``.
 
     A log-barrier method (Boyd and Vandenberghe, Convex Optimization, ch.
     11): a zero target fixes the entries it forbids at zero and is dropped,
     an LP finds a strictly feasible start, and tau grows by _BARRIER_MU
     between centrings, each followed by a certified bound (L(p, lam) - lam
-    . t minus the Frank-Wolfe gap) that prunes against the incumbent rate,
-    until the rate is within _BARRIER_GAP of it.  One _settle call then
-    solves the support found exactly, holding the targets that bind there;
-    its point counts if it is lower (the barrier's is strictly feasible,
-    and _settle's meets every target within 1e-12), so no candidate
-    undercuts the certified bound.  Newton steps count in ba.iterations.
-    Returns what _settle returns: (best certified lower bound on R, or
-    -inf; the lowest-rate point, or None when the columns cannot meet the
-    targets or the bound prunes them).
+    . t minus the Frank-Wolfe gap), until the rate is within _BARRIER_GAP
+    of it.  One _settle call then solves the support found exactly, holding
+    the targets that bind there; its point counts if it is lower (the
+    barrier's is strictly feasible, and _settle's meets every target within
+    1e-12).  Newton steps count in ba.iterations.  Returns what _settle
+    returns: (best certified lower bound on R, or -inf; the lowest-rate
+    point, or None when the columns cannot meet the targets).
     """
-    if (ba.costs.min(axis=2).sum(axis=1) > ba.targets + 1e-12).any():
-        return -math.inf, None  # even the cheapest columns miss a target
     zero, free = ba.targets <= 0.0, ba.forbidden == 0.0
     cons, targets = ba.costs[~zero], ba.targets[~zero]
     p = _barrier_start(cons, targets, free) if free.any(axis=1).all() else None
@@ -419,8 +412,6 @@ def solve_constrained(ba: _LibraryBA, incumbent: float | None = None):
         full = np.zeros(len(zero))
         full[~zero] = lam
         bound = max(bound, _Bound(value - float(lam @ slack + fw.sum()), full))
-        if incumbent is not None and bound > incumbent + _PRUNE_MARGIN:
-            return bound, None
         # stop at the gap, or once rounding stops the centrings closing it
         if value - bound <= _BARRIER_GAP or value - bound > 0.5 * last:
             break
@@ -441,7 +432,8 @@ def scan_candidates(pxy, cons, cands, targets, floor=-math.inf, mass=None):
     cons: one (X, N) constraint matrix per target over the complete column
     library; cands: (C, m) library column indices, one row per candidate
     in ascending lexicographic order.  A candidate's columns are gathered
-    only when the scan reaches it.  ``floor`` is a lower bound on every
+    only when the scan reaches it, and solved by _certified_solve with the
+    best rate so far as its incumbent.  ``floor`` is a lower bound on every
     candidate's optimum, the full library's certified bound; the scan stops
     at the first candidate within _STOP_TOL of it.
     ``mass`` (length N) orders the scan: candidates are visited in
@@ -451,20 +443,16 @@ def scan_candidates(pxy, cons, cands, targets, floor=-math.inf, mass=None):
     Returns (best point, an _Iterate over its candidate's columns, or None;
     best row of cands; iterations).
     """
-    total_iters = 0
+    best, best_idx, total_iters = None, -1, 0
     order = range(len(cands))
     if mass is not None:
         order = np.argsort(-mass[cands].sum(axis=1), kind="stable")
-    best = None
-    best_idx = -1
-    for ci in order:
-        ci = int(ci)
+    for ci in map(int, order):
         ba = _LibraryBA(pxy, [c[:, cands[ci]] for c in cons], targets)
-        _, point = solve_constrained(ba, None if best is None else best.value)
+        _, point = _certified_solve(ba, incumbent=None if best is None else best.value)
         total_iters += ba.iterations
         if point is not None and (best is None or point.value < best.value - _TIE_EPS):
-            best = point
-            best_idx = ci
+            best, best_idx = point, ci
             if best.value <= floor + _STOP_TOL:
                 break
     return best, best_idx, total_iters
@@ -865,24 +853,23 @@ def _dual_search(ba: _LibraryBA, tol: float, solves: list | None = None):
         lo = hi
 
 
-def _universe_solve(pxy, cons, targets, solves=None):
-    """Certified minimum over the full column library.
-
-    The first constraint carries the multiplier of the search
-    (_dual_search): its bound, on the problem without the others, holds
-    for R as well.  Unless the search's primal meets every target and is
-    certified within _UNIVERSE_GAP, one _settle from it holds the first
-    target (when positive) and every positive target the primal misses,
-    certifies its support at all multipliers, and replaces the primal.  A
-    point still uncertified within _EXACT_GAP goes to the barrier solve on
-    the whole library (solve_constrained), whose support _settle certifies.
-    Returns (lower bound, a _Bound with the multipliers it was made at;
-    primal iterate or None if none meets every target; iterations,
-    certificate and Newton steps included).  The search aims at a gap of
-    _UNIVERSE_GAP bits, reusing ``solves`` (see _dual_search).
+def _certified_solve(ba: _LibraryBA, solves=None, incumbent: float | None = None):
+    """Certified minimum over the columns of ``ba``, without the barrier:
+    no point when the per-x cheapest columns miss a target, else the search
+    (_dual_search), whose bound holds for R and prunes the columns, with no
+    point, once it exceeds ``incumbent`` by _PRUNE_MARGIN.  Unless its
+    primal meets every target and is within _UNIVERSE_GAP of the bound,
+    one _settle from it, holding the first target (when positive) and every
+    positive target the primal misses, replaces the primal.  Returns (lower
+    bound, a _Bound with its multipliers, or -inf; primal iterate, or None
+    if none meets every target or the columns are pruned).  ``solves`` is
+    the search's (see _dual_search).
     """
-    ba = _LibraryBA(pxy, cons, targets)
+    if (ba.costs.min(axis=2).sum(axis=1) > ba.targets + 1e-12).any():
+        return -math.inf, None  # even the cheapest columns miss a target
     bound, primal = _dual_search(ba, _UNIVERSE_GAP, solves)
+    if incumbent is not None and bound > incumbent + _PRUNE_MARGIN:
+        return bound, None
     missed = primal.costs > ba.targets + 1e-12
     if missed.any() or primal.value - bound > _UNIVERSE_GAP:
         held = [k for k in np.flatnonzero(ba.targets > 0.0) if k == 0 or missed[k]]
@@ -890,6 +877,17 @@ def _universe_solve(pxy, cons, targets, solves=None):
         bound = max(bound, got)
         if point is not None or missed.any():
             primal = point
+    return bound, primal
+
+
+def _universe_solve(pxy, cons, targets, solves=None):
+    """_certified_solve over the full column library, then the barrier
+    solve (solve_constrained) for a point still uncertified within
+    _EXACT_GAP.  Returns (lower bound, a _Bound; primal iterate, or None if
+    none meets every target; iterations: BA, certificate and Newton steps).
+    """
+    ba = _LibraryBA(pxy, cons, targets)
+    bound, primal = _certified_solve(ba, solves)
     if primal is None or primal.value - bound > _EXACT_GAP:
         got, point = solve_constrained(ba)
         bound = max(bound, got)

@@ -596,6 +596,26 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert result["report"]["diagnostics"]["path"] == "library"
         assert "scipy.optimize" not in loaded["discrete-solve"]
 
+    def test_scan_point_loads_no_optimize(self, tmp_path):
+        # BSC(0.25) Hamming at z_size 2 is settled by the candidate scan,
+        # whose candidates never reach the barrier solve's start LP
+        inst = binary_instance_file(tmp_path)
+        probe = (
+            "import contextlib, io, json, sys, rdsi.cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    status = rdsi.cli.main(['discrete-solve', '--input', sys.argv[1],\n"
+            "        '--config', 'dd_target=0.15', '--config', 'de_target=0.1',\n"
+            "        '--config', 'z_size=2'])\n"
+            "print(json.dumps({'status': status, 'report': json.loads(out.getvalue()),\n"
+            "                  'optimize': 'scipy.optimize' in sys.modules}))\n"
+        )
+        result = json.loads(fresh_python("-c", probe, inst))
+        assert result["status"] == 0
+        assert result["report"]["diagnostics"]["path"] == "scan"
+        assert result["report"]["rate"] == pytest.approx(0.2998958178, abs=1e-9)
+        assert not result["optimize"]
+
     def test_parser_is_built_on_first_use_only(self, tmp_path, capsys):
         # importing builds no parser; main builds one and reuses it, and a
         # --config list from one call does not leak into the next

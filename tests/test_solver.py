@@ -154,7 +154,7 @@ class TestExpectedDistortions:
 
 
 def fixed_rules(src, spec, dd_target, de_target, phi, psi):
-    """The inner solve for one rule pair (phi, psi): (certified bound,
+    """The barrier solve for one rule pair (phi, psi): (certified bound,
     point or None)."""
     cons = _cost_tables(src.pxy, spec, np.asarray(phi), np.asarray(psi))
     return solve_constrained(_LibraryBA(src.pxy, cons, [dd_target, de_target]))
@@ -184,20 +184,27 @@ class TestInnerMinimize:
         ba = _LibraryBA(src.pxy, [a, src.px[:, None] - a], [0.25, 0.25])
         assert solve_constrained(ba) == (-math.inf, None)
 
-    def test_incumbent_below_the_optimum_prunes(self):
-        # the instance of test_matches_grid_oracle_for_fixed_rules; an
-        # incumbent under its optimum is beaten by a certified bound
+    def test_incumbent_below_the_optimum_prunes(self, monkeypatch):
+        # the instance of test_matches_grid_oracle_for_fixed_rules; the
+        # scan's solve of a candidate stops once the dual search's certified
+        # bound (about 0.054 bits under the optimum here) beats an incumbent
+        # under the optimum, before any support solve
         src = bsc_pair(0.25)
         spec = hamming_spec()
         phi = np.array([[0, 1], [0, 1]])
         psi = np.array([[0, 1], [0, 1]])
         _, point = fixed_rules(src, spec, 0.1, 0.3, phi, psi)
-        incumbent = point.value - 0.01
+        incumbent = point.value - 0.1
         ba = _LibraryBA(src.pxy, _cost_tables(src.pxy, spec, phi, psi), [0.1, 0.3])
-        bound, pruned = solve_constrained(ba, incumbent)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pruned candidate reached _settle")
+
+        monkeypatch.setattr(solver_module, "_settle", refuse)
+        bound, pruned = solver_module._certified_solve(ba, incumbent=incumbent)
         assert pruned is None
         assert incumbent + 1e-7 < bound <= point.value + 1e-9
-        assert ba.iterations > 0  # the Newton steps of the centrings it ran
+        assert ba.iterations > 0  # the Blahut-Arimoto steps of the search
 
     def test_matches_grid_oracle_for_fixed_rules(self):
         # mid-range target commensurate with the oracle grid (0.1 = 2/20)
@@ -962,6 +969,24 @@ class TestBelowTheBound:
         full, _, _ = solver_module.scan_candidates(src.pxy, cons, cands, targets)
         assert full.value >= bound - 1e-9
 
+    def test_candidate_route_matches_the_barrier(self):
+        # every three-column candidate of an encoder-active library, solved
+        # by the scan's route and by the barrier: the same 77 of the 84 give
+        # no point, and the other 7 the same rate
+        src, spec, dd_t = encoder_active_instance(2, 2)
+        _, rows = base_library(src, spec)
+        cons = [np.ascontiguousarray(r.T) for r in rows]
+        outcomes = collections.Counter()
+        for cand in solver_module._candidate_array(len(rows[0]), 3, 10**6):
+            cols = [c[:, cand] for c in cons]
+            _, route = solver_module._certified_solve(_LibraryBA(src.pxy, cols, [dd_t, 0.02]))
+            _, barrier = solve_constrained(_LibraryBA(src.pxy, cols, [dd_t, 0.02]))
+            assert (route is None) == (barrier is None)
+            if route is not None:
+                assert route.value == pytest.approx(barrier.value, abs=1e-9)
+            outcomes[route is None] += 1
+        assert outcomes == {True: 77, False: 7}
+
     def test_rate_never_rises_with_z_size(self):
         src, spec = ternary_instance()
         rates = [solve_rate(src, spec, 0.1, 0.05, SolveConfig(z_size=z)).rate for z in range(2, 6)]
@@ -1460,11 +1485,11 @@ class TestScipyNames:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        # an encoder-active 2x2x3 point below the bound whose certified
-        # witness does not fit in z_size 2, so the scan solves candidates
-        src, spec, dd_t = encoder_active_instance(2, 2)
-        point = solve_rate(src, spec, dd_t, 0.02, SolveConfig(z_size=2))
-        assert point.path == "scan"
+        # a corner point that _settle leaves uncertified, so the full
+        # library goes to the barrier solve, whose start is an LP
+        src, spec, _ = encoder_active_instance(0, 3)
+        const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
+        assert solve_rate(src, spec, 0.95 * const, 0.005).label == "exact"
         ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
         pz = rng.random((2, 2)) + 0.05
         pz /= pz.sum(axis=1, keepdims=True)
