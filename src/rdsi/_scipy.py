@@ -26,7 +26,6 @@ def _lazy(module: str, name: str):
     return call
 
 
-bsr_array = _lazy("scipy.sparse", "bsr_array")
 linprog = _lazy("scipy.optimize", "linprog")
 nnls = _lazy("scipy.optimize", "nnls")
 xlogy = _lazy("scipy.special", "xlogy")

@@ -13,15 +13,13 @@ Three reductions:
 * ``reduce_aux_u`` shrinks the auxiliary randomisation alphabet of an
   extended witness to at most K symbols without increasing any of the K
   per-(x, z) conditional distortions and without touching the Z-channel
-  (so the rate objective is unchanged): one LP, block-diagonal over
-  (x, z), walks every per-(x, z) distortion vector down to the hull
-  boundary, and its basic optimum carries weight on at most K symbols in
-  each block (K + 1 affinely independent points
-  with weight would put the walk's end inside the hull, where it could
-  still go on).
+  (so the rate objective is unchanged): for each (x, z) it walks the
+  distortion vector along -(1, ..., 1) by the same elimination, cancelling
+  a dependence among the weighted per-u vectors and the walk's direction
+  until at most K of them are left.
 
-Determinism: affine-dependence elimination breaks ties by eliminating the
-largest-index point; all LPs use the deterministic HiGHS backend.
+Determinism: every elimination breaks ties by eliminating the
+largest-index point, and all of it is plain numpy (an SVD per step).
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import bsr_array, linprog, nnls
-from .errors import RdsiError
-from .model import ExtendedInstance, JointSource, _freeze
+from ._scipy import nnls
+from .errors import InvalidInstanceError, RdsiError
+from .model import DERIVED_MASS_TOL, ExtendedInstance, JointSource, _freeze
 
 WEIGHT_TOL = 1e-10
 RECON_TOL = 1e-9
@@ -70,23 +68,29 @@ class ConvexCombination:
         return self.weights @ self.points
 
 
+def _null_vector(stacked: np.ndarray) -> np.ndarray | None:
+    """A unit vector v with stacked @ v = 0, or None if the columns are independent."""
+    _, s, vt = np.linalg.svd(stacked)
+    # wide matrix: a dependence certainly exists; otherwise test the rank
+    if stacked.shape[1] > stacked.shape[0] or s[-1] <= 1e-12 * max(s[0], 1.0):
+        return vt[-1]
+    return None
+
+
 def _affine_dependence(points: np.ndarray) -> np.ndarray | None:
     """A nonzero gamma with sum(gamma) = 0 and sum(gamma_i p_i) = 0, or None."""
     m = points.shape[0]
     if m < 2:
         return None
-    stacked = np.vstack([points.T, np.ones(m)])  # (d+1, m)
-    _, s, vt = np.linalg.svd(stacked)
-    # wide matrix: a dependence certainly exists; otherwise test the rank
-    if m > stacked.shape[0] or s[-1] <= 1e-12 * max(s[0], 1.0):
-        return vt[-1]
-    return None
+    return _null_vector(np.vstack([points.T, np.ones(m)]))  # (d+1, m)
 
 
-def _eliminate_once(points, weights, idx, gamma):
-    """One cancellation step; returns the shrunken (points, weights, idx)."""
+def _eliminate_once(points, weights, idx, gamma, signs=(1.0, -1.0)):
+    """One cancellation step, moving the weights along -sign * gamma for the
+    allowed sign whose ratio test zeroes the largest index; returns the
+    shrunken (points, weights, idx)."""
     best = None
-    for sign in (1.0, -1.0):
+    for sign in signs:
         g = sign * gamma
         pos = g > 1e-14
         if not np.any(pos):
@@ -183,30 +187,34 @@ def boundary_reduce(points, target, normal) -> ConvexCombination:
     return out
 
 
-def _dominating_boundary_points(hs, ds):
-    """Walk each d_b in ``ds`` along -(1, ..., 1) to the hull boundary of the
-    rows of its h_b in ``hs`` (B blocks, each h_b of shape (U, K)).
+def _dominating_support(h, weights):
+    """Rewrite ``weights @ h`` (h of shape (U, K)) as ``lam @ h`` with lam
+    on at most K rows and ``lam @ h <= weights @ h`` entrywise.
 
-    Solved as one block-diagonal LP: maximise sum_b t_b subject to
-    h_b' lambda_b + t_b 1 = d_b, each lambda_b in the simplex, t_b >= 0.  The
-    blocks share no variable, so HiGHS's basic optimum is basic in every
-    block.  Returns the lambda_b, shape (B, U).
+    A walk along -(1, ..., 1) that keeps h' lam + t 1 = weights @ h and
+    1' lam = 1, from lam = weights and slack t = 0: while the kept columns
+    of [h' 1; 1' 0] are dependent, a null vector (gamma, tau) oriented to
+    tau >= 0 moves lam by +s gamma and t by +s tau, with the ratio test of
+    ``_eliminate_once`` choosing s.  Each step drops a row and never lowers
+    t; K + 1 independent columns hold at most K rows besides t's.  (For
+    tau > 0, 1' gamma = 0 and h' gamma = -tau 1 leave gamma a negative
+    entry, so the ratio test always hits.)  Returns (kept indices, kept
+    weights).
     """
-    hs = np.asarray(hs, dtype=float)
-    nb, m, k = hs.shape
-    blocks = np.ones((nb, k + 1, m + 1))  # rows: the K totals, the simplex
-    blocks[:, :k, :m] = hs.transpose(0, 2, 1)
-    blocks[:, k, m] = 0.0
-    a_eq = bsr_array((blocks, np.arange(nb), np.arange(nb + 1)))
-    b_eq = np.concatenate([np.asarray(ds, dtype=float), np.ones((nb, 1))], axis=1)
-    cost = np.zeros((nb, m + 1))
-    cost[:, m] = -1.0
-    res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=b_eq.ravel(), bounds=(0.0, None), method="highs"
-    )
-    if not res.success:
-        raise RdsiError("no dominating boundary point found")
-    return np.maximum(res.x.reshape(nb, m + 1)[:, :m], 0.0)
+    h = np.asarray(h, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    idx = np.nonzero(weights > 0.0)[0]
+    points, weights = h[idx], weights[idx]
+    slack = np.append(np.ones(h.shape[1]), 0.0)[:, np.newaxis]
+    while True:
+        columns = np.vstack([points.T, np.ones(len(idx))])
+        null = _null_vector(np.hstack([columns, slack]))
+        if null is None:
+            break
+        # _eliminate_once moves the weights along -down; oriented so t rises
+        down = -np.copysign(1.0, null[-1]) * null[:-1]
+        points, weights, idx = _eliminate_once(points, weights, idx, down, (1.0,))
+    return idx, weights / weights.sum()
 
 
 def reduce_aux_u(
@@ -220,12 +228,13 @@ def reduce_aux_u(
     """Shrink the auxiliary alphabet of an extended witness to at most K.
 
     For every (x, z) the conditional distortion vector over the K constraints
-    is a convex combination of the per-u vectors; one LP over all (x, z)
-    walks each along -(1, ..., 1) to a boundary point of their hull, and the
-    LP's basic optimum writes that point over at most K symbols (an
-    RdsiError naming the (x, z) if it does not).  Returns the new
-    conditional law of the reduced auxiliary (shape X x Z x K) and the
-    matching reconstruction table psi_tilde (same shape, xhat_e indices).
+    is a convex combination of the per-u vectors; ``_dominating_support``
+    walks it along -(1, ..., 1) until at most K symbols carry weight, and
+    the result is checked (an RdsiError naming the (x, z) if more symbols
+    are left or a distortion rose; an InvalidInstanceError if a row of
+    pu_given_xz is not a distribution).  Returns the new conditional law of the
+    reduced auxiliary (shape X x Z x K) and the matching reconstruction
+    table psi_tilde (same shape, xhat_e indices).
 
     The Z-channel is untouched, so the rate objective is exactly preserved;
     every per-(x, z), per-k conditional distortion of the output is at most
@@ -239,6 +248,8 @@ def reduce_aux_u(
     kk = ext.k
     if nu <= kk:
         return pu_given_xz, psi3
+    if pu_given_xz.min() < 0 or np.abs(pu_given_xz.sum(axis=2) - 1.0).max() > DERIVED_MASS_TOL:
+        raise InvalidInstanceError("pu_given_xz rows must be distributions")
 
     px = src.px
     p_y_given_x = src.pxy / np.where(px > 0, px, 1.0)[:, None]
@@ -246,19 +257,17 @@ def reduce_aux_u(
     per_xhat_e = np.einsum("xy,kxyze->xzke", p_y_given_x, ext.dk[:, :, phi, :])
     h = np.take_along_axis(per_xhat_e, psi3[:, :, None, :], axis=3).transpose(0, 1, 3, 2)
     d = np.einsum("xzu,xzuk->xzk", pu_given_xz, h)
-    try:
-        lam = _dominating_boundary_points(h.reshape(nx * nz, nu, kk), d.reshape(nx * nz, kk))
-    except RdsiError as exc:
-        raise RdsiError(f"reduction failed: {exc}") from exc
     pu_new = np.zeros((nx, nz, kk))
     psi_tilde = np.zeros((nx, nz, kk), dtype=np.int64)
-    for b, (x, z) in enumerate(np.ndindex(nx, nz)):
-        u_idx = np.nonzero(lam[b] > 1e-12)[0]
+    for x, z in np.ndindex(nx, nz):
+        try:
+            u_idx, w = _dominating_support(h[x, z], pu_given_xz[x, z])
+        except RdsiError as exc:
+            raise RdsiError(f"reduction failed at (x={x}, z={z}): {exc}") from exc
         if len(u_idx) > kk:
             raise RdsiError(
                 f"reduction failed at (x={x}, z={z}): {len(u_idx)} symbols carry weight"
             )
-        w = lam[b, u_idx] / lam[b, u_idx].sum()
         reduced = w @ h[x, z, u_idx]
         if np.any(reduced > d[x, z] + RECON_TOL):
             raise RdsiError(f"reduction failed at (x={x}, z={z}): dominance not certified")

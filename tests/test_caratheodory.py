@@ -10,8 +10,8 @@ from rdsi.caratheodory import (
     caratheodory_reduce,
     reduce_aux_u,
 )
-from rdsi.errors import RdsiError
-from rdsi.model import ExtendedInstance
+from rdsi.errors import InvalidInstanceError, RdsiError
+from rdsi.model import ExtendedInstance, JointSource
 
 
 def random_combination(rng, d, m=None):
@@ -163,35 +163,26 @@ class TestReduceAuxU:
             assert np.all(after <= before + 1e-9)
 
     def test_support_above_k_raises(self, rng, monkeypatch):
-        # the walk LP's basic optimum weights at most K symbols per block; a
-        # walk that weighted more is reported, not passed on
+        # the walk stops with at most K symbols per (x, z); a walk that left
+        # more is reported, not passed on
         src = bsc_pair(0.25)
         ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
         pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=4)
         monkeypatch.setattr(
-            "rdsi.caratheodory._dominating_boundary_points",
-            lambda hs, ds: np.full(np.shape(hs)[:2], 0.25),
+            "rdsi.caratheodory._dominating_support",
+            lambda h, weights: (np.arange(4), np.full(4, 0.25)),
         )
         with pytest.raises(RdsiError, match=r"\(x=0, z=0\): 4 symbols carry weight"):
             reduce_aux_u(src, ext, pz, pu, phi, psi3)
 
-    def test_one_lp_for_every_x_and_z(self, rng, monkeypatch):
-        # the per-(x, z) walks share no variable, so one block-diagonal LP
-        # solves them all: one linprog call for a 2 x 2 x 5 witness
-        calls = []
-        linprog = caratheodory_module.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["A_eq"].shape)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(caratheodory_module, "linprog", counted)
+    @pytest.mark.parametrize("row", [[0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [1.1, -0.1, 0, 0]])
+    def test_rows_must_be_distributions(self, rng, row):
         src = bsc_pair(0.25)
         ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
-        pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=5)
-        pu2, _ = reduce_aux_u(src, ext, pz, pu, phi, psi3)
-        assert calls == [(4 * 3, 4 * 6)]
-        assert pu2.shape == (2, 2, 2)
+        pz, pu, phi, psi3 = random_witness(rng, src, nz=2, nu=4)
+        pu[1, 0] = row
+        with pytest.raises(InvalidInstanceError, match="pu_given_xz rows must be distributions"):
+            reduce_aux_u(src, ext, pz, pu, phi, psi3)
 
     def test_u_law_depends_only_on_x_and_z(self, rng):
         # structural Markov property: the output law is indexed by (x, z) alone
@@ -201,3 +192,87 @@ class TestReduceAuxU:
         pu2, psi2 = reduce_aux_u(src, ext, pz, pu, phi, psi3)
         assert pu2.shape == (src.x_size, 3, 2)
         assert psi2.shape == (src.x_size, 3, 2)
+
+
+def general_witness(rng, k, nu, ne=4, nz=2):
+    """A random K-constraint witness on a 2 x 3 source with ne xhat_e letters:
+    (src, ext, pz, pu, phi, psi3)."""
+    pxy = rng.random((2, 3)) + 0.05
+    src = JointSource.from_pxy(pxy / pxy.sum())
+    ext = ExtendedInstance(2, ne, k, rng.random((k, 2, 2, ne)), targets=np.ones(k))
+    pz = rng.random((2, nz)) + 0.05
+    pz /= pz.sum(axis=1, keepdims=True)
+    pu = rng.random((2, nz, nu)) + 0.05
+    pu /= pu.sum(axis=2, keepdims=True)
+    phi = rng.integers(0, 2, size=(3, nz))
+    psi3 = rng.integers(0, ne, size=(2, nz, nu))
+    return src, ext, pz, pu, phi, psi3
+
+
+class TestReduceAuxUProperties:
+    """The walk's contract on random and degenerate witnesses: at most K
+    symbols per (x, z), a conditional law, no conditional distortion raised,
+    letters taken from psi3, and the same bytes on a second call."""
+
+    @staticmethod
+    def check(src, ext, pz, pu, phi, psi3):
+        pu2, psi2 = reduce_aux_u(src, ext, pz, pu, phi, psi3)
+        nx, nz, _ = pu.shape
+        assert pu2.shape == psi2.shape == (nx, nz, ext.k)
+        assert pu2.min() >= 0
+        np.testing.assert_allclose(pu2.sum(axis=2), 1.0, rtol=0, atol=1e-10)
+        before = conditional_distortions(src, ext, pz, pu, phi, psi3)
+        after = conditional_distortions(src, ext, pz, pu2, phi, psi2)
+        assert np.all(after <= before + 1e-9)
+        for x, z in np.ndindex(nx, nz):
+            assert np.isin(psi2[x, z], psi3[x, z]).all()
+        pu3, psi3_again = reduce_aux_u(src, ext, pz, pu, phi, psi3)
+        assert pu3.tobytes() == pu2.tobytes()
+        assert psi3_again.tobytes() == psi2.tobytes()
+        return pu2, psi2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_witnesses(self, rng, k):
+        for _ in range(50):
+            nu = int(rng.integers(k + 1, 3 * k + 2))
+            self.check(*general_witness(rng, k, nu))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_symbol_over_k(self, rng, k):
+        for _ in range(10):
+            self.check(*general_witness(rng, k, k + 1))
+
+    def test_zero_weights(self, rng):
+        for _ in range(20):
+            src, ext, pz, pu, phi, psi3 = general_witness(rng, 2, 6)
+            pu[rng.random(pu.shape) < 0.4] = 0.0
+            pu[:, :, 0] += 0.1  # every (x, z) keeps some mass
+            pu /= pu.sum(axis=2, keepdims=True)
+            self.check(src, ext, pz, pu, phi, psi3)
+            # a symbol without weight never gains any
+            for x, z in np.ndindex(2, 2):
+                h = rng.random((6, 2))
+                idx, _ = caratheodory_module._dominating_support(h, pu[x, z])
+                assert np.all(pu[x, z, idx] > 0)
+
+    def test_duplicate_u_vectors(self, rng):
+        for k in (2, 3):
+            for _ in range(20):
+                src, ext, pz, pu, phi, psi3 = general_witness(rng, k, 6, ne=2)
+                self.check(src, ext, pz, pu, phi, psi3)
+        # every u repeats one letter: its vectors coincide, so one symbol is left
+        src, ext, pz, pu, phi, psi3 = general_witness(rng, 2, 5)
+        pu2, psi2 = self.check(src, ext, pz, pu, phi, np.full_like(psi3, 3))
+        np.testing.assert_array_equal(pu2[:, :, 0], 1.0)
+        np.testing.assert_array_equal(psi2, 3)
+
+    def test_affinely_dependent_u_vectors(self, rng):
+        # d_3 = (d_1 + d_2) / 2 puts every per-u vector, and the walk's
+        # direction, in one plane of R^3
+        for _ in range(20):
+            src, ext, pz, pu, phi, psi3 = general_witness(rng, 3, 5, ne=5)
+            dk = np.array(ext.dk)
+            dk[2] = 0.5 * (dk[0] + dk[1])
+            ext = ExtendedInstance(2, 5, 3, dk, targets=np.ones(3))
+            psi3 = np.broadcast_to(rng.permutation(5), psi3.shape).copy()
+            self.check(src, ext, pz, pu, phi, psi3)

@@ -616,6 +616,23 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert result["report"]["rate"] == pytest.approx(0.2998958178, abs=1e-9)
         assert not result["optimize"]
 
+    def test_reduce_u_loads_no_optimize(self, tmp_path):
+        # the alphabet walk is plain numpy: no LP, no sparse matrix
+        witness = reduce_u_witness_file(tmp_path)
+        probe = (
+            "import contextlib, io, json, sys, rdsi.cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    status = rdsi.cli.main(['reduce-u', '--input', sys.argv[1]])\n"
+            "print(json.dumps({'status': status, 'report': json.loads(out.getvalue()),\n"
+            "                  'loaded': [m for m in ('scipy.optimize', 'scipy.sparse')\n"
+            "                             if m in sys.modules]}))\n"
+        )
+        result = json.loads(fresh_python("-c", probe, witness))
+        assert result["status"] == 0
+        assert result["report"]["u_tilde_size"] == 2
+        assert result["loaded"] == []
+
     def test_parser_is_built_on_first_use_only(self, tmp_path, capsys):
         # importing builds no parser; main builds one and reuses it, and a
         # --config list from one call does not leak into the next
@@ -635,8 +652,8 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert fresh_python("-c", probe) == "False\n"
 
     def test_first_calls_match_in_process(self, tmp_path, capsys):
-        # sphere-sim loads no scipy function; cap_ratio is betainc's first
-        # call, reduce-u that of linprog and nnls
+        # sphere-sim and reduce-u load no scipy function; cap_ratio is
+        # betainc's first call
         sim = TestSphereSim.ARGS
         _, sim_out = run(sim, capsys)
         assert fresh_python("-m", "rdsi", *sim) == sim_out

@@ -431,6 +431,25 @@ class TestVerifyUReduction:
             ext = ExtendedInstance(2, 2, 2, dk, targets=np.asarray(achieved) + 1e-12)
             assert verify_u_reduction(src, ext, pz, pu, phi, psi3) is True
 
+    def test_ext_solve_witness_over_five_symbols(self, rng):
+        # ext-solve's Z-channel with |U| = 5 > K, targets at that witness's
+        # own distortions: the reduced witness stays feasible at the same rate
+        src = bsc_pair(0.25)
+        ext = embed_base_instance(hamming(2), hamming(2), [0.15, 0.1])
+        point = solve_rate_ext(src, ext)
+        pz = point.p_uz_given_x[:, 0, :]
+        _, pu, _, psi3 = random_ext_witness(rng, src, pz.shape[1], 5)
+        joint = joint_from(pz, pu)
+        achieved = [
+            ext_expected_distortion_k(src, ext, joint, point.phi, psi3, k) for k in range(2)
+        ]
+        ext5 = ExtendedInstance(2, 2, 2, ext.dk, targets=np.asarray(achieved) + 1e-12)
+        assert verify_u_reduction(src, ext5, pz, pu, point.phi, psi3) is True
+        pu_new, _ = extended_module.reduce_aux_u(src, ext5, pz, pu, point.phi, psi3)
+        assert pu_new.shape == (2, pz.shape[1], 2)
+        for p in (joint, joint_from(pz, pu_new)):
+            assert ext_rate_objective(src, p) == pytest.approx(point.rate, abs=1e-9)
+
     def test_structurally_infeasible_witness_stays_false(self, rng):
         src = bsc_pair(0.25)
         dk = rng.random((2, 2, 2, 2)) + 0.5  # strictly positive: floor > 0

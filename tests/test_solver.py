@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rdsi.caratheodory as caratheodory_module
 import rdsi.extended as extended_module
 import rdsi.solver as solver_module
 from conftest import (
@@ -1469,34 +1468,20 @@ def assert_cells_match_own_errors(cells, src, spec, cfg):
 
 
 class TestScipyNames:
-    def test_calls_go_through_module_attributes(self, rng, monkeypatch):
-        # bench/tracing.py replaces these module attributes to time the
-        # calls, so the code must look them up when it calls them
-        counts = collections.Counter()
-        hooked = (
-            (solver_module, "linprog"),
-            (caratheodory_module, "linprog"),
-        )
-        for module, name in hooked:
-            fn = getattr(module, name)
+    def test_calls_go_through_module_attributes(self, monkeypatch):
+        # bench/tracing.py replaces solver.linprog to time the calls, so the
+        # solver must look it up when it calls it
+        calls = []
+        linprog = solver_module.linprog
 
-            def counted(*args, _key=f"{module.__name__}.{name}", _fn=fn, **kwargs):
-                counts[_key] += 1
-                return _fn(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(solver_module, "linprog", counted)
         # a corner point that _settle leaves uncertified, so the full
         # library goes to the barrier solve, whose start is an LP
         src, spec, _ = encoder_active_instance(0, 3)
         const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
         assert solve_rate(src, spec, 0.95 * const, 0.005).label == "exact"
-        ext = ExtendedInstance(2, 2, 2, rng.random((2, 2, 2, 2)), targets=[1, 1])
-        pz = rng.random((2, 2)) + 0.05
-        pz /= pz.sum(axis=1, keepdims=True)
-        pu = rng.random((2, 2, 5)) + 0.05
-        pu /= pu.sum(axis=2, keepdims=True)
-        phi = rng.integers(0, 2, size=(2, 2))
-        psi3 = rng.integers(0, 2, size=(2, 2, 5))
-        caratheodory_module.reduce_aux_u(bsc_pair(0.25), ext, pz, pu, phi, psi3)
-        for module, name in hooked:
-            assert counts[f"{module.__name__}.{name}"] > 0, (module.__name__, name)
+        assert calls
