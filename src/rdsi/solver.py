@@ -642,13 +642,13 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         rows = np.concatenate([np.eye(nx)[live][:, :, None] * p, costs * p])  # (eqs, X, Z)
         if len(cols) > len(rows):
             # F is linear along a null direction of the column sums: empty
-            # the first column that reaches zero going downhill
+            # the first columns that reach zero going downhill (ties too)
             dirn = np.linalg.svd(rows.sum(axis=1))[2][-1]
             if dirn @ (g * p).sum(axis=0) > 0.0:
                 dirn = -dirn
-            j = int(np.argmin(dirn))
-            p *= 1.0 - dirn / dirn[j]
-            cols, p, ok, costs = (np.delete(a, j, axis=-1) for a in (cols, p, ok, costs))
+            shrink = 1.0 - dirn / dirn.min()
+            p *= shrink
+            cols, p, ok, costs = (a[..., shrink > 0.0] for a in (cols, p, ok, costs))
             continue
         var = ok.T.ravel()
         n = int(var.sum())
@@ -725,6 +725,7 @@ def _kkt_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _log_mass(logp: np.ndarray, px: np.ndarray) -> np.ndarray:
     """log sum_x p(x) p(z|x) of each column, from log p(z|x)."""
+    logp, px = logp[px > 0.0], px[px > 0.0]  # a column may peak on a dead row
     top = logp.max(axis=0)
     return top + np.log(px @ np.exp(logp - top))
 

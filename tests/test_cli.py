@@ -567,54 +567,48 @@ import rdsi, rdsi.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-loaded = {"import": scipy_modules()}
-with contextlib.redirect_stdout(io.StringIO()):
-    rdsi.cli.main(["gaussian-curve", "--config", "var_x=1", "--config", "var_u=1",
-                   "--config", "dd=0.25,0.6", "--config", "de=0,0.01"])
-loaded["gaussian-curve"] = scipy_modules()
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    status = rdsi.cli.main(["discrete-solve", "--input", sys.argv[1],
-                            "--config", "dd_target=" + sys.argv[2],
-                            "--config", "de_target=" + sys.argv[3]])
-loaded["discrete-solve"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.getvalue())}))
+loaded, results = {"import": scipy_modules()}, {}
+for name, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = rdsi.cli.main(argv)
+    loaded[name], results[name] = scipy_modules(), [status, out.getvalue()]
+print(json.dumps({"loaded": loaded, "results": results}))
 """
 
     def test_cold_import_loads_no_scipy(self, tmp_path):
+        # every subcommand on these inputs runs on numpy alone: xlogy is
+        # numpy's, and no point here needs the barrier solve's start LP
         src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
         inst = write_json(
             tmp_path / "3x3x3.json",
             {"x_size": 3, "y_size": 3, "xhat_size": 3, "pxy": src.pxy.ravel().tolist(),
              "dd": spec.dd.ravel().tolist(), "de": spec.de.ravel().tolist()},
         )
-        result = json.loads(fresh_python("-c", self.COLD, inst, repr(dd_t), repr(de_t)))
-        loaded = result["loaded"]
-        assert loaded["import"] == []
-        assert loaded["gaussian-curve"] == []
-        assert result["status"] == 0
-        assert result["report"]["diagnostics"]["path"] == "library"
-        assert "scipy.optimize" not in loaded["discrete-solve"]
-
-    def test_scan_point_loads_no_optimize(self, tmp_path):
-        # BSC(0.25) Hamming at z_size 2 is settled by the candidate scan,
-        # whose candidates never reach the barrier solve's start LP
-        inst = binary_instance_file(tmp_path)
-        probe = (
-            "import contextlib, io, json, sys, rdsi.cli\n"
-            "out = io.StringIO()\n"
-            "with contextlib.redirect_stdout(out):\n"
-            "    status = rdsi.cli.main(['discrete-solve', '--input', sys.argv[1],\n"
-            "        '--config', 'dd_target=0.15', '--config', 'de_target=0.1',\n"
-            "        '--config', 'z_size=2'])\n"
-            "print(json.dumps({'status': status, 'report': json.loads(out.getvalue()),\n"
-            "                  'optimize': 'scipy.optimize' in sys.modules}))\n"
-        )
-        result = json.loads(fresh_python("-c", probe, inst))
-        assert result["status"] == 0
-        assert result["report"]["diagnostics"]["path"] == "scan"
-        assert result["report"]["rate"] == pytest.approx(0.2998958178, abs=1e-9)
-        assert not result["optimize"]
+        bsc = binary_instance_file(tmp_path)
+        calls = {
+            "gaussian-curve": ["gaussian-curve", "--config", "var_x=1", "--config", "var_u=1",
+                               "--config", "dd=0.25,0.6", "--config", "de=0,0.01"],
+            "discrete-solve": ["discrete-solve", "--input", inst, "--config",
+                               f"dd_target={dd_t!r}", "--config", f"de_target={de_t!r}"],
+            # BSC(0.25) Hamming at z_size 2 is settled by the candidate scan
+            "scan": ["discrete-solve", "--input", bsc, "--config", "dd_target=0.15",
+                     "--config", "de_target=0.1", "--config", "z_size=2"],
+            "wz": ["wz", "--input", bsc, "--config", "dd_target=0.15"],
+            "cr": ["cr", "--input", bsc, "--config", "dd_target=0.15"],
+            "discrete-sweep": ["discrete-sweep", "--input", bsc, "--config", "dd_grid=0.1,0.3",
+                               "--config", "de_grid=0.0,0.2", "--config", "z_size=2"],
+            "ext-solve": ["ext-solve", "--input", ext_instance_file(tmp_path)],
+        }
+        result = json.loads(fresh_python("-c", self.COLD, json.dumps(list(calls.items()))))
+        assert result["loaded"] == {name: [] for name in ["import", *calls]}
+        assert all(status == 0 for status, _ in result["results"].values())
+        solve, scan, ext = (json.loads(result["results"][name][1])
+                            for name in ("discrete-solve", "scan", "ext-solve"))
+        assert solve["diagnostics"]["path"] == "library"
+        assert scan["diagnostics"]["path"] == "scan"
+        assert scan["rate"] == pytest.approx(0.2998958178, abs=1e-9)
+        assert ext["label"] == "exact"
 
     def test_reduce_u_loads_no_optimize(self, tmp_path):
         # the alphabet walk is plain numpy: no LP, no sparse matrix
@@ -652,8 +646,9 @@ print(json.dumps({"loaded": loaded, "status": status, "report": json.loads(out.g
         assert fresh_python("-c", probe) == "False\n"
 
     def test_first_calls_match_in_process(self, tmp_path, capsys):
-        # sphere-sim and reduce-u load no scipy function; cap_ratio is
-        # betainc's first call
+        # a first call in a fresh process prints what the same call prints
+        # in this session, where scipy is loaded: cap_ratio's is betainc's
+        # first, lazy import
         sim = TestSphereSim.ARGS
         _, sim_out = run(sim, capsys)
         assert fresh_python("-m", "rdsi", *sim) == sim_out

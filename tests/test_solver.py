@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     random_binary_instance,
 )
 from oracle import brute_force_oracle
+from rdsi._scipy import xlogy
 from rdsi.cli import main
 from rdsi.errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from rdsi.extended import solve_rate_ext
@@ -690,6 +692,41 @@ class TestOverRelaxedBA:
         assert (p[forbidden] == 0.0).all()
         assert np.einsum("xn,xn->", ba.costs[0], p) == pytest.approx(dd_t, abs=1e-12)
 
+    def test_support_solve_empties_tied_columns_together(self):
+        # two pairs of identical columns: the null space of the support's
+        # column sums holds both in-pair exchanges, and where the SVD returns
+        # a mix of them (seeds 42, 57, 199 and 212 here), one column of each
+        # pair empties in the same rescale; both must leave the support, or
+        # the next pass takes the log of a zero column
+        for seed in range(250):
+            rng = np.random.default_rng(seed)
+            nx, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            pxy = rng.random((nx, 2))
+            pxy /= pxy.sum()
+            a, e, channel = (rng.random((nx, n)) for _ in range(3))
+            a, e, channel = (np.concatenate([m, m[:, :2]], axis=1) for m in (a, e, channel))
+            channel /= channel.sum(axis=1, keepdims=True)
+            targets = np.einsum("kxn,xn,x->k", np.array([a, e]), channel, pxy.sum(axis=1))
+            ba = _LibraryBA(pxy, [a, e], targets)
+            for active in ([0], [0, 1]):
+                got = solver_module._support_solve(ba, channel, active)
+                if got is not None:
+                    p, _ = got
+                    assert p.sum(axis=1) == pytest.approx(np.ones(nx), abs=1e-12)
+                    held = np.einsum("kxn,xn->k", ba.costs[active], p)
+                    assert held == pytest.approx(targets[active], abs=1e-12)
+
+    def test_certificate_skips_dead_rows(self):
+        # p(x = 0) = 0: a certificate column whose log-shape peaks on the
+        # dead row, with every live entry more than 745 nats below, has a
+        # mass of exactly 0 unless the live rows alone are summed
+        src = JointSource.from_pxy(np.array([[0, 0], [1, 4], [1, 3]]) / 9)
+        dd = np.array([[0.0, 0.5], [1.0, 0.0], [0.0, 0.5]])
+        spec = DistortionSpec(xhat_size=2, dd=dd, de=np.array([[0.0, 0.75], [0.25, 0.0]]))
+        point = solve_rate(src, spec, 1 / 9, 0.0)
+        assert point.label == "exact"
+        assert point.rate == pytest.approx(r_wz(src, spec, 1 / 9), abs=1e-9)
+
     def test_no_underdetermined_newton_step(self, monkeypatch):
         # a support with fewer free entries than equations fixes a held
         # target by the row sums: the solve must give it up before Newton,
@@ -953,6 +990,56 @@ class TestCorpus:
             points += 1
         assert points == 97
         assert len(barrier) <= 11
+
+
+def degenerate_instance(rng, kind):
+    """A 2-4 letter instance of one of four degenerate kinds: about 30% zeros
+    in p(x, y) (a row may die), p(x, y) rounded to quarters (ties), one row
+    scaled by 1e-9, or distortions rounded to halves.  d_d(x, x mod |Xhat|)
+    = 0 and d_e has a zero diagonal.  (src, spec, cheapest constant E d_d)."""
+    nx, ny, nhat = (int(v) for v in rng.integers(2, 5, size=3))
+    pxy = rng.random((nx, ny))
+    if kind == 0:
+        pxy[rng.random((nx, ny)) < 0.3] = 0.0
+    elif kind == 1:
+        pxy = np.round(pxy * 4) / 4
+    elif kind == 2:
+        pxy[rng.integers(nx)] *= 1e-9
+    if pxy.sum() == 0.0:
+        pxy[0, 0] = 1.0
+    pxy /= pxy.sum()
+    dd, de = rng.random((nx, nhat)), rng.random((nhat, nhat))
+    if kind == 3:
+        dd, de = np.round(dd * 2) / 2, np.round(de * 2) / 2
+    dd[np.arange(nx), np.arange(nx) % nhat] = 0.0
+    np.fill_diagonal(de, 0.0)
+    src = JointSource.from_pxy(pxy)
+    return src, DistortionSpec(xhat_size=nhat, dd=dd, de=de), float((src.px @ dd).min())
+
+
+class TestDegenerateCorpus:
+    def test_every_point_checks_out_without_a_warning(self):
+        # 200 seeded points, the four kinds in turn, D_d in {0, a random
+        # fraction of the cheapest constant rule, the rule} and D_e in
+        # {0, a random fraction of the mean d_e}.  The sandwich allows the
+        # 1e-7 bits of an "exact" label, because r_wz is itself a solve: on
+        # the 1e-9-row sources here it lies up to 3e-8 above solve_rate.
+        rng = np.random.default_rng(0)
+        labels = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(200):
+                src, spec, const = degenerate_instance(rng, i % 4)
+                dd_t = (0.0, rng.random() * const, const)[rng.integers(3)]
+                de_t = (0.0, rng.random() * float(spec.de.mean()))[rng.integers(2)]
+                point = solve_rate(src, spec, dd_t, de_t)
+                labels[point.label] += 1
+                edd, ede = expected_distortions(src, spec, point.witness)
+                assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+                assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
+                assert r_wz(src, spec, dd_t) <= point.rate + 1e-7
+                assert point.rate <= conditional_entropy_x_given_y(src) + 1e-9
+        assert labels == {"exact": 200}
 
 
 class TestBelowTheBound:
@@ -1485,3 +1572,42 @@ class TestScipyNames:
         const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
         assert solve_rate(src, spec, 0.95 * const, 0.005).label == "exact"
         assert calls
+
+
+class TestXlogy:
+    def test_zero_times_log_zero_is_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xlogy(0.0, 0.0) == 0.0
+            assert xlogy(np.zeros(3), np.array([0.0, 1.0, 0.5])).tolist() == [0.0, 0.0, 0.0]
+            assert xlogy(1.0, 0.0) == -math.inf
+
+    def test_broadcasts_a_row_against_a_matrix(self):
+        # the H(X|Y) pattern: p(x, y) log p(y), with zeros in p(x, y)
+        pxy = np.array([[0.25, 0.0, 0.125], [0.0, 0.5, 0.125]])
+        py = pxy.sum(axis=0)
+        got = xlogy(pxy, py[np.newaxis, :])
+        expect = [[0.25 * math.log(0.25), 0.0, 0.125 * math.log(0.25)],
+                  [0.0, 0.5 * math.log(0.5), 0.125 * math.log(0.25)]]
+        np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0.0)
+        assert (got[pxy == 0.0] == 0.0).all()
+
+    def test_agrees_with_scipy_within_an_ulp_of_the_log(self):
+        # np.log and libm's log may differ in the last bit; a product
+        # x * log(y) then differs by x times an ulp of log(y), plus its own
+        # rounding.  Subnormal y, y near 1 and subnormal x are included.
+        from scipy.special import xlogy as scipy_xlogy
+
+        rng = np.random.default_rng(0)
+        n = 4000
+        y = np.concatenate([rng.random(n), 1.0 + (rng.random(n) - 0.5) * 1e-6,
+                            rng.random(n) * 1e-310, 10.0 ** rng.uniform(-300, 3, n),
+                            [5e-324, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]])
+        x = rng.random(y.size)
+        x[::7] = 0.0
+        x[1::11] *= 1e-310
+        got, expect = xlogy(x, y), scipy_xlogy(x, y)
+        log_ulp = np.spacing(np.abs(scipy_xlogy(1.0, y)))
+        assert (got[x == 0.0] == 0.0).all()
+        assert np.all(np.abs(got - expect) <= np.abs(x) * log_ulp + np.spacing(np.abs(expect)))
+        assert np.all(np.abs(xlogy(1.0, y) - scipy_xlogy(1.0, y)) <= log_ulp)
