@@ -1,12 +1,11 @@
-"""numpy's ``xlogy``, and the scipy functions rdsi calls, each imported on
-its first call.
+"""numpy's ``xlogy``, and the two scipy functions rdsi calls, each
+imported on its first call.
 
 Importing ``scipy.optimize`` alone takes longer than most single solves,
-so ``import rdsi`` loads nothing from scipy, and no subcommand on the
-benchmark's inputs loads any.  ``linprog`` is the start LP of the barrier
-solve (points the dual search leaves uncertified), ``nnls`` serves
-``boundary_reduce`` and ``betainc`` ``cap_ratio``.  ``np.log`` may differ
-from libm's (scipy's) in the last bit; 1,200 seeded solves moved no rate.
+so ``import rdsi`` loads nothing from scipy, and no subcommand loads any:
+``nnls`` serves ``boundary_reduce`` and ``betainc`` ``cap_ratio``, which
+no subcommand calls.  ``np.log`` may differ from libm's (scipy's) in the
+last bit; 1,200 seeded solves moved no rate.
 """
 
 from __future__ import annotations
@@ -36,6 +35,5 @@ def _lazy(module: str, name: str):
     return call
 
 
-linprog = _lazy("scipy.optimize", "linprog")
 nnls = _lazy("scipy.optimize", "nnls")
 betainc = _lazy("scipy.special", "betainc")

@@ -64,17 +64,18 @@ of at most |X| + 3 columns with the same rate and distortions.  A gap of
 at most 1e-7 bits settles the point, at any z_size the witness fits in,
 and nothing is enumerated.  A point the support solve leaves uncertified
 (near a corner of the region, where no support from the Wyner-Ziv
-solution reaches both targets) goes on to a log-barrier Newton method on
-the whole library, started from an LP's most interior point (the one
-solver path that loads scipy.optimize), whose support the same support
-solve settles; at the cardinality bound that is the answer.
+solution reaches both targets) goes on to a search over the multipliers
+of every target: an ellipsoid method on the concave dual, one
+Blahut-Arimoto solve per step, whose channels the same support solve
+settles; at the cardinality bound that is the answer.  No solve loads
+scipy.
 
 Below the cardinality bound, where the certified witness needs more than
 z_size columns, the restricted problem is not convex: the z_size-column
-candidates are enumerated, each solved on its own columns by the search
-and one support solve, without the barrier, and pruned once a bound of
-the search exceeds the incumbent; a candidate counts only if it meets
-every target within 1e-12.
+candidates are enumerated, each solved on its own columns by the bracket
+and one support solve, without the multiplier search, and pruned once a
+bound of the bracket exceeds the incumbent; a candidate counts only if it
+meets every target within 1e-12.
 
 Sweeps.  Every certified bound is L(p, lam) - lam . t - gap for some
 multipliers lam >= 0, a plane under R at every target pair with the same
@@ -101,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import linprog, xlogy
+from ._scipy import xlogy
 from .caratheodory import ConvexCombination, caratheodory_support
 from .errors import AssumptionError, InfeasibleError, InvalidInstanceError, ResourceCapError
 from .model import (
@@ -126,7 +127,7 @@ _BA_MU_MAX = 8.0  # ... up to this size (1 is the plain Blahut-Arimoto update)
 _SUPPORT_EXTRA = 3  # a support solve starts from at most |X| + this many columns ...
 _SUPPORT_PRUNE = 1e-9  # ... each with at least this share of the heaviest one's mass
 _SUPPORT_FLOOR = 1e-9  # smallest starting entry of a support column
-_NEWTON_MAX_ITERS = 50  # Newton steps of a support solve or a barrier centring
+_NEWTON_MAX_ITERS = 50  # Newton steps of a support solve
 _NEWTON_TOL = 1e-10  # largest relative entry change of a converged Newton step
 _KKT_RESIDUAL = 1e-9  # relative residual above which a Newton step falls back to lstsq
 _CERT_STEPS = 20  # Blahut-Arimoto steps of a support certificate
@@ -137,10 +138,8 @@ _SLACK_MULTIPLIER = 1e-9  # a held target whose multiplier is below minus this m
 _DUAL_MAX_LAMBDA = 1e12
 _COARSE_GAP = 1e-2  # gap (bits) that ends the bracketing solves at lam = 1, 4, 16, ...
 _ZERO_TARGET_NATS = 1e4  # log-mass penalty on entries a zero target forbids
-_BARRIER_TAU = 1.0  # weight of F in the first centring of a barrier solve ...
-_BARRIER_MU = 16.0  # ... its growth between centrings ...
-_BARRIER_GAP = 1e-7  # ... and the certified gap (bits) that ends it
-_CENTRE_TOL = 1e-3  # Newton decrement (squared) per inequality that ends a centring
+_SEARCH_GAP = 1e-3  # gap (bits) of the multiplier search's first Blahut-Arimoto solve
+_SEARCH_RADIUS = 16.0  # radius of its first ellipsoid, per target, in bracket multipliers
 
 
 @dataclass(frozen=True)
@@ -225,15 +224,6 @@ class _InnerProblem:
         nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(p, p)).sum()
         return float(nat / LN2)
 
-    def value_and_grad(self, p: np.ndarray):
-        myz = self.pxy.T @ p
-        nat = self._hy - xlogy(myz, myz).sum() + (self.px[:, None] * xlogy(p, p)).sum()
-        grad = (
-            self.px[:, None] * np.log(np.maximum(p, _TINY))
-            - self.pxy @ np.log(np.maximum(myz, _TINY))
-        ) / LN2
-        return float(nat / LN2), grad
-
 
 def rate_objective(src: JointSource, ch: TestChannel) -> float:
     """I(X;Z) - I(Y;Z) of the induced law, in bits (equals I(X;Z|Y) >= 0)."""
@@ -284,148 +274,6 @@ def _cost_tables(pxy, spec, phi, psi):
     return a_cols, e_cols
 
 
-def _hessian_blocks(pxy, q, scale):
-    """F's Hessian (nats) in coordinates dp = scale * v, one X x X block per
-    column, without its diagonal part diag(p(x) scale^2 / p(z|x))."""
-    w = scale.T[:, :, None] * pxy  # (Z, X, Y)
-    return -np.einsum("zxy,yz,zwy->zxw", w, 1.0 / np.maximum(q, _TINY), w)
-
-
-def _barrier_start(cons, targets, free):
-    """A strictly feasible channel, or None: the HiGHS LP that maximises
-    the smallest slack s over the free entries (each s + u, u >= 0) and the
-    targets, rows summing to one; None unless the best s is positive."""
-    nx, n = free.shape
-    idx = np.flatnonzero(free)
-    a_eq = np.zeros((nx, len(idx) + 1))
-    a_eq[idx // n, np.arange(len(idx))] = 1.0
-    a_eq[:, -1] = free.sum(axis=1)
-    flat = cons.reshape(len(cons), -1)[:, idx]
-    res = linprog(
-        np.r_[np.zeros(len(idx)), -1.0],
-        A_ub=np.column_stack([flat, flat.sum(axis=1) + 1.0]) if len(cons) else None,
-        b_ub=targets if len(cons) else None,
-        A_eq=a_eq,
-        b_eq=np.ones(nx),
-        bounds=[(0.0, None)] * len(idx) + [(None, None)],
-        method="highs",
-    )
-    if not res.success or not res.x[-1] > 0.0:
-        return None
-    p = np.zeros(nx * n)
-    p[idx] = np.maximum(res.x[:-1], 0.0) + res.x[-1]
-    p = p.reshape(nx, n) / p.reshape(nx, n).sum(axis=1, keepdims=True)
-    return p if np.all(np.einsum("kxn,xn->k", cons, p) < targets) else None
-
-
-def _barrier_value(problem, cons, targets, free, p, tau):
-    """tau F minus the log barrier at p; inf outside the interior."""
-    slack = targets - np.einsum("kxn,xn->k", cons, p)
-    if (slack <= 0.0).any() or (p[free] <= 0.0).any():
-        return math.inf
-    return tau * problem.value(p) - float(np.log(p[free]).sum() + np.log(slack).sum())
-
-
-def _centre(problem, cons, targets, free, p, tau):
-    """Newton's method on tau F - sum log p - sum_k log(t_k - c_k . p) over
-    the free entries, rows summing to one, in coordinates dp = p v: X x X
-    blocks per column, then a Schur complement over the X row sums and the
-    K rank-one target terms.  Stops at a Newton decrement of _CENTRE_TOL
-    per inequality, a fixed share of the duality gap at any tau.  Returns
-    (channel, target multipliers 1 / (tau s) at the slacks s the last
-    Newton step predicts, far more accurate than the current ones near
-    zero, Newton steps)."""
-    pxy, px = problem.pxy, problem.px
-    nx, k = len(px), len(targets)
-    ineqs = int(free.sum()) + k
-    diag, eye = np.arange(nx), np.eye(nx)
-    value = _barrier_value(problem, cons, targets, free, p, tau)
-    for it in range(1, _NEWTON_MAX_ITERS + 1):
-        slack = targets - np.einsum("kxn,xn->k", cons, p)
-        u = cons * p / slack[:, None, None]  # (K, X, N): the target rows
-        g = tau * p * problem.value_and_grad(p)[1] - free + u.sum(axis=0)
-        # take out g's least-squares fit by the row sums, of order tau, so
-        # that the block solves see only the rest
-        g -= ((g * p).sum(axis=1) / (p * p).sum(axis=1))[:, None] * p
-        blocks = _hessian_blocks(pxy, pxy.T @ p, math.sqrt(tau / LN2) * p)
-        blocks[:, diag, diag] += (tau / LN2) * (px[:, None] * p).T + 1.0
-        e = np.concatenate([u.transpose(2, 1, 0), p.T[:, :, None] * eye], axis=2)
-        sol = np.linalg.solve(blocks, np.concatenate([e, g.T[:, :, None]], axis=2))
-        y, yg = sol[..., :-1], sol[..., -1]
-        schur = np.einsum("nxa,nxb->ab", e, y)
-        schur[diag[:k], diag[:k]] += 1.0
-        rhs = -np.einsum("nxa,nx->a", e, yg)
-        rhs[k:] -= 1.0 - p.sum(axis=1)
-        z = np.linalg.solve(schur, rhs)
-        v = -(yg + y @ z).T
-        lam = np.maximum(1.0 + z[:k], 0.0) / (tau * slack)
-        decrement = float((v * np.einsum("nxw,wn->xn", blocks, v)).sum() + z[:k] @ z[:k])
-        if not decrement > _CENTRE_TOL * ineqs:
-            break
-        # the longest step that keeps every entry and slack positive
-        shrink = np.concatenate([v[v < 0.0], -z[:k]])
-        alpha = min(1.0, 0.99 / -shrink.min()) if (shrink < 0.0).any() else 1.0
-        while True:
-            new = p * (1.0 + alpha * v)
-            new /= new.sum(axis=1, keepdims=True)
-            got = _barrier_value(problem, cons, targets, free, new, tau)
-            # Armijo, unless the predicted decrease is below rounding
-            if got <= value - 0.25 * alpha * decrement or (
-                alpha * decrement <= 1e-12 * abs(value) and got < math.inf
-            ):
-                break
-            alpha *= 0.5
-            if alpha < 1e-12:
-                return p, lam, it
-        p, value = new, got
-    return p, lam, it
-
-
-def solve_constrained(ba: _LibraryBA):
-    """The full library's fallback solve on the columns of ``ba``.
-
-    A log-barrier method (Boyd and Vandenberghe, Convex Optimization, ch.
-    11): a zero target fixes the entries it forbids at zero and is dropped,
-    an LP finds a strictly feasible start, and tau grows by _BARRIER_MU
-    between centrings, each followed by a certified bound (L(p, lam) - lam
-    . t minus the Frank-Wolfe gap), until the rate is within _BARRIER_GAP
-    of it.  One _settle call then solves the support found exactly, holding
-    the targets that bind there; its point counts if it is lower (the
-    barrier's is strictly feasible, and _settle's meets every target within
-    1e-12).  Newton steps count in ba.iterations.  Returns what _settle
-    returns: (best certified lower bound on R, or -inf; the lowest-rate
-    point, or None when the columns cannot meet the targets).
-    """
-    zero, free = ba.targets <= 0.0, ba.forbidden == 0.0
-    cons, targets = ba.costs[~zero], ba.targets[~zero]
-    p = _barrier_start(cons, targets, free) if free.any(axis=1).all() else None
-    if p is None:
-        return -math.inf, None
-    tau, bound, last = _BARRIER_TAU, -math.inf, math.inf
-    while True:
-        p, lam, steps = _centre(ba.problem, cons, targets, free, p, tau)
-        ba.iterations += steps
-        value, grad = ba.problem.value_and_grad(p)
-        grad += np.tensordot(lam, cons, 1)
-        fw = (p * grad).sum(axis=1) - np.where(free, grad, np.inf).min(axis=1)
-        slack = targets - np.einsum("kxn,xn->k", cons, p)
-        full = np.zeros(len(zero))
-        full[~zero] = lam
-        bound = max(bound, _Bound(value - float(lam @ slack + fw.sum()), full))
-        # stop at the gap, or once rounding stops the centrings closing it
-        if value - bound <= _BARRIER_GAP or value - bound > 0.5 * last:
-            break
-        tau, last = tau * _BARRIER_MU, value - bound
-    with np.errstate(divide="ignore"):
-        best = ba.iterate(np.log(p))
-    # a target binds where its slack is below its multiplier (tau s^2 < 1)
-    active = list(np.flatnonzero(~zero)[slack < lam])
-    got, point = _settle(ba, p, np.log(np.maximum(p, _TINY)), active, _UNIVERSE_GAP)
-    if point is not None and point.value < best.value:
-        best = point
-    return max(bound, got), best
-
-
 def scan_candidates(pxy, cons, cands, targets, floor=-math.inf, mass=None):
     """Exactly solve rule candidates, stopping as early as possible.
 
@@ -471,8 +319,8 @@ class _Iterate:
 
     logp: np.ndarray  # (X, N)
     value: float  # H(Z|Y) - H(Z|X) in bits
-    costs: np.ndarray  # (K,) the first is the one with a multiplier
-    gap: float = math.nan  # a Blahut-Arimoto solve's Frank-Wolfe gap (bits) at its multiplier
+    costs: np.ndarray  # (K,) c . p, one per constraint
+    gap: float = math.nan  # a Blahut-Arimoto solve's Frank-Wolfe gap (bits) at its multipliers
 
     @property
     def channel(self) -> np.ndarray:
@@ -482,11 +330,11 @@ class _Iterate:
 class _LibraryBA:
     """Lagrangian Blahut-Arimoto over the full column library.
 
-    For a multiplier lam >= 0 on the first constraint it minimizes
-    L(p, lam) = F(p) + lam c . p over channels p(z|x) on all N columns,
+    For multipliers lam >= 0, one per constraint, it minimizes
+    L(p, lam) = F(p) + lam . c p over channels p(z|x) on all N columns,
     F = H(Z|Y) - H(Z|X) in bits, by the update
 
-        p(z|x) ~ exp(sum_y p(y|x) log r(z|y) - ln2 lam c(x, z) / p(x)),
+        p(z|x) ~ exp(sum_y p(y|x) log r(z|y) - ln2 lam . c(x, z) / p(x)),
         r(z|y) = sum_x p(x|y) p(z|x),
 
     Csiszar-Tusnady alternating minimization of a jointly convex function
@@ -507,11 +355,10 @@ class _LibraryBA:
     returns is made at the point it returns, on every exit: at a gap <=
     tol, or after _BA_MAX_ITERS iterations.
 
-    Further constraints carry no multiplier; they are only evaluated, except
-    that a zero target, like a zero first target, allows no mass on an entry
-    with a positive coefficient: a fixed penalty of _ZERO_TARGET_NATS on
-    those entries drives their mass to an exact zero.  The penalty term is
-    left out of the Lagrangian, which only lowers the certified bound.
+    A zero target allows no mass on an entry with a positive coefficient:
+    a fixed penalty of _ZERO_TARGET_NATS on those entries drives their
+    mass to an exact zero.  The penalty term is left out of the Lagrangian,
+    which only lowers the certified bound.
     """
 
     def __init__(self, pxy: np.ndarray, costs, targets):
@@ -522,11 +369,11 @@ class _LibraryBA:
         self.costs = np.asarray(costs, dtype=float)  # (K, X, N)
         self.per_x = LN2 / np.maximum(px, _TINY)
         self.targets = np.asarray(targets, dtype=float)
-        self.target = self.targets[0]
         zero = self.costs[self.targets <= 0.0]
         self.forbidden = _ZERO_TARGET_NATS * (zero > 0.0).any(axis=0)
         n = self.costs.shape[2]
         self.warm = np.full((pxy.shape[0], n), 1.0 / n)  # the next solve's start
+        self.reach = 1.0  # the bracket's last multiplier, where _multiplier_search starts
         self.iterations = 0
 
     def iterate(self, logp: np.ndarray) -> _Iterate:
@@ -553,15 +400,14 @@ class _LibraryBA:
         gap = float(self.px @ ((np.exp(logp) * d).sum(axis=1) - d.min(axis=1))) / LN2
         return new, gap
 
-    def solve(self, lam: float, tol: float):
-        """Minimize L(., lam) from ``warm`` until the gap is <= tol.
+    def solve(self, lam: np.ndarray, tol: float):
+        """Minimize L(., lam) from ``warm`` until the gap is <= tol, at
+        multipliers lam >= 0 (K,).
 
-        Returns (certified lower bound on R, a _Bound at the multipliers
-        (lam, 0, ...), made at the iterate; iterate, with its gap).
+        Returns (certified lower bound on R, a _Bound at lam, made at the
+        iterate; iterate, with its gap).
         """
-        multipliers = np.zeros(len(self.targets))
-        multipliers[0] = lam
-        penalty = self.penalty(multipliers)
+        penalty = self.penalty(lam)
         logp = np.log((1.0 - _BA_RESTART_MIX) * self.warm + _BA_RESTART_MIX / self.warm.shape[1])
         mu, last, plain = 1.0, math.inf, None  # mu: the step that reached logp
         for it in range(1, _BA_MAX_ITERS + 1):
@@ -581,21 +427,19 @@ class _LibraryBA:
         self.warm = res.channel
         return self.bound(lam, res), res
 
-    def bound(self, lam: float, res: _Iterate) -> _Bound:
+    def bound(self, lam: np.ndarray, res: _Iterate) -> _Bound:
         """The certified bound at these targets of a solve's iterate ``res``
-        at the multiplier lam on the first target; the iterate and its gap
-        depend only on the costs and on which targets are zero."""
-        multipliers = np.zeros(len(self.targets))
-        multipliers[0] = lam
-        return _Bound(res.value + lam * (res.costs[0] - self.target) - res.gap, multipliers)
+        at multipliers lam; the iterate and its gap depend only on the costs
+        and on which targets are zero."""
+        return _Bound(res.value + float(lam @ (res.costs - self.targets)) - res.gap, lam)
 
 
-def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate) -> _Iterate:
-    """The combination of two iterates, one above and one at or below the
-    first target, that meets it exactly (its weights kept inside (0, 1) so
+def _mix(ba: _LibraryBA, lo: _Iterate, hi: _Iterate, k: int = 0) -> _Iterate:
+    """The combination of two iterates, one above and one at or below
+    target k, that meets it exactly (its weights kept inside (0, 1) so
     that both logarithms stay finite); F is convex, so its value is at most
     the same combination of theirs."""
-    theta = (ba.target - hi.costs[0]) / (lo.costs[0] - hi.costs[0])
+    theta = (ba.targets[k] - hi.costs[k]) / (lo.costs[k] - hi.costs[k])
     theta = min(max(theta, 1e-300), 1.0 - 1e-16)
     return ba.iterate(np.logaddexp(np.log(theta) + lo.logp, np.log1p(-theta) + hi.logp))
 
@@ -657,7 +501,8 @@ def _support_solve(ba: _LibraryBA, channel: np.ndarray, active: list):
         # the step in Jacobi-scaled coordinates dp = scale * v, which give
         # the Hessian a unit diagonal however small an entry is
         scale = np.sqrt(p / np.maximum(px, _TINY)[:, None])
-        blocks = _hessian_blocks(pxy, q, scale)
+        w = scale.T[:, :, None] * pxy  # (Z, X, Y)
+        blocks = -np.einsum("zxy,yz,zwy->zxw", w, 1.0 / np.maximum(q, _TINY), w)
         blocks[:, diag, diag] += 1.0
         a = (rows / np.where(ok, p, 1.0) * scale).transpose(0, 2, 1).reshape(len(rows), -1)[:, var]
         kkt = np.zeros((n + len(a), n + len(a)))
@@ -734,7 +579,9 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
     """Certified lower bound on R from a support solution p at multipliers lam.
 
     The bound is L(., lam) - lam . t - FW gap at p with the columns off its
-    support added _DEAD_NATS below mass one.  Only their shapes matter
+    support added _DEAD_NATS below mass one, and each zero entry of a used
+    column at its log-shape (not _DEAD_NATS below it, where the gradient
+    would be about -60 nats).  Only the shapes of unused columns matter
     there (a column's gradient depends on its shape alone), so they start
     from the log-shapes in ``shapes`` (a BA iterate) and take up to
     _CERT_STEPS Blahut-Arimoto steps at lam towards their best response,
@@ -744,12 +591,13 @@ def _certificate(ba: _LibraryBA, shapes, p, lam, value: float, tol: float):
     would enter).
     """
     penalty = ba.penalty(lam)
-    off = p == 0.0
+    unused = ba.px @ p == 0.0
     with np.errstate(divide="ignore"):
         logp = np.log(p)
     bound = -math.inf
     for it in range(1, _CERT_STEPS + 1):
-        point = _log_normalize(np.where(off, shapes - _log_mass(shapes, ba.px) - _DEAD_NATS, logp))
+        inside = np.where(p == 0.0, shapes, logp)
+        point = _log_normalize(np.where(unused, shapes - _log_mass(shapes, ba.px) - _DEAD_NATS, inside))
         image, gap = ba._step(point, penalty)
         shapes = _log_normalize(image)
         bound = max(bound, _Bound(ba.lagrangian(np.exp(point), lam) - gap, lam))
@@ -827,21 +675,23 @@ def _dual_search(ba: _LibraryBA, tol: float, solves: list | None = None):
     before; every solve's certified bound holds for R.  BA finds the support
     of the optimum long before it converges on it, and _settle solves that
     support exactly, so the bracket's primal is the mix of its last two
-    iterates that meets the target exactly.  Returns (best certified lower
-    bound on R, that primal); it misses the first target only when no
-    multiplier up to _DUAL_MAX_LAMBDA reaches it.
+    iterates that meets the target exactly, and ba.reach the multiplier that
+    met it (at least 1).  Returns (best certified lower bound on R, that
+    primal); it misses the first target only when no multiplier up to
+    _DUAL_MAX_LAMBDA reaches it.
 
     The solves do not depend on the target values, only on the costs and
     on which targets are zero.  ``solves`` lists the iterates of those made
     so far on this library and zero pattern, at lam = 0, 1, 4, ... (a
-    sweep's _Store keeps it): the search walks it, making each bound at its
+    sweep's _Store keeps it): the bracket walks it, making each bound at its
     own targets, and solves and appends only past its end.
     """
     solves = [] if solves is None else solves
     bound, lo = -math.inf, None
     for i in itertools.count():
-        lam = 0.0 if i == 0 else 4.0 ** (i - 1)
-        if lam > _DUAL_MAX_LAMBDA:
+        lam = np.zeros(len(ba.targets))
+        lam[0] = 0.0 if i == 0 else 4.0 ** (i - 1)
+        if lam[0] > _DUAL_MAX_LAMBDA:
             return bound, lo
         if i == len(solves):
             if solves:
@@ -849,22 +699,23 @@ def _dual_search(ba: _LibraryBA, tol: float, solves: list | None = None):
             solves.append(ba.solve(lam, max(0.1 * tol, _COARSE_GAP if i else 0.0))[1])
         hi = solves[i]
         bound = max(bound, ba.bound(lam, hi))
-        if hi.costs[0] <= ba.target:
+        if hi.costs[0] <= ba.targets[0]:
+            ba.reach = max(lam[0], 1.0)
             return bound, hi if lo is None else _mix(ba, lo, hi)
         lo = hi
 
 
 def _certified_solve(ba: _LibraryBA, solves=None, incumbent: float | None = None):
-    """Certified minimum over the columns of ``ba``, without the barrier:
-    no point when the per-x cheapest columns miss a target, else the search
-    (_dual_search), whose bound holds for R and prunes the columns, with no
-    point, once it exceeds ``incumbent`` by _PRUNE_MARGIN.  Unless its
-    primal meets every target and is within _UNIVERSE_GAP of the bound,
+    """Certified minimum over the columns of ``ba`` by the bracket alone:
+    no point when the per-x cheapest columns miss a target, else the
+    bracket (_dual_search), whose bound holds for R and prunes the columns,
+    with no point, once it exceeds ``incumbent`` by _PRUNE_MARGIN.  Unless
+    its primal meets every target and is within _UNIVERSE_GAP of the bound,
     one _settle from it, holding the first target (when positive) and every
     positive target the primal misses, replaces the primal.  Returns (lower
     bound, a _Bound with its multipliers, or -inf; primal iterate, or None
     if none meets every target or the columns are pruned).  ``solves`` is
-    the search's (see _dual_search).
+    the bracket's (see _dual_search).
     """
     if (ba.costs.min(axis=2).sum(axis=1) > ba.targets + 1e-12).any():
         return -math.inf, None  # even the cheapest columns miss a target
@@ -881,19 +732,104 @@ def _certified_solve(ba: _LibraryBA, solves=None, incumbent: float | None = None
     return bound, primal
 
 
+def _jointly_unmeetable(ba: _LibraryBA, lam: np.ndarray) -> bool:
+    """Farkas' lemma at multipliers lam >= 0: even the channel that puts
+    each row on its cheapest allowed entry of lam . c costs more than
+    lam . t (each target plus 1e-12), so no channel meets every target."""
+    weighted = np.where(ba.forbidden == 0.0, np.tensordot(lam, ba.costs, 1), np.inf)
+    return bool(weighted.min(axis=1).sum() > lam @ (ba.targets + 1e-12))
+
+
+def _multiplier_search(ba: _LibraryBA, bound, primal):
+    """Maximize the dual g(lam) = min_p L(p, lam) - lam . t over the
+    multipliers of the n positive targets (a zero target forbids entries
+    instead), from the bound and point of _certified_solve.
+
+    g is concave but not smooth, so the search is an ellipsoid method
+    (Bland, Goldfarb and Todd, Oper. Res. 1981) from a ball of radius
+    _SEARCH_RADIUS ba.reach sqrt(n) around ba.reach on every target.  At
+    the centre a Blahut-Arimoto solve gives a channel p and a bound, and
+    the plane L(p, mu) - mu . t lies above g, so every mu where it is below
+    the best bound is cut off (a deep or shallow cut, which never loses the
+    optimum).  Such a cut shrinks the ellipsoid only if the solve's gap is
+    below 1/n of the most the plane rises inside it, so each solve goes to
+    half that (_SEARCH_GAP at first), and a centre whose cut would not
+    shrink it is solved again.  Each solve is followed by one _settle,
+    holding every target whose multiplier is positive or that p misses,
+    from p or, with n = 1, from the _mix of the last channels on either
+    side of the target (itself a candidate point).  The search stops at a
+    point certified within _EXACT_GAP, once the plane cannot rise by that
+    much (after one last solve to a tenth of it, whose bound and channels
+    may still close the gap), or after _BA_MAX_ITERS iterations;
+    multipliers that make the targets _jointly_unmeetable end it with
+    (-inf, None).  Returns what _certified_solve returns.
+    """
+    pos = np.flatnonzero(ba.targets > 0.0)
+    n, start = len(pos), ba.iterations
+    lam = np.zeros(len(ba.targets))
+    centre = np.full(n, ba.reach)
+    shape = np.eye(n) * n * (_SEARCH_RADIUS * ba.reach) ** 2
+    tol, sides = _SEARCH_GAP, {}
+    while ba.iterations - start < _BA_MAX_ITERS:
+        if (centre < 0.0).any():  # cut off the negative side of one multiplier
+            i = int(np.argmin(centre))
+            cut, width = np.eye(n)[i], math.sqrt(shape[i, i])
+            alpha = -centre[i] / width
+        else:
+            lam[pos] = centre
+            if _jointly_unmeetable(ba, lam):
+                return -math.inf, None
+            got, res = ba.solve(lam, tol)
+            bound = max(bound, got)
+            held = [k for k in pos if lam[k] > 0.0 or res.costs[k] > ba.targets[k] + 1e-12]
+            guess = res
+            if n == 1:
+                sides[bool(res.costs[pos[0]] > ba.targets[pos[0]])] = res
+                if len(sides) == 2:
+                    guess = _mix(ba, sides[True], sides[False], pos[0])
+            got, point = _settle(ba, guess.channel, guess.logp, held, _UNIVERSE_GAP)
+            bound = max(bound, got)
+            for p in (guess, point):
+                if p is not None and np.all(p.costs <= ba.targets + 1e-12):
+                    primal = p if primal is None or p.value < primal.value else primal
+            if primal is not None and primal.value - bound <= _EXACT_GAP:
+                break
+            cut = res.costs[pos] - ba.targets[pos]
+            width = math.sqrt(max(cut @ shape @ cut, 0.0))
+            if width <= _EXACT_GAP:
+                if tol <= 0.1 * _EXACT_GAP:
+                    break
+                tol = 0.1 * _EXACT_GAP  # one last solve, fine enough to certify
+                continue
+            alpha = (bound - res.value - lam @ (res.costs - ba.targets)) / width
+            tol = min(_SEARCH_GAP, 0.5 * width / n)
+            if alpha <= -1.0 / n:
+                continue
+        if alpha >= 1.0:  # the cut leaves nothing: the first ball missed the optimum
+            break
+        b = shape @ cut / width
+        if n == 1:
+            centre = centre + (1.0 + alpha) / 2.0 * b
+            shape = shape * ((1.0 - alpha) / 2.0) ** 2
+        else:
+            centre = centre + (1.0 + n * alpha) / (n + 1) * b
+            shape = n * n * (1.0 - alpha * alpha) / (n * n - 1.0) * (
+                shape - 2.0 * (1.0 + n * alpha) / ((n + 1) * (1.0 + alpha)) * np.outer(b, b)
+            )
+    return bound, primal
+
+
 def _universe_solve(pxy, cons, targets, solves=None):
-    """_certified_solve over the full column library, then the barrier
-    solve (solve_constrained) for a point still uncertified within
-    _EXACT_GAP.  Returns (lower bound, a _Bound; primal iterate, or None if
-    none meets every target; iterations: BA, certificate and Newton steps).
+    """_certified_solve over the full column library, then the multiplier
+    search (_multiplier_search) for a point still uncertified within
+    _EXACT_GAP.  Returns (lower bound, a _Bound, or -inf when the targets
+    are unmeetable; primal iterate, or None if none meets every target;
+    iterations: Blahut-Arimoto and certificate steps).
     """
     ba = _LibraryBA(pxy, cons, targets)
     bound, primal = _certified_solve(ba, solves)
-    if primal is None or primal.value - bound > _EXACT_GAP:
-        got, point = solve_constrained(ba)
-        bound = max(bound, got)
-        if point is not None and (primal is None or point.value < primal.value):
-            primal = point
+    if bound > -math.inf and (primal is None or primal.value - bound > _EXACT_GAP):
+        bound, primal = _multiplier_search(ba, bound, primal)
     return bound, primal, ba.iterations
 
 

@@ -53,6 +53,20 @@ def ladder_instance(nx: int, ny: int, nhat: int):
     return JointSource.from_pxy(pxy), spec, 0.5 * const_dd, 0.3 * float(de.mean())
 
 
+def encoder_active_instance(seed: int = 2, y_size: int = 2):
+    """A 2 x y_size x 3 instance (3^y_size decoder columns) whose encoder
+    constraint binds at D_d = 0.6 x the cheapest constant E d_d and a small
+    D_e: (src, spec, dd_target)."""
+    rng = np.random.default_rng(seed)
+    pxy = rng.random((2, y_size)) + 0.1
+    pxy /= pxy.sum()
+    dd = hamming(3)[:2] * (0.5 + rng.random((2, 3)))
+    de = hamming(3) * (0.5 + rng.random((3, 3)))
+    src = JointSource.from_pxy(pxy)
+    spec = DistortionSpec(xhat_size=3, dd=dd, de=de)
+    return src, spec, 0.6 * float((src.px[:, None] * dd).sum(axis=0).min())
+
+
 def grouped_instance(seed: int, letters: int = 2):
     """Seeded K = 2 extended instance whose two tables both depend on
     xhat_e: 2 x 2 x letters x letters, dk[:, x, x, x] = 0, and each target

@@ -10,7 +10,7 @@ import pytest
 
 import rdsi
 import rdsi.cli
-from conftest import ladder_instance
+from conftest import encoder_active_instance, grouped_instance, ladder_instance
 from rdsi.cli import main
 from rdsi.sphere import cap_ratio
 
@@ -578,7 +578,7 @@ print(json.dumps({"loaded": loaded, "results": results}))
 
     def test_cold_import_loads_no_scipy(self, tmp_path):
         # every subcommand on these inputs runs on numpy alone: xlogy is
-        # numpy's, and no point here needs the barrier solve's start LP
+        # numpy's, and no solve uses an LP
         src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
         inst = write_json(
             tmp_path / "3x3x3.json",
@@ -609,6 +609,37 @@ print(json.dumps({"loaded": loaded, "results": results}))
         assert scan["diagnostics"]["path"] == "scan"
         assert scan["rate"] == pytest.approx(0.2998958178, abs=1e-9)
         assert ext["label"] == "exact"
+
+    @pytest.mark.parametrize(
+        "case, rate",
+        [("ext-solve", 0.2531382907712534), ("discrete-solve", 0.006654824512493179)],
+    )
+    def test_multiplier_search_loads_no_scipy(self, tmp_path, case, rate):
+        # points the bracket leaves uncertified, which the multiplier search
+        # settles: grouped_instance(2, 3), and the corner point of
+        # encoder_active_instance(0, 3) at 0.95 x the constant rule's E d_d
+        # and D_e = 0.005
+        if case == "ext-solve":
+            src, ext = grouped_instance(2, letters=3)
+            inst = write_json(tmp_path / "grouped.json", {
+                "x_size": 2, "y_size": 2, "xhat_d_size": 3, "xhat_e_size": 3, "k": 2,
+                "pxy": src.pxy.ravel().tolist(), "dk": ext.dk.ravel().tolist(),
+                "targets": ext.targets.tolist()})
+            argv = ["ext-solve", "--input", inst]
+        else:
+            src, spec, _ = encoder_active_instance(0, 3)
+            const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
+            inst = write_json(tmp_path / "corner.json", {
+                "x_size": 2, "y_size": 3, "xhat_size": 3, "pxy": src.pxy.ravel().tolist(),
+                "dd": spec.dd.ravel().tolist(), "de": spec.de.ravel().tolist()})
+            argv = ["discrete-solve", "--input", inst, "--config",
+                    f"dd_target={0.95 * const!r}", "--config", "de_target=0.005"]
+        result = json.loads(fresh_python("-c", self.COLD, json.dumps([[case, argv]])))
+        assert result["loaded"] == {"import": [], case: []}
+        status, out = result["results"][case]
+        report = json.loads(out)
+        assert status == 0 and report["label"] == "exact"
+        assert report["rate"] == pytest.approx(rate, abs=1e-9)
 
     def test_reduce_u_loads_no_optimize(self, tmp_path):
         # the alphabet walk is plain numpy: no LP, no sparse matrix

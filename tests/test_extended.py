@@ -345,10 +345,8 @@ class TestLibraryPath:
             (7, 0.2958559010304275, 3),
             (2, 0.2531382907712534, 3),
             # rates certified by a search with a multiplier on each table in
-            # turn; the barrier's point stalls just above them, so the
-            # hand-off to _settle must reach them: 43 has a zero entry in a
-            # support column, and 46 a first target slack by 2.7e-5 that the
-            # barrier's point holds
+            # turn: 43 has a zero entry in a support column, and 46 a first
+            # target slack by 2.7e-5
             (9, 0.2852593865636405, 2),
             (16, 0.301593864089264, 2),
             (43, 0.17685092316776876, 2),
@@ -356,11 +354,12 @@ class TestLibraryPath:
             (46, 0.24890563400057067, 2),
         ],
     )
-    def test_uncertified_search_settles_on_the_barrier_point(
+    def test_uncertified_bracket_settles(
         self, monkeypatch, seed, rate, letters
     ):
-        # the search leaves these uncertified; the barrier solve on the
-        # whole library finds the support that _settle certifies
+        # the bracket leaves some of these uncertified; the multiplier
+        # search on the whole library finds the support that _settle
+        # certifies
         src, ext = grouped_instance(seed, letters)
         monkeypatch.setattr(solver_module, "scan_candidates", None)
         point = solve_rate_ext(src, ext)
@@ -370,9 +369,9 @@ class TestLibraryPath:
         assert ext_rate_objective(src, point.p_uz_given_x) == pytest.approx(point.rate, abs=1e-12)
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
-    def test_k3_point_settles_on_the_barrier_point(self, monkeypatch):
+    def test_k3_point_settles_by_the_multiplier_search(self, monkeypatch):
         # a rate certified by a search with a multiplier on each table in
-        # turn, which the barrier solve's hand-off to _settle must reach
+        # turn, which the full-library solve must reach
         src, ext = k3_instance(29)
         monkeypatch.setattr(solver_module, "scan_candidates", None)
         point = solve_rate_ext(src, ext)
@@ -381,10 +380,38 @@ class TestLibraryPath:
         assert point.rate == pytest.approx(0.47849541758100117, abs=1e-9)
         assert np.all(point.achieved <= ext.targets + 1e-9)
 
+    @pytest.mark.parametrize(
+        "kind, seed, rate",
+        [
+            ("grouped", 9, 0.2852593865636405),
+            ("grouped", 16, 0.301593864089264),
+            ("grouped", 43, 0.17685092316776876),
+            ("k3", 29, 0.47849541758100117),
+        ],
+    )
+    def test_zero_entry_of_a_used_column_certifies_without_the_search(
+        self, monkeypatch, kind, seed, rate
+    ):
+        # the certificate prices a zero entry inside a used column (grouped
+        # seed 9 has p[:, 4] = (0, 0.5)) at its Blahut-Arimoto shape, not
+        # _DEAD_NATS below it, where a gradient of about -60 nats opened a
+        # Frank-Wolfe gap of about 39 bits; _settle then certifies these
+        src, ext = grouped_instance(seed) if kind == "grouped" else k3_instance(seed)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the multiplier search was reached")
+
+        monkeypatch.setattr(solver_module, "_multiplier_search", refuse)
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        point = solve_rate_ext(src, ext)
+        assert (point.path, point.label) == ("library", "exact")
+        assert point.rate == pytest.approx(rate, abs=1e-9)
+        assert np.all(point.achieved <= ext.targets + 1e-9)
+
     def test_every_k3_point_settles(self, monkeypatch):
-        # the whole K = 3 corpus: the support solve after the search holds
-        # the first table and every table the search's primal misses, and
-        # the barrier solve takes the points it leaves uncertified
+        # the whole K = 3 corpus: the support solve after the bracket holds
+        # the first table and every table the bracket's primal misses, and
+        # the multiplier search takes the points it leaves uncertified
         monkeypatch.setattr(solver_module, "scan_candidates", None)
         for seed in range(40):
             src, ext = k3_instance(seed)

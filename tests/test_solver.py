@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdsi.caratheodory as caratheodory_module
 import rdsi.extended as extended_module
 import rdsi.solver as solver_module
 from conftest import (
     binary_entropy,
     bsc_pair,
+    encoder_active_instance,
     grouped_instance,
     hamming,
     hamming_spec,
@@ -41,7 +43,6 @@ from rdsi.solver import (
     r_cr,
     r_wz,
     rate_objective,
-    solve_constrained,
     solve_rate,
     tradeoff_sweep,
 )
@@ -155,10 +156,11 @@ class TestExpectedDistortions:
 
 
 def fixed_rules(src, spec, dd_target, de_target, phi, psi):
-    """The barrier solve for one rule pair (phi, psi): (certified bound,
-    point or None)."""
+    """The full-library solve on the columns of one rule pair (phi, psi):
+    (certified bound, point or None)."""
     cons = _cost_tables(src.pxy, spec, np.asarray(phi), np.asarray(psi))
-    return solve_constrained(_LibraryBA(src.pxy, cons, [dd_target, de_target]))
+    bound, point, _ = solver_module._universe_solve(src.pxy, list(cons), [dd_target, de_target])
+    return bound, point
 
 
 class TestInnerMinimize:
@@ -178,12 +180,12 @@ class TestInnerMinimize:
 
     def test_jointly_infeasible_targets_detected(self):
         # each target alone is met by one column, but every channel's two
-        # costs add up to 1 > 0.25 + 0.25: the barrier's start LP finds no
-        # interior point
+        # costs add up to 1 > 0.25 + 0.25: the multiplier search's first
+        # centre, equal multipliers, proves it by Farkas' lemma
         src = bsc_pair(0.25)
         a = np.outer(src.px, [0.0, 1.0])
-        ba = _LibraryBA(src.pxy, [a, src.px[:, None] - a], [0.25, 0.25])
-        assert solve_constrained(ba) == (-math.inf, None)
+        got = solver_module._universe_solve(src.pxy, [a, src.px[:, None] - a], [0.25, 0.25])
+        assert got[:2] == (-math.inf, None)
 
     def test_incumbent_below_the_optimum_prunes(self, monkeypatch):
         # the instance of test_matches_grid_oracle_for_fixed_rules; the
@@ -409,20 +411,6 @@ class TestSignatureLibrary:
         assert point.rate <= conditional_entropy_x_given_y(src) + 1e-9
 
 
-def encoder_active_instance(seed=2, y_size=2):
-    """A 2 x y_size x 3 instance (3^y_size decoder columns) whose encoder
-    constraint binds at D_d = 0.6 x the cheapest constant E d_d and a small
-    D_e: (src, spec, dd_target)."""
-    rng = np.random.default_rng(seed)
-    pxy = rng.random((2, y_size)) + 0.1
-    pxy /= pxy.sum()
-    dd = hamming(3)[:2] * (0.5 + rng.random((2, 3)))
-    de = hamming(3) * (0.5 + rng.random((3, 3)))
-    src = JointSource.from_pxy(pxy)
-    spec = DistortionSpec(xhat_size=3, dd=dd, de=de)
-    return src, spec, 0.6 * float((src.px[:, None] * dd).sum(axis=0).min())
-
-
 @functools.lru_cache(maxsize=None)
 def encoder_active_enumeration():
     """R of encoder_active_instance at D_e = 0.02 from a full enumeration of
@@ -508,8 +496,8 @@ class TestUniverseFirst:
     ):
         # D_d near the cheapest constant rule's E d_d and a small D_e: no
         # support from the Wyner-Ziv primal reaches both targets, so the
-        # barrier solve on the whole library finds the one _settle
-        # certifies, and the search before it must stay short
+        # multiplier search on the whole library finds the one _settle
+        # certifies, and it must stay short
         src, spec, dd_t = encoder_active_instance(seed, y_size)
         dd_t *= dd_scale / 0.6  # encoder_active_instance gives 0.6 x the constant rule
         monkeypatch.setattr(solver_module, "scan_candidates", None)
@@ -524,7 +512,7 @@ class TestUniverseFirst:
 
     def test_sweep_cell_settles_in_few_iterations(self, monkeypatch):
         # a cell of a 20 x 20 sweep of the 3x3x3 ladder instance that the
-        # dual search leaves to the barrier solve, as at the corner points
+        # dual search leaves to the multiplier search, as at the corner points
         src, spec, dd_t, _ = ladder_instance(3, 3, 3)
         dd_t *= 0.9 / 0.5  # ladder_instance gives 0.5 x the constant rule
         de_t = 0.6 / 19 * float(spec.de.mean())
@@ -606,7 +594,7 @@ class TestOverRelaxedBA:
     # the 3x3x3 ladder's bracket multipliers after lam = 0, solved to 1e-3
     # bits, ten times finer than the dual search's _COARSE_GAP, so that the
     # over-relaxed steps run long enough to be rejected
-    BRACKET = ((1.0, 1e-3), (4.0, 1e-3), (16.0, 1e-3))
+    BRACKET = (([1.0, 0.0], 1e-3), ([4.0, 0.0], 1e-3), ([16.0, 0.0], 1e-3))
 
     @pytest.mark.parametrize("cap", [2, 3, 4, 5])
     def test_bound_is_made_at_the_returned_point(self, monkeypatch, cap):
@@ -647,7 +635,7 @@ class TestOverRelaxedBA:
             bound, res = ba.solve(lam, tol)
             _, gap = step(ba, res.logp, ba.penalty(bound.lam))
             assert gap <= tol
-            if lam < 16.0:
+            if lam[0] < 16.0:
                 assert rejected >= 1
         src, spec, dd_t, de_t = ladder_instance(3, 3, 3)
         point = solve_rate(src, spec, dd_t, de_t)
@@ -663,11 +651,12 @@ class TestOverRelaxedBA:
 
     def test_bracket_leaves_the_barrier_unreached(self, monkeypatch):
         # the bracket stops at _COARSE_GAP, and _settle must still certify
-        # every ladder point and the K = 2 BSC ext-solve from its primal
+        # every ladder point and the K = 2 BSC ext-solve from its primal,
+        # without the multiplier search (which replaced the barrier solve)
         def refuse(*args, **kwargs):
-            raise AssertionError("the barrier solve was reached")
+            raise AssertionError("the multiplier search was reached")
 
-        monkeypatch.setattr(solver_module, "solve_constrained", refuse)
+        monkeypatch.setattr(solver_module, "_multiplier_search", refuse)
         for shape in ((3, 2, 2), (2, 3, 3), (3, 3, 3), (4, 4, 4)):
             src, spec, dd_t, de_t = ladder_instance(*shape)
             assert solve_rate(src, spec, dd_t, de_t).label == "exact"
@@ -969,16 +958,17 @@ def corpus_points():
 class TestCorpus:
     def test_every_point_is_exact_and_checks_out(self, monkeypatch):
         # each point's witness is checked by the model's own formulas, and
-        # the barrier solve is called at most 11 times, its count when this
-        # corpus was first recorded
-        barrier = []
-        solve = solver_module.solve_constrained
+        # the multiplier search is called at most 11 times, the barrier
+        # solve's count (which it replaced) when this corpus was first
+        # recorded
+        searches = []
+        search = solver_module._multiplier_search
 
         def counted(*args, **kwargs):
-            barrier.append(1)
-            return solve(*args, **kwargs)
+            searches.append(1)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "solve_constrained", counted)
+        monkeypatch.setattr(solver_module, "_multiplier_search", counted)
         points = 0
         for src, spec, dd_t, de_t in corpus_points():
             point = solve_rate(src, spec, dd_t, de_t)
@@ -989,7 +979,38 @@ class TestCorpus:
             assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
             points += 1
         assert points == 97
-        assert len(barrier) <= 11
+        assert len(searches) <= 11
+
+
+def corner_points():
+    """The 144-point corner corpus: encoder_active_instance seeds 0-7 at
+    |Y| = 2 and 3, with D_d at 0.9, 0.95 and 0.99 x the cheapest constant
+    rule's E d_d and D_e at 0.01, 0.005 and 0.001, where no support from
+    the Wyner-Ziv solution reaches both targets.  Yields (src, spec,
+    dd_target, de_target)."""
+    for seed, y_size in itertools.product(range(8), (2, 3)):
+        src, spec, _ = encoder_active_instance(seed, y_size)
+        const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
+        for scale, de_t in itertools.product((0.9, 0.95, 0.99), (0.01, 0.005, 0.001)):
+            yield src, spec, scale * const, de_t
+
+
+class TestCornerCorpus:
+    def test_every_corner_point_is_exact_and_checks_out(self, monkeypatch):
+        # the full-library solve alone, its witness checked as in
+        # TestCorpus; 37 of the points need the multiplier search
+        monkeypatch.setattr(solver_module, "scan_candidates", None)
+        labels, iterations = collections.Counter(), []
+        for src, spec, dd_t, de_t in corner_points():
+            point = solve_rate(src, spec, dd_t, de_t)
+            labels[point.label] += 1
+            iterations.append(point.iterations)
+            assert 0.0 <= point.gap <= 1e-7
+            edd, ede = expected_distortions(src, spec, point.witness)
+            assert edd <= dd_t + 1e-9 and ede <= de_t + 1e-9
+            assert rate_objective(src, point.witness) == pytest.approx(point.rate, abs=1e-9)
+        assert labels == {"exact": 144}
+        assert max(iterations) < 5000
 
 
 def degenerate_instance(rng, kind):
@@ -1057,8 +1078,9 @@ class TestBelowTheBound:
 
     def test_candidate_route_matches_the_barrier(self):
         # every three-column candidate of an encoder-active library, solved
-        # by the scan's route and by the barrier: the same 77 of the 84 give
-        # no point, and the other 7 the same rate
+        # by the scan's route and by the full-library solve, whose multiplier
+        # search replaced the barrier solve: the same 77 of the 84 give no
+        # point, and the other 7 the same rate
         src, spec, dd_t = encoder_active_instance(2, 2)
         _, rows = base_library(src, spec)
         cons = [np.ascontiguousarray(r.T) for r in rows]
@@ -1066,10 +1088,10 @@ class TestBelowTheBound:
         for cand in solver_module._candidate_array(len(rows[0]), 3, 10**6):
             cols = [c[:, cand] for c in cons]
             _, route = solver_module._certified_solve(_LibraryBA(src.pxy, cols, [dd_t, 0.02]))
-            _, barrier = solve_constrained(_LibraryBA(src.pxy, cols, [dd_t, 0.02]))
-            assert (route is None) == (barrier is None)
+            _, full, _ = solver_module._universe_solve(src.pxy, cols, [dd_t, 0.02])
+            assert (route is None) == (full is None)
             if route is not None:
-                assert route.value == pytest.approx(barrier.value, abs=1e-9)
+                assert route.value == pytest.approx(full.value, abs=1e-9)
             outcomes[route is None] += 1
         assert outcomes == {True: 77, False: 7}
 
@@ -1464,7 +1486,7 @@ class TestTradeoffSweep:
         solve = _LibraryBA.solve
 
         def counted(ba, lam, tol):
-            calls[tuple(ba.targets <= 0.0), lam] += 1
+            calls[tuple(ba.targets <= 0.0), tuple(lam)] += 1
             return solve(ba, lam, tol)
 
         monkeypatch.setattr(_LibraryBA, "solve", counted)
@@ -1556,21 +1578,20 @@ def assert_cells_match_own_errors(cells, src, spec, cfg):
 
 class TestScipyNames:
     def test_calls_go_through_module_attributes(self, monkeypatch):
-        # bench/tracing.py replaces solver.linprog to time the calls, so the
-        # solver must look it up when it calls it
+        # a harness may replace a scipy function to time its calls, so the
+        # module must look it up when it calls it; nnls, for
+        # boundary_reduce, is the last scipy.optimize name
         calls = []
-        linprog = solver_module.linprog
+        nnls = caratheodory_module.nnls
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return linprog(*args, **kwargs)
+            return nnls(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "linprog", counted)
-        # a corner point that _settle leaves uncertified, so the full
-        # library goes to the barrier solve, whose start is an LP
-        src, spec, _ = encoder_active_instance(0, 3)
-        const = float((src.px[:, None] * spec.dd).sum(axis=0).min())
-        assert solve_rate(src, spec, 0.95 * const, 0.005).label == "exact"
+        monkeypatch.setattr(caratheodory_module, "nnls", counted)
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        out = caratheodory_module.boundary_reduce(corners, np.array([0.5, 1.0]), np.array([0.0, 1.0]))
+        assert out.support_size == 2
         assert calls
 
 
